@@ -5,7 +5,7 @@ mc-partition, mc-gibbs, ensemble.  Reports are JSON with a stable field
 order plus a human-readable text rendering; sweeps emit CSV.  Extended
 reals serialize as "inf"/"-inf", exact rationals as "p/q" strings.
 Exit codes: 0 ok, 2 input error, 3 size limit, 4 domain error.
-LOGGAS_THREADS caps the parallelism of ensemble trials and sweep points.
+LOGGAS_THREADS caps the parallelism of sweep points.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
 from .rational import format_real
-from .solver import CriticalReport, SolverOptions, critical_interval, solve_both
+from .solver import CriticalReport, SolverOptions, critical_interval, endpoints, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
 SCHEMA_VERSION = 1
@@ -305,8 +305,7 @@ def _parse_beta_grid(text: str) -> tuple:
 def cmd_mc_partition(cfg: RunConfig) -> int:
     system = load_system(cfg.input_path)
     c = _float_view(system.coupling)
-    report = critical_interval(c)
-    lo, hi = float(report.beta_minus), float(report.beta_plus)
+    lo, hi = (float(b) for b in endpoints(*solve_both(c)))
     grid = cfg.beta_grid
     if not grid:
         raise InputFormatError("mc-partition requires --beta-grid")
@@ -457,9 +456,7 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
             "violations": violations,
         }
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(trial, range(trials)))
-
+    rows = [trial(index) for index in range(trials)]
     t_plus_values = np.array([r["t_plus"] for r in rows])
     t_minus_values = np.array([r["t_minus"] for r in rows])
     levels = sphere_mc.QUANTILE_LEVELS

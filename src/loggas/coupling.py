@@ -165,10 +165,6 @@ class GraphSpec:
             seen.add((i, j))
 
 
-def _validated(n: int, floats: np.ndarray, exact) -> CouplingMatrix:
-    return CouplingMatrix(n=n, entries=floats, exact_entries=exact)
-
-
 def from_matrix(raw) -> CouplingMatrix:
     """Validate a square array of couplings.
 
@@ -206,7 +202,7 @@ def from_matrix(raw) -> CouplingMatrix:
                 exact[i][j] = exact[j][i] = Fraction(v)
     if exact is not None:
         exact = tuple(tuple(r) for r in exact)
-    return _validated(n, floats, exact)
+    return CouplingMatrix(n, floats, exact)
 
 
 def from_charges(k: ChargeVector) -> CouplingMatrix:
@@ -227,7 +223,7 @@ def from_charges(k: ChargeVector) -> CouplingMatrix:
             for j in range(n):
                 if i != j:
                     floats[i, j] = float(exact[i][j])
-    return _validated(n, floats, exact)
+    return CouplingMatrix(n, floats, exact)
 
 
 def from_two_component(spec: TwoComponentSpec) -> CouplingMatrix:
@@ -243,7 +239,7 @@ def from_graph(g: GraphSpec) -> CouplingMatrix:
     for i, j in g.edges:
         floats[i, j] = floats[j, i] = 1.0
         exact[i][j] = exact[j][i] = Fraction(1)
-    return _validated(g.n, floats, tuple(tuple(r) for r in exact))
+    return CouplingMatrix(g.n, floats, tuple(tuple(r) for r in exact))
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -263,7 +259,7 @@ def sample_gaussian_couplings(n: int, variance: float, seed: int) -> CouplingMat
     iu = np.triu_indices(n, k=1)
     floats[iu] = draws
     floats = floats + floats.T
-    return _validated(n, floats, None)
+    return CouplingMatrix(n, floats)
 
 
 def sample_gaussian_charges(n: int, seed: int) -> ChargeVector:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coupling import CouplingMatrix, GraphSpec, from_graph
 from .errors import EdgelessGraph, InstanceTooLarge
-from .solver import SolverOptions, SubsetMask, solve_t_minus
+from .solver import SolverOptions, SubsetMask, all_subset_sums, solve_t_minus
 
 _ORACLE_MAX_N = 10
 _ORACLE_MAX_EDGES = 20
@@ -130,23 +130,7 @@ def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
     result = solve_t_minus(c)
     t_minus = result.t_value
     exact = c.is_exact
-
-    sums = {}
-    for mask in range(1 << c.n):
-        idx = [i for i in range(c.n) if (mask >> i) & 1]
-        if len(idx) < 2:
-            continue
-        if exact:
-            a = Fraction(0)
-            for p, i in enumerate(idx):
-                for j in idx[p + 1:]:
-                    a += c.exact_entries[i][j]
-        else:
-            a = 0.0
-            for p, i in enumerate(idx):
-                for j in idx[p + 1:]:
-                    a += float(c.entries[i, j])
-        sums[mask] = a
+    sums = all_subset_sums(c)
 
     # -1/2 chi'C chi = -a ; objective = -a - T- * |S|
     def objective(mask):

@@ -47,16 +47,6 @@ def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def is_finite(x: Real) -> bool:
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return True
-
-
-def as_float(x: Real) -> float:
-    return float(x)
-
-
 def format_real(x: Real) -> object:
     """JSON-friendly rendering: Fractions as "p/q" strings, infinities as
     "inf"/"-inf", finite floats as-is."""

@@ -6,19 +6,34 @@ T+ is minus the minimum, T- is minus the maximum; the partition function is
 finite exactly on (beta-, beta+) with beta+ = 1/T+ when T+ > 0 (else +inf)
 and beta- = 1/T- when T- < 0 (else -inf).
 
-Enumeration walks all 2^n subsets in Gray-code order, maintaining the subset
-sum incrementally.  In exact mode entries are scaled to a common-denominator
-integer grid, so every comparison is integer cross-multiplication and ties
-are exact.  Optimizer families, maximal nests (laminar subfamilies) and the
-limiting-support rendering follow.
+One numpy kernel scans all 2^n subsets.  It builds the table of subset sums
+by doubling, s[mask | 1<<k] = s[mask] + L_k[mask], with L_k the doubling
+table of row k over the bits below k, and reduces the minimum and maximum
+sum a_k of each subset size k.  Each optimum is then the best a_k/(k-1) over
+at most n-1 sizes, and its family is read off the winning sizes only.  The
+table is built in blocks of at most 2^16 low-bit masks; the fixed high bits
+of a block add one vector, so memory stays at a few MB up to the n = 26
+cap.
+
+Exact mode scales the entries to integers over their common denominator.
+The sums are int64 when the absolute entries sum below 2^62 and Python ints
+(dtype=object) otherwise, and sizes are compared as exact fractions, so ties
+are exact.  Float mode finds ties with the ``tie_tol`` rule; its reported
+optimum is the fsum of the pairs of the first optimizer in (size, mask)
+order over |S|-1, so it does not depend on the summation order.  Optimizer
+families, maximal nests (laminar subfamilies) and the limiting-support
+rendering follow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import (
@@ -29,8 +44,9 @@ from .errors import (
 )
 from .rational import Real
 
-_FLOAT_RESYNC = 65536  # refresh incremental float sums to bound drift
+_BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
 _COLLECT_CAP = 1_000_000
+_INT64_BOUND = 1 << 62
 
 
 @dataclass(frozen=True, order=True)
@@ -124,7 +140,6 @@ class SolverOptions:
     max_n: int = 26
     tie_tol: float = 1e-9
     exact: Optional[bool] = None  # None: exact whenever the matrix is
-    partitions: int = 1
     nest_cap: int = 10_000
     family_cap: int = 4096
 
@@ -165,153 +180,142 @@ def _resolve_exact(c: CouplingMatrix, opts: SolverOptions) -> bool:
     return opts.exact
 
 
-def _int_rows(c: CouplingMatrix):
-    """Scale exact entries to integers over a common denominator."""
-    denom = 1
-    for row in c.exact_entries:
-        for q in row:
-            denom = denom * q.denominator // math.gcd(denom, q.denominator)
-    rows = [[int(q * denom) for q in row] for row in c.exact_entries]
-    return rows, denom
+def _weights(c: CouplingMatrix, exact: bool):
+    """(w, denom): the couplings as the array the kernel sums.
 
-
-def _float_rows(c: CouplingMatrix):
-    return [[float(v) for v in row] for row in c.entries]
-
-
-def _mask_sum(rows, mask: int):
-    total = 0
-    bits, idx = mask, []
-    while bits:
-        b = bits & -bits
-        i = b.bit_length() - 1
-        row = rows[i]
-        for j in idx:
-            total += row[j]
-        idx.append(i)
-        bits ^= b
-    return total
+    Exact entries are scaled to integers over their common denominator.
+    int64 holds every subset sum once the absolute entries of the upper
+    triangle sum below 2^62; past that the same kernel runs on Python ints
+    (dtype=object)."""
+    if not exact:
+        return np.array(c.entries, dtype=float), 1
+    denom = math.lcm(*(q.denominator for row in c.exact_entries for q in row))
+    rows = [[q.numerator * (denom // q.denominator) for q in row] for row in c.exact_entries]
+    total = sum(abs(v) for i, row in enumerate(rows) for v in row[i + 1:])
+    return np.array(rows, dtype=np.int64 if total < _INT64_BOUND else object), denom
 
 
 # ---------------------------------------------------------------------------
-# Gray-code scan: pass 1 finds both extrema, pass 2 collects the tie families
+# Subset-sum kernel: doubling tables, built and reduced one block at a time
 # ---------------------------------------------------------------------------
 
-def _walk(rows, lo: int, hi: int, visit, resync: int = 0):
-    """Visit (mask, size, subset_sum) for masks gray(lo)..gray(hi-1)."""
-    mask = lo ^ (lo >> 1)
-    size = mask.bit_count()
-    acc = _mask_sum(rows, mask)
-    if size >= 2:
-        visit(mask, size, acc)
-    i = lo
-    steps = 0
-    while i + 1 < hi:
-        i += 1
-        low = i & -i
-        t = low.bit_length() - 1
-        bit = 1 << t
-        row = rows[t]
-        if mask & bit:
-            mask ^= bit
-            d = 0
-            m = mask
-            while m:
-                b = m & -m
-                d += row[b.bit_length() - 1]
-                m ^= b
-            acc -= d
-            size -= 1
-        else:
-            d = 0
-            m = mask
-            while m:
-                b = m & -m
-                d += row[b.bit_length() - 1]
-                m ^= b
-            acc += d
-            mask ^= bit
-            size += 1
-        if resync:
-            steps += 1
-            if steps % resync == 0:
-                acc = _mask_sum(rows, mask)
-        if size >= 2:
-            visit(mask, size, acc)
-    return None
+def _linear(steps, base, dtype) -> np.ndarray:
+    """t[mask] = base + sum of steps[j] over the bits j of mask, by doubling.
+
+    Rows of a 2-D ``steps`` are summed as vectors."""
+    steps = np.asarray(steps)
+    t = np.empty((1 << len(steps),) + steps.shape[1:], dtype=dtype)
+    t[0] = base
+    for j, x in enumerate(steps):
+        np.add(t[:1 << j], x, out=t[1 << j:2 << j])
+    return t
 
 
-def _extrema_exact(rows, lo, hi):
-    state = {"min": None, "max": None}
-
-    def visit(mask, size, a):
-        m = size - 1
-        mn, mx = state["min"], state["max"]
-        if mn is None:
-            state["min"] = (a, m)
-            state["max"] = (a, m)
-            return
-        if a * mn[1] < mn[0] * m:
-            state["min"] = (a, m)
-        if a * mx[1] > mx[0] * m:
-            state["max"] = (a, m)
-
-    _walk(rows, lo, hi, visit)
-    return state["min"], state["max"]
+def _pair_sums(w) -> np.ndarray:
+    """s[mask] = sum of w[i,j] over pairs i<j inside mask, by doubling:
+    s[mask | 1<<k] = s[mask] + L_k[mask], where L_k is the linear table of
+    row k over the bits below k."""
+    s = np.empty(1 << len(w), dtype=w.dtype)
+    s[0] = 0
+    for k in range(len(w)):
+        np.add(s[:1 << k], _linear(w[k, :k], 0, w.dtype), out=s[1 << k:2 << k])
+    return s
 
 
-def _extrema_float(rows, lo, hi):
-    state = {"min": None, "max": None}
-
-    def visit(mask, size, a):
-        r = a / (size - 1)
-        if state["min"] is None or r < state["min"]:
-            state["min"] = r
-        if state["max"] is None or r > state["max"]:
-            state["max"] = r
-
-    _walk(rows, lo, hi, visit, resync=_FLOAT_RESYNC)
-    return state["min"], state["max"]
+def _near(vals, k, target, tol):
+    """Which size-k subset sums attain ``target``: integer equality in exact
+    mode (tol None), the tie_tol rule on the ratio in float mode."""
+    if tol is None:
+        return vals == target
+    return np.abs(vals / (k - 1) - target) <= tol
 
 
-def _collect_exact(rows, lo, hi, min_pair, max_pair):
-    mins, maxs = [], []
-    mn_a, mn_m = min_pair
-    mx_a, mx_m = max_pair
-
-    def visit(mask, size, a):
-        if a == 0:
-            return  # zero-sum subsets impose no constraint, never optimizers
-        m = size - 1
-        if a * mn_m == mn_a * m:
-            mins.append(mask)
-        if a * mx_m == mx_a * m:
-            maxs.append(mask)
-        if len(mins) + len(maxs) > _COLLECT_CAP:
-            raise FamilyTooLarge("optimizer family exceeds internal cap")
-
-    _walk(rows, lo, hi, visit)
-    return mins, maxs
+@functools.lru_cache(maxsize=None)
+def _size_order(bits: int):
+    """The masks below 2^bits in (size, mask) order, and where each size
+    starts in that order (plus the end)."""
+    sizes = _linear(np.ones(bits, dtype=np.uint8), 0, np.uint8)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(bits + 2))
+    order.setflags(write=False)
+    starts.setflags(write=False)
+    return order, starts
 
 
-def _collect_float(rows, lo, hi, rmin, rmax, tol):
-    mins, maxs = [], []
-    tol_min = tol * max(1.0, abs(rmin))
-    tol_max = tol * max(1.0, abs(rmax))
+class _SubsetSums:
+    """All 2^n subset sums of w, one block of 2^bits masks at a time.
 
-    def visit(mask, size, a):
-        if a == 0.0:
-            return
-        r = a / (size - 1)
-        if abs(r - rmin) <= tol_min:
-            mins.append(mask)
-        if abs(r - rmax) <= tol_max:
-            maxs.append(mask)
-        if len(mins) + len(maxs) > _COLLECT_CAP:
-            raise FamilyTooLarge("optimizer family exceeds internal cap")
+    Block h holds the masks (h << bits) | low.  Their sums are the pair
+    sums of the low bits plus one vector per block for the fixed high bits
+    (the pairs among them and their rows over the low bits).  A block is
+    returned with the low masks in (size, mask) order, so every subset
+    size is one contiguous segment."""
 
-    _walk(rows, lo, hi, visit, resync=_FLOAT_RESYNC)
-    return mins, maxs
+    def __init__(self, w):
+        self.n = n = len(w)
+        self.bits = b = min(n, _BLOCK_BITS)
+        self.order, self.starts = _size_order(b)
+        self.low = _pair_sums(w[:b, :b])
+        self.high = _pair_sums(w[b:, b:])
+        self.cross = _linear(w[b:, :b], 0, w.dtype)
+        self.high_sizes = _linear(np.ones(n - b, dtype=np.int64), 0, np.int64)
+        self.first = self.low[self.order]  # block 0: no high bits set
+        sizes = (self.high_sizes[:, None] + np.arange(b + 1)).ravel()
+        self.size_order = np.argsort(sizes, kind="stable")
+        self.size_starts = np.searchsorted(sizes[self.size_order], np.arange(n + 1))
+
+    def block(self, h: int) -> np.ndarray:
+        if h == 0:
+            return self.first
+        t = _linear(self.cross[h], self.high[h], self.low.dtype)
+        t += self.low
+        return t[self.order]
+
+    def extrema(self):
+        """Per block, the minimum and maximum sum of each low-bit size."""
+        shape = (len(self.high), self.bits + 1)
+        mins, maxs = np.empty(shape, self.low.dtype), np.empty(shape, self.low.dtype)
+        for h in range(shape[0]):
+            vals = self.block(h)
+            mins[h] = np.minimum.reduceat(vals, self.starts[:-1])
+            maxs[h] = np.maximum.reduceat(vals, self.starts[:-1])
+        return mins, maxs
+
+    def by_size(self, ext, ufunc) -> list:
+        """ufunc reduced over the entries of ext of each subset size 0..n."""
+        return ufunc.reduceat(ext.ravel()[self.size_order], self.size_starts).tolist()
+
+    def ties(self, sides) -> list:
+        """Masks attaining each side's optimum, in (size, mask) order.
+
+        ``sides`` holds (ext, wins, tol) per side, with wins the winning
+        sizes as (k, target).  Only blocks whose extremum attains a target
+        are rebuilt; zero-sum subsets never count."""
+        found = [[] for _ in sides]
+        count = 0
+        for h, pc in enumerate(self.high_sizes.tolist()):
+            todo = [(i, k, target, tol) for i, (ext, wins, tol) in enumerate(sides)
+                    for k, target in wins
+                    if 0 <= k - pc <= self.bits and _near(ext[h, k - pc], k, target, tol)]
+            if not todo:
+                continue
+            vals = self.block(h)
+            for i, k, target, tol in todo:
+                lo, hi = self.starts[k - pc], self.starts[k - pc + 1]
+                seg = vals[lo:hi]
+                hit = _near(seg, k, target, tol) & (seg != 0)
+                count += np.count_nonzero(hit)
+                if count > _COLLECT_CAP:
+                    raise FamilyTooLarge("optimizer family exceeds internal cap")
+                found[i].append((k, h, (h << self.bits) | self.order[lo + np.flatnonzero(hit)]))
+        return [[int(m) for *_, masks in sorted(f, key=lambda p: p[:2]) for m in masks]
+                for f in found]
+
+
+def _fsum_ratio(w, mask: int) -> float:
+    """Correctly rounded pair sum of one subset, over |S|-1."""
+    idx = SubsetMask(mask).indices()
+    return math.fsum(w[i, j] for a, i in enumerate(idx) for j in idx[a + 1:]) / (len(idx) - 1)
 
 
 @dataclass(frozen=True)
@@ -322,55 +326,32 @@ class _Scan:
     max_masks: tuple
 
 
-def _partition_bounds(n: int, parts: int):
-    total = 1 << n
-    parts = max(1, min(parts, total))
-    step = total // parts
-    bounds = []
-    lo = 0
-    for p in range(parts):
-        hi = total if p == parts - 1 else lo + step
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+def _scan(c: CouplingMatrix, opts: SolverOptions) -> _Scan:
+    """Both extrema of the ratio and their families.
 
-def _scan(c: CouplingMatrix, opts: SolverOptions, collect: bool = True) -> _Scan:
+    The per-size extrema a_k of the subset sums give each optimum as the
+    best a_k/(k-1) over at most n-1 sizes.  Float mode always finds its
+    first optimizer, whose fsum'd ratio is the reported value."""
     exact = _resolve_exact(c, opts)
-    bounds = _partition_bounds(c.n, opts.partitions)
-    if exact:
-        rows, denom = _int_rows(c)
-        pieces = [_extrema_exact(rows, lo, hi) for lo, hi in bounds]
-        best_min = best_max = None
-        for mn, mx in pieces:
-            if mn is not None and (best_min is None or mn[0] * best_min[1] < best_min[0] * mn[1]):
-                best_min = mn
-            if mx is not None and (best_max is None or mx[0] * best_max[1] > best_max[0] * mx[1]):
-                best_max = mx
-        min_ratio = Fraction(best_min[0], denom * best_min[1])
-        max_ratio = Fraction(best_max[0], denom * best_max[1])
-        if not collect:
-            return _Scan(min_ratio, max_ratio, (), ())
-        mins, maxs = [], []
-        for lo, hi in bounds:
-            a, b = _collect_exact(rows, lo, hi, best_min, best_max)
-            mins.extend(a)
-            maxs.extend(b)
-    else:
-        rows = _float_rows(c)
-        pieces = [_extrema_float(rows, lo, hi) for lo, hi in bounds]
-        min_ratio = min(mn for mn, _ in pieces if mn is not None)
-        max_ratio = max(mx for _, mx in pieces if mx is not None)
-        if not collect:
-            return _Scan(min_ratio, max_ratio, (), ())
-        mins, maxs = [], []
-        for lo, hi in bounds:
-            a, b = _collect_float(rows, lo, hi, min_ratio, max_ratio, opts.tie_tol)
-            mins.extend(a)
-            maxs.extend(b)
-    key = lambda m: (m.bit_count(), m)
-    min_masks = tuple(SubsetMask(m) for m in sorted(set(mins), key=key))
-    max_masks = tuple(SubsetMask(m) for m in sorted(set(maxs), key=key))
-    return _Scan(min_ratio, max_ratio, min_masks, max_masks)
+    w, denom = _weights(c, exact)
+    table = _SubsetSums(w)
+    sides, ratios = [], []
+    for ext, ufunc, pick in zip(table.extrema(), (np.minimum, np.maximum), (min, max)):
+        a = table.by_size(ext, ufunc)  # a[k]: extremum of the size-k sums
+        q = {k: Fraction(a[k], k - 1) if exact else a[k] / (k - 1) for k in range(2, table.n + 1)}
+        r = pick(q.values())
+        if exact:
+            tol, wins = None, [(k, a[k]) for k in q if q[k] == r != 0]
+        else:
+            tol = opts.tie_tol * max(1.0, abs(r))
+            wins = [(k, r) for k in q if abs(q[k] - r) <= tol]
+        sides.append((ext, wins, tol))
+        ratios.append(r / denom if exact else r)
+    found = table.ties(sides)
+    if not exact:
+        ratios = [_fsum_ratio(w, masks[0]) if masks else r for masks, r in zip(found, ratios)]
+    families = [tuple(SubsetMask(m) for m in masks) for masks in found]
+    return _Scan(*ratios, *families)
 
 
 def _check_size(c: CouplingMatrix, opts: SolverOptions):
@@ -439,6 +420,14 @@ def solve_both(c: CouplingMatrix, opts: Optional[SolverOptions] = None):
     plus = OptResult(-scan.min_ratio, scan.min_masks, attained=scan.min_ratio < 0)
     minus = OptResult(-scan.max_ratio, scan.max_masks, attained=scan.max_ratio > 0)
     return plus, minus
+
+
+def endpoints(plus: OptResult, minus: OptResult) -> tuple:
+    """(beta-, beta+) of the optima from ``solve_both``: 1/T on an attained
+    side, -inf / +inf on the other."""
+    beta_minus: Real = 1 / minus.t_value if minus.attained else -math.inf
+    beta_plus: Real = 1 / plus.t_value if plus.attained else math.inf
+    return beta_minus, beta_plus
 
 
 def max_nest(family: Sequence[SubsetMask], nest_cap: int = 10_000,
@@ -537,10 +526,7 @@ def critical_interval(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -
     opts = opts or SolverOptions()
     plus, minus = solve_both(c, opts)
     exact = _resolve_exact(c, opts)
-
-    one = Fraction(1) if isinstance(plus.t_value, Fraction) else 1.0
-    beta_plus: Real = one / plus.t_value if plus.attained else math.inf
-    beta_minus: Real = one / minus.t_value if minus.attained else -math.inf
+    beta_minus, beta_plus = endpoints(plus, minus)
 
     def side(result: OptResult):
         if not result.attained:
@@ -576,7 +562,7 @@ def critical_interval(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle
+# Independent oracles
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -587,28 +573,30 @@ class OracleResult:
     g_minus: tuple
 
 
+def all_subset_sums(c: CouplingMatrix) -> dict:
+    """{mask: sum of c(i,j) over the pairs inside mask} for every mask of at
+    least two members, by plain loops over all masks; exact when the
+    entries are.  Shared by the oracles, independent of the scan kernel."""
+    entries = c.exact_entries if c.is_exact else c.entries.tolist()
+    sums = {}
+    for mask in range(1 << c.n):
+        idx = [i for i in range(c.n) if (mask >> i) & 1]
+        if len(idx) < 2:
+            continue
+        total = Fraction(0) if c.is_exact else 0.0
+        for a, i in enumerate(idx):
+            for j in idx[a + 1:]:
+                total += entries[i][j]
+        sums[mask] = total
+    return sums
+
+
 def brute_force_oracle(c: CouplingMatrix, tie_tol: float = 1e-9) -> OracleResult:
     """Reference solver: plain loop over all masks, no pruning, no
     incremental sums.  Kept deliberately simple; n <= 16."""
     if c.n > 16:
         raise InstanceTooLarge(f"oracle limited to n <= 16, got {c.n}")
-    ratios = {}
-    for mask in range(1 << c.n):
-        idx = [i for i in range(c.n) if (mask >> i) & 1]
-        if len(idx) < 2:
-            continue
-        if c.is_exact:
-            total = Fraction(0)
-            for a, i in enumerate(idx):
-                for j in idx[a + 1:]:
-                    total += c.exact_entries[i][j]
-            ratios[mask] = total / (len(idx) - 1)
-        else:
-            total = 0.0
-            for a, i in enumerate(idx):
-                for j in idx[a + 1:]:
-                    total += float(c.entries[i, j])
-            ratios[mask] = total / (len(idx) - 1)
+    ratios = {mask: a / (mask.bit_count() - 1) for mask, a in all_subset_sums(c).items()}
 
     rmin = min(ratios.values())
     rmax = max(ratios.values())

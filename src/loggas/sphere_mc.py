@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupling import CouplingMatrix
+from .coupling import CouplingMatrix, _philox
 from .errors import (
     CoincidentPoints,
     DegenerateGrid,
@@ -28,7 +28,8 @@ from .errors import (
     OutsideDomain,
     OutsideInterval,
 )
-from .solver import SolverOptions, critical_interval
+from .solver import critical_interval  # noqa: F401  re-exported: sphere_mc.critical_interval
+from .solver import endpoints, solve_both
 
 _BATCHES = 32
 _TUNE_WINDOW = 200
@@ -111,10 +112,6 @@ class CollapseStats:
     mean_energy: float
 
 
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _unit_rows(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     while np.any(norms == 0.0):  # probability-zero guard
@@ -163,8 +160,8 @@ def analytic_partition_two(c12: float, beta: float) -> float:
 
 
 def _interval(c: CouplingMatrix):
-    report = critical_interval(c, SolverOptions())
-    return float(report.beta_minus), float(report.beta_plus)
+    beta_minus, beta_plus = endpoints(*solve_both(c))
+    return float(beta_minus), float(beta_plus)
 
 
 def _check_inside(beta: float, lo: float, hi: float):

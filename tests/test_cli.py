@@ -182,3 +182,9 @@ def test_float_mode_on_exact_input(tmp_path):
     assert doc["mode"] == "float"
     assert doc["beta_minus"] == -0.01
     assert doc["g_minus"] == [[1, 2]]
+
+
+def test_exit_3_on_oversized_mc_partition(tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"random": {"model": "couplings", "n": 27, "variance": 1.0, "seed": 0}}')
+    assert run(["mc-partition", "--input", big, "--beta-grid", "0.1", "--samples", 2000]) == 3

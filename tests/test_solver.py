@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
+import loggas.solver as solver
 from loggas import (
     ChargeVector,
+    CouplingMatrix,
     SolverOptions,
     SubsetMask,
     TwoComponentSpec,
@@ -26,7 +29,12 @@ from loggas import (
 )
 from loggas.errors import FamilyTooLarge, InstanceTooLarge, NotCritical
 
-from conftest import exact_coupling_matrices, random_exact_matrix, random_float_matrix
+from conftest import (
+    exact_coupling_matrices,
+    random_exact_matrix,
+    random_float_matrix,
+    symmetric_from_upper,
+)
 
 
 def masks(*index_sets):
@@ -300,17 +308,84 @@ def test_interval_membership_exhaustive():
             assert not satisfied(hi + 1e-6)
 
 
-def test_partition_count_independence():
-    rng = random.Random(29)
+# ---------------------------------------------------------------------------
+# Subset-sum kernel: blocks, dtypes, caps, float endpoints
+# ---------------------------------------------------------------------------
+
+def float_view(c, scale=1.0):
+    return CouplingMatrix(c.n, np.array(c.entries, dtype=float) * scale, None)
+
+
+def assert_matches_oracle(c):
+    plus, minus = solve_both(c)
+    oracle = brute_force_oracle(c)
+    if c.is_exact:
+        assert plus.t_value == oracle.t_plus and minus.t_value == oracle.t_minus
+    else:
+        assert abs(plus.t_value - oracle.t_plus) <= 1e-9 * max(1.0, abs(oracle.t_plus))
+        assert abs(minus.t_value - oracle.t_minus) <= 1e-9 * max(1.0, abs(oracle.t_minus))
+    assert [s.bits for s in plus.optimizers] == [s.bits for s in oracle.g_plus]
+    assert [s.bits for s in minus.optimizers] == [s.bits for s in oracle.g_minus]
+
+
+@given(exact_coupling_matrices(min_n=2, max_n=10, lo=-2, hi=2))
+def test_kernel_matches_oracle_across_blocks(c):
+    # 3-bit blocks: every instance with n > 3 spans several blocks.  The
+    # float copy is scaled by 0.1 so that its sums round; its ties stay
+    # about 1e-3 apart from every other ratio, far beyond tie_tol.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BLOCK_BITS", 3)
+        assert_matches_oracle(c)
+        assert_matches_oracle(float_view(c, 0.1))
+
+
+def test_overflow_guard_picks_dtype():
+    big = 1 << 61
+    huge = from_matrix(symmetric_from_upper(5, [big - 1, -big, big, 3, -(big - 2),
+                                                big, 1, -big, big - 3, 2]))
+    assert solver._weights(huge, exact=True)[0].dtype == object
+    fits = from_matrix(symmetric_from_upper(5, [1 << 58] * 9 + [-(1 << 58)]))
+    assert solver._weights(fits, exact=True)[0].dtype == np.int64
+    for c in (huge, fits):
+        assert_matches_oracle(c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_BLOCK_BITS", 3)
+            assert_matches_oracle(c)
+
+
+def test_family_too_large_from_collect_cap(monkeypatch):
+    plasma = from_two_component(TwoComponentSpec(4, 4, 1, 1))  # |G+| = 16 pairs
+    assert len(solve_t_plus(plasma).optimizers) == 16
+    monkeypatch.setattr(solver, "_COLLECT_CAP", 10)
+    for c in (plasma, float_view(plasma)):
+        with pytest.raises(FamilyTooLarge):
+            solve_both(c)
+
+
+def test_float_endpoint_is_fsum_of_first_optimizer():
+    rng = random.Random(37)
+    for _ in range(20):
+        n = rng.randint(3, 9)
+        # near-constant positive couplings: G- is the whole set, whose
+        # table sum can round differently from fsum
+        flat = from_matrix(symmetric_from_upper(n, [0.1 + 0.01 * rng.gauss(0.0, 1.0)
+                                                    for _ in range(n * (n - 1) // 2)]))
+        for c in (random_float_matrix(rng, n), flat):
+            for result in solve_both(c):
+                idx = result.optimizers[0].indices()
+                pairs = [c.entries[i, j] for a, i in enumerate(idx) for j in idx[a + 1:]]
+                assert result.t_value == -math.fsum(pairs) / (len(idx) - 1)
+
+
+def test_endpoints_match_interval():
+    rng = random.Random(41)
+    one_signed = [from_matrix(symmetric_from_upper(4, [sign] * 6)) for sign in (1, -1)]
     for _ in range(10):
-        c = random_exact_matrix(rng, 6)
-        base = critical_interval(c, SolverOptions(partitions=1))
-        for parts in (2, 3, 8):
-            other = critical_interval(c, SolverOptions(partitions=parts))
-            assert other.t_plus == base.t_plus
-            assert other.t_minus == base.t_minus
-            assert bits(other.g_plus) == bits(base.g_plus)
-            assert bits(other.g_minus) == bits(base.g_minus)
+        for c in (random_exact_matrix(rng, 7), random_float_matrix(rng, 7), *one_signed):
+            report = critical_interval(c)
+            assert solver.endpoints(*solve_both(c)) == (report.beta_minus, report.beta_plus)
+    assert solver.endpoints(*solve_both(one_signed[0])) == (Fraction(-1, 2), math.inf)
+    assert solver.endpoints(*solve_both(one_signed[1])) == (-math.inf, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
