@@ -5,7 +5,8 @@ mc-partition, mc-gibbs, ensemble.  Reports are JSON with a stable field
 order plus a human-readable text rendering; sweeps emit CSV.  Extended
 reals serialize as "inf"/"-inf", exact rationals as "p/q" strings.
 Exit codes: 0 ok, 2 input error, 3 size limit, 4 domain error.
-LOGGAS_THREADS caps the parallelism of sweep points.
+mc-partition spreads its grid points over up to 4 of the process's CPUs;
+everything else runs serially.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,43 +37,14 @@ from .errors import (
     InputFormatError,
     InstanceTooLarge,
     LogGasError,
-    OutsideInterval,
 )
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
 from .rational import format_real
-from .solver import CriticalReport, SolverOptions, critical_interval, endpoints, solve_both
+from .solver import CriticalReport, SolverOptions, critical_interval, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    mode: str = "auto"  # exact | float | auto
-    tol: float = 1e-9
-    seed: int = 0
-    samples: int = 100_000
-    beta_grid: tuple = ()
-    steps: int = 20_000
-    burn_in: int = 2_000
-    thin: int = 1
-    step_size: float = 0.5
-    model: str = "gaussian_couplings"
-    n: int = 8
-    trials: int = 50
-    variance: Optional[float] = None
-    extra: dict = field(default_factory=dict)
-
-
-def _threads() -> int:
-    env = os.environ.get("LOGGAS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 def _resolve_mode(system: SystemInput, mode: str) -> bool:
@@ -95,23 +66,13 @@ def _solver_matrix(system: SystemInput, exact: bool) -> CouplingMatrix:
     return system.coupling if exact else _float_view(system.coupling)
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return format_real(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _write_report(report: dict, out_path: Optional[str]):
-    payload = json.dumps(_jsonable(report), indent=2) + "\n"
+    """Write the report to ``out_path`` when one is given.  Its values are
+    JSON-ready (format_real renders rationals and infinities), so a stray NaN
+    or infinity raises ValueError instead of writing a non-JSON literal."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _mask_labels(mask) -> list:
@@ -172,19 +133,19 @@ def _print_critical(doc: dict):
         print(f"  free energy ~ {doc[f'free_energy_asymptote_{side}']}")
 
 
-def cmd_critical(cfg: RunConfig) -> int:
-    system = load_system(cfg.input_path)
-    exact = _resolve_mode(system, cfg.mode)
-    opts = SolverOptions(tie_tol=cfg.tol, exact=exact)
+def cmd_critical(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
+    exact = _resolve_mode(system, args.mode)
+    opts = SolverOptions(tie_tol=args.tol, exact=exact)
     report = critical_interval(_solver_matrix(system, exact), opts)
     doc = _critical_report_dict(report, "exact" if exact else "float")
-    _write_report(doc, cfg.output_path)
+    _write_report(doc, args.out)
     _print_critical(doc)
     return 0
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    system = load_system(cfg.input_path)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
     c = _float_view(system.coupling)
     spectrum = symmetric_eigs(c)
     eig = eig_bounds(c)
@@ -202,7 +163,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
         cb = charge_bounds(system.charges)
         doc["charge_beta_plus_lower"] = format_real(cb.beta_plus_lower)
         doc["charge_beta_minus_upper"] = format_real(cb.beta_minus_upper)
-    _write_report(doc, cfg.output_path)
+    _write_report(doc, args.out)
     print(f"beta+ >= {doc['eig_beta_plus_lower']}  (eigenvalue bound, valid when beta+ finite)")
     print(f"beta- <= {doc['eig_beta_minus_upper']}  (eigenvalue bound, valid when beta- finite)")
     if system.charges is not None:
@@ -211,8 +172,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_closed_form(cfg: RunConfig) -> int:
-    system = load_system(cfg.input_path)
+def cmd_closed_form(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
     if system.two_component is not None:
         crit = closed_forms.two_component_critical(system.two_component)
         doc = {
@@ -224,7 +185,7 @@ def cmd_closed_form(cfg: RunConfig) -> int:
             "g_plus": crit.g_plus_description,
             "free_energy_prefactor": format_real(crit.free_energy_prefactor),
         }
-        _write_report(doc, cfg.output_path)
+        _write_report(doc, args.out)
         print(f"beta+ = {doc['beta_plus']}   kappa+ = {doc['kappa_plus']}  ({doc['g_plus']})")
         print(f"free energy prefactor: {doc['free_energy_prefactor']}")
         return 0
@@ -240,7 +201,7 @@ def cmd_closed_form(cfg: RunConfig) -> int:
             "candidate_neg": format_real(crit.candidate_neg),
             "support": list(crit.support_rendered),
         }
-        _write_report(doc, cfg.output_path)
+        _write_report(doc, args.out)
         print(f"beta- = {doc['beta_minus']}   side: {doc['winning_side']}")
         for pattern in doc["support"]:
             print(f"  support: {pattern}")
@@ -248,8 +209,8 @@ def cmd_closed_form(cfg: RunConfig) -> int:
     raise InputFormatError("closed-form needs a 'two_component' or 'charges' input")
 
 
-def cmd_arboricity(cfg: RunConfig) -> int:
-    system = load_system(cfg.input_path)
+def cmd_arboricity(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
     if system.graph is None:
         raise InputFormatError("arboricity needs a 'graph' input")
     report = run_arboricity(system.graph)
@@ -262,16 +223,16 @@ def cmd_arboricity(cfg: RunConfig) -> int:
         "arboricity": report.arboricity,
         "witness": _mask_labels(report.witness),
     }
-    _write_report(doc, cfg.output_path)
+    _write_report(doc, args.out)
     print(f"fractional arboricity = {doc['fractional']}  ->  arboricity = {doc['arboricity']}")
     print(f"densest vertex set (1-based): {doc['witness']}")
     return 0
 
 
-def cmd_sk_check(cfg: RunConfig) -> int:
-    system = load_system(cfg.input_path)
-    exact = _resolve_mode(system, cfg.mode)
-    holds = sk_ground_state_check(_solver_matrix(system, exact), tol=cfg.tol)
+def cmd_sk_check(args: argparse.Namespace) -> int:
+    system = load_system(args.input)
+    exact = _resolve_mode(system, args.mode)
+    holds = sk_ground_state_check(_solver_matrix(system, exact), tol=args.tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "sk-check",
@@ -279,7 +240,7 @@ def cmd_sk_check(cfg: RunConfig) -> int:
         "mode": "exact" if exact else "float",
         "holds": holds,
     }
-    _write_report(doc, cfg.output_path)
+    _write_report(doc, args.out)
     print(f"ground-state identity holds: {holds}")
     return 0
 
@@ -302,23 +263,21 @@ def _parse_beta_grid(text: str) -> tuple:
     return grid
 
 
-def cmd_mc_partition(cfg: RunConfig) -> int:
-    system = load_system(cfg.input_path)
+def cmd_mc_partition(args: argparse.Namespace) -> int:
+    grid = _parse_beta_grid(args.beta_grid)
+    system = load_system(args.input)
     c = _float_view(system.coupling)
-    lo, hi = (float(b) for b in endpoints(*solve_both(c)))
-    grid = cfg.beta_grid
-    if not grid:
-        raise InputFormatError("mc-partition requires --beta-grid")
+    lo, hi = sphere_mc._interval(c)
     for beta in grid:
-        if not (lo < beta < hi):
-            raise OutsideInterval(f"beta={beta} outside ({lo}, {hi})")
+        sphere_mc._check_inside(beta, lo, hi)
 
-    def estimate(item):
-        index, beta = item
-        return sphere_mc.estimate_partition(c, beta, cfg.samples, cfg.seed + index)
+    def estimate(index):
+        return sphere_mc.estimate_partition(c, grid[index], args.samples, args.seed + index)
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        estimates = list(pool.map(estimate, enumerate(grid)))
+    # numpy releases the GIL in the sampling kernels, so grid points overlap
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(4, cpus or 1, len(grid))) as pool:
+        estimates = list(pool.map(estimate, range(len(grid))))
     rows = list(zip(grid, estimates))
 
     metadata = {}
@@ -335,7 +294,7 @@ def cmd_mc_partition(cfg: RunConfig) -> int:
             metadata["pole_fit_kappa"] = kappa
             break
 
-    out = cfg.output_path or "partition_sweep.csv"
+    out = args.out or "partition_sweep.csv"
     sphere_mc.write_partition_csv(out, rows, metadata or None)
     print(f"wrote {len(rows)} rows to {out}")
     for beta, est in rows:
@@ -355,26 +314,21 @@ def _class_labels(system: SystemInput) -> list:
     return [0] * system.coupling.n
 
 
-def cmd_mc_gibbs(cfg: RunConfig) -> int:
-    system = load_system(cfg.input_path)
+def cmd_mc_gibbs(args: argparse.Namespace) -> int:
+    grid = _parse_beta_grid(args.beta_grid)
+    system = load_system(args.input)
     c = _float_view(system.coupling)
     labels = _class_labels(system)
-    grid = cfg.beta_grid
-    if not grid:
-        raise InputFormatError("mc-gibbs requires --beta-grid")
 
-    def run(item):
-        index, beta = item
+    results = []
+    for index, beta in enumerate(grid):
         params = sphere_mc.ChainParams(
-            beta=beta, steps=cfg.steps, burn_in=cfg.burn_in, thin=cfg.thin,
-            step_size=cfg.step_size, seed=cfg.seed + index,
+            beta=beta, steps=args.steps, burn_in=args.burn_in, thin=args.thin,
+            step_size=args.step_size, seed=args.seed + index,
         )
         chain = sphere_mc.metropolis_chain(c, params)
         stats = sphere_mc.collapse_observables(chain.configurations, labels, chain.energies)
-        return chain, stats
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(run, enumerate(grid)))
+        results.append((chain, stats))
 
     rows = []
     for beta, (chain, stats) in zip(grid, results):
@@ -383,7 +337,7 @@ def cmd_mc_gibbs(cfg: RunConfig) -> int:
         if stats.min_same_quantiles is not None:
             rows.append((beta, "min_same_dist", stats.min_same_quantiles))
         rows.append((beta, "max_pair_dist", stats.max_quantiles))
-    out = cfg.output_path or "collapse_sweep.csv"
+    out = args.out or "collapse_sweep.csv"
     sphere_mc.write_collapse_csv(out, rows)
     print(f"wrote {len(rows)} rows to {out}")
     for beta, (chain, stats) in zip(grid, results):
@@ -471,8 +425,8 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
     return EnsembleReport(model, n, trials, tuple(rows), summary, total)
 
 
-def cmd_ensemble(cfg: RunConfig) -> int:
-    report = run_ensemble(cfg.model, cfg.n, cfg.trials, cfg.seed, cfg.variance)
+def cmd_ensemble(args: argparse.Namespace) -> int:
+    report = run_ensemble(args.model, args.n, args.trials, args.seed, args.variance)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "ensemble",
@@ -483,7 +437,7 @@ def cmd_ensemble(cfg: RunConfig) -> int:
         "summary": report.summary,
         "rows": list(report.rows),
     }
-    _write_report(doc, cfg.output_path)
+    _write_report(doc, args.out)
     q = report.summary["t_plus_quantiles"]
     print(f"{report.model}: n={report.n}, trials={report.trials}, "
           f"bound violations={report.bound_violations}")
@@ -560,38 +514,13 @@ _COMMANDS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.output_path = args.out
-    cfg.mode = args.mode
-    cfg.tol = args.tol
-    cfg.seed = args.seed
-    if hasattr(args, "samples"):
-        cfg.samples = args.samples
-    if hasattr(args, "beta_grid"):
-        cfg.beta_grid = _parse_beta_grid(args.beta_grid)
-    if hasattr(args, "steps"):
-        cfg.steps = args.steps
-        cfg.burn_in = args.burn_in
-        cfg.thin = args.thin
-        cfg.step_size = args.step_size
-    if hasattr(args, "model"):
-        cfg.model = args.model
-        cfg.n = args.n
-        cfg.trials = args.trials
-        cfg.variance = args.variance
-    if cfg.tol <= 0:
-        raise InputFormatError("tol must be positive")
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.subcommand](cfg)
+        if not 0 < args.tol < math.inf:
+            raise InputFormatError("tol must be positive and finite")
+        return _COMMANDS[args.subcommand](args)
     except SIZE_ERRORS as exc:
         print(f"error (size limit): {exc}", file=sys.stderr)
         return 3

@@ -10,6 +10,7 @@ seed, never the global RNG.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -251,8 +252,8 @@ def sample_gaussian_couplings(n: int, variance: float, seed: int) -> CouplingMat
     """i.i.d. normal off-diagonal couplings, mean 0 and the given variance."""
     if n < 2:
         raise TooSmall(f"need n >= 2, got {n}")
-    if not variance > 0:
-        raise ValueError("variance must be positive")
+    if not 0 < variance < math.inf:
+        raise ValueError("variance must be positive and finite")
     rng = _philox(seed)
     draws = rng.standard_normal(n * (n - 1) // 2) * float(np.sqrt(variance))
     floats = np.zeros((n, n), dtype=float)

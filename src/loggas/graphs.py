@@ -37,7 +37,7 @@ def arboricity(g: GraphSpec, opts: SolverOptions | None = None) -> ArboricityRep
     if not g.edges:
         raise EdgelessGraph("graph has no edges")
     c = from_graph(g)
-    result = solve_t_minus(c, opts or SolverOptions())
+    result = solve_t_minus(c, opts)
     fractional = -result.t_value
     if not isinstance(fractional, Fraction):
         fractional = Fraction(fractional).limit_denominator(10**9)

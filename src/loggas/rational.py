@@ -21,7 +21,8 @@ Real = Union[Fraction, float]
 def parse_number(value) -> Real:
     """Parse a JSON-ish scalar into a Real.
 
-    int -> Fraction, str "p/q" or "p" -> Fraction, float -> float.
+    int -> Fraction, str "p/q" or "p" -> Fraction, float -> float.  NaN and
+    infinite floats (which ``json.load`` accepts) are rejected.
     """
     if isinstance(value, bool):
         raise InputFormatError(f"expected a number, got {value!r}")
@@ -30,6 +31,8 @@ def parse_number(value) -> Real:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputFormatError(f"expected a finite number, got {value!r}")
         return value
     if isinstance(value, str):
         try:

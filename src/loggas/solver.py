@@ -45,7 +45,10 @@ from .errors import (
 from .rational import Real
 
 _BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
+_MAX_N = 26  # largest instance the 2^n scan accepts
 _COLLECT_CAP = 1_000_000
+_NEST_CAP = 10_000  # maximum nests enumerated before the truncated flag is set
+_FAMILY_CAP = 4096  # largest optimizer family max_nest accepts
 _INT64_BOUND = 1 << 62
 
 
@@ -137,11 +140,8 @@ class SupportDescription:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    max_n: int = 26
     tie_tol: float = 1e-9
     exact: Optional[bool] = None  # None: exact whenever the matrix is
-    nest_cap: int = 10_000
-    family_cap: int = 4096
 
 
 @dataclass(frozen=True)
@@ -354,9 +354,14 @@ def _scan(c: CouplingMatrix, opts: SolverOptions) -> _Scan:
     return _Scan(*ratios, *families)
 
 
-def _check_size(c: CouplingMatrix, opts: SolverOptions):
-    if c.n > opts.max_n:
-        raise InstanceTooLarge(f"n={c.n} exceeds solver cap {opts.max_n}")
+def _solve(c: CouplingMatrix, opts: Optional[SolverOptions]):
+    """(plus, minus) results of one scan, shared by the three public solvers."""
+    if c.n > _MAX_N:
+        raise InstanceTooLarge(f"n={c.n} exceeds solver cap {_MAX_N}")
+    scan = _scan(c, opts or SolverOptions())
+    plus = OptResult(-scan.min_ratio, scan.min_masks, attained=scan.min_ratio < 0)
+    minus = OptResult(-scan.max_ratio, scan.max_masks, attained=scan.max_ratio > 0)
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -398,28 +403,17 @@ def subset_constraint(c: CouplingMatrix, s: SubsetMask) -> SubsetConstraint:
 
 def solve_t_plus(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -> OptResult:
     """T+ = -min_S ratio(S); optimizers are the negative-sum argmin sets."""
-    opts = opts or SolverOptions()
-    _check_size(c, opts)
-    scan = _scan(c, opts)
-    return OptResult(-scan.min_ratio, scan.min_masks, attained=scan.min_ratio < 0)
+    return _solve(c, opts)[0]
 
 
 def solve_t_minus(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -> OptResult:
     """T- = -max_S ratio(S); optimizers are the positive-sum argmax sets."""
-    opts = opts or SolverOptions()
-    _check_size(c, opts)
-    scan = _scan(c, opts)
-    return OptResult(-scan.max_ratio, scan.max_masks, attained=scan.max_ratio > 0)
+    return _solve(c, opts)[1]
 
 
 def solve_both(c: CouplingMatrix, opts: Optional[SolverOptions] = None):
     """(plus, minus) results from a single shared scan."""
-    opts = opts or SolverOptions()
-    _check_size(c, opts)
-    scan = _scan(c, opts)
-    plus = OptResult(-scan.min_ratio, scan.min_masks, attained=scan.min_ratio < 0)
-    minus = OptResult(-scan.max_ratio, scan.max_masks, attained=scan.max_ratio > 0)
-    return plus, minus
+    return _solve(c, opts)
 
 
 def endpoints(plus: OptResult, minus: OptResult) -> tuple:
@@ -430,20 +424,20 @@ def endpoints(plus: OptResult, minus: OptResult) -> tuple:
     return beta_minus, beta_plus
 
 
-def max_nest(family: Sequence[SubsetMask], nest_cap: int = 10_000,
-             family_cap: int = 4096) -> NestSearch:
+def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     """Maximum-size pairwise-nested subfamilies of an optimizer family.
 
     kappa is computed exactly by branch-and-bound; the enumeration of all
-    maximum nests is capped at ``nest_cap`` (truncated flag set beyond).
+    maximum nests is capped at ``_NEST_CAP`` (truncated flag set beyond),
+    and families larger than ``_FAMILY_CAP`` are refused.
     """
     fam = list(family)
     if not fam:
         raise ValueError("family must be nonempty")
     if len(set(s.bits for s in fam)) != len(fam):
         raise ValueError("family members must be pairwise distinct")
-    if len(fam) > family_cap:
-        raise FamilyTooLarge(f"family of size {len(fam)} exceeds cap {family_cap}")
+    if len(fam) > _FAMILY_CAP:
+        raise FamilyTooLarge(f"family of size {len(fam)} exceeds cap {_FAMILY_CAP}")
 
     fam.sort(key=lambda s: (-s.size, s.bits))
     k = len(fam)
@@ -476,7 +470,7 @@ def max_nest(family: Sequence[SubsetMask], nest_cap: int = 10_000,
     def enumerate_nests(stack: list, cand: int):
         nonlocal truncated
         if len(stack) == kappa:
-            if len(found) < nest_cap:
+            if len(found) < _NEST_CAP:
                 found.append(tuple(stack))
             else:
                 truncated = True
@@ -531,7 +525,7 @@ def critical_interval(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -
     def side(result: OptResult):
         if not result.attained:
             return 0, (), False, SupportDescription((), ())
-        search = max_nest(result.optimizers, opts.nest_cap, opts.family_cap)
+        search = max_nest(result.optimizers)
         support = limit_support(result, search.nests)
         return search.kappa, search.nests, search.truncated, support
 

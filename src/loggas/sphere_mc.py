@@ -70,9 +70,9 @@ class ChainParams:
     """Metropolis chain parameters.
 
     ``steps`` counts single-particle update attempts including burn-in;
-    post-burn-in states are emitted every ``thin`` steps.  When
-    ``auto_tune`` is on, the proposal scale is adapted toward 30-50%
-    acceptance during burn-in and frozen afterwards."""
+    post-burn-in states are emitted every ``thin`` steps.  The proposal
+    scale starts at ``step_size``, is adapted toward 30-50% acceptance
+    during burn-in and is frozen afterwards."""
 
     beta: float
     steps: int
@@ -80,7 +80,6 @@ class ChainParams:
     thin: int = 1
     step_size: float = 0.5
     seed: int = 0
-    auto_tune: bool = True
 
     def __post_init__(self):
         if not (0 <= self.burn_in < self.steps):
@@ -311,7 +310,7 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
         if in_burn:
             if accept:
                 accepted_tune += 1
-            if params.auto_tune and (t + 1) % _TUNE_WINDOW == 0:
+            if (t + 1) % _TUNE_WINDOW == 0:
                 rate = accepted_tune / _TUNE_WINDOW
                 if rate > 0.5:
                     step = min(step * _TUNE_FACTOR, _STEP_MAX)

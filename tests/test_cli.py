@@ -1,31 +1,25 @@
+import csv
 import json
-import os
+import math
 from pathlib import Path
 
 import pytest
 
+from loggas import load_system
 from loggas.cli import main
+from loggas.sphere_mc import estimate_partition
 
 HERE = Path(__file__).parent
 INPUTS = HERE / "inputs"
 GOLDEN = HERE / "golden"
 
 
-@pytest.fixture(autouse=True)
-def single_thread(monkeypatch):
-    monkeypatch.setenv("LOGGAS_THREADS", "1")
-
-
 def run(args):
     return main([str(a) for a in args])
 
 
-def compare_json(produced: Path, golden: Path):
-    assert json.loads(produced.read_text()) == json.loads(golden.read_text())
-
-
-def compare_text(produced: Path, golden: Path):
-    assert produced.read_text() == golden.read_text()
+def compare_bytes(produced: Path, golden: Path):
+    assert produced.read_bytes() == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -35,37 +29,37 @@ def compare_text(produced: Path, golden: Path):
 def test_golden_critical(tmp_path):
     out = tmp_path / "report.json"
     assert run(["critical", "--input", INPUTS / "ex72_charges.json", "--out", out]) == 0
-    compare_json(out, GOLDEN / "critical_ex72.json")
+    compare_bytes(out, GOLDEN / "critical_ex72.json")
 
 
 def test_golden_bounds(tmp_path):
     out = tmp_path / "report.json"
     assert run(["bounds", "--input", INPUTS / "mixed_charges.json", "--out", out]) == 0
-    compare_json(out, GOLDEN / "bounds_mixed.json")
+    compare_bytes(out, GOLDEN / "bounds_mixed.json")
 
 
 def test_golden_closed_form_two_component(tmp_path):
     out = tmp_path / "report.json"
     assert run(["closed-form", "--input", INPUTS / "two_component_2332.json", "--out", out]) == 0
-    compare_json(out, GOLDEN / "closed_form_tc.json")
+    compare_bytes(out, GOLDEN / "closed_form_tc.json")
 
 
 def test_golden_closed_form_onsager(tmp_path):
     out = tmp_path / "report.json"
     assert run(["closed-form", "--input", INPUTS / "onsager_six.json", "--out", out]) == 0
-    compare_json(out, GOLDEN / "closed_form_onsager.json")
+    compare_bytes(out, GOLDEN / "closed_form_onsager.json")
 
 
 def test_golden_arboricity(tmp_path):
     out = tmp_path / "report.json"
     assert run(["arboricity", "--input", INPUTS / "c5_graph.json", "--out", out]) == 0
-    compare_json(out, GOLDEN / "arboricity_c5.json")
+    compare_bytes(out, GOLDEN / "arboricity_c5.json")
 
 
 def test_golden_sk_check(tmp_path):
     out = tmp_path / "report.json"
     assert run(["sk-check", "--input", INPUTS / "sk_matrix.json", "--out", out]) == 0
-    compare_json(out, GOLDEN / "sk_check.json")
+    compare_bytes(out, GOLDEN / "sk_check.json")
 
 
 def test_golden_mc_partition(tmp_path):
@@ -74,7 +68,7 @@ def test_golden_mc_partition(tmp_path):
                 "--beta-grid", " -0.4:0.8:4", "--samples", 2000, "--seed", 9,
                 "--out", out])
     assert code == 0
-    compare_text(out, GOLDEN / "mc_partition.csv")
+    compare_bytes(out, GOLDEN / "mc_partition.csv")
 
 
 def test_golden_mc_gibbs(tmp_path):
@@ -83,7 +77,7 @@ def test_golden_mc_gibbs(tmp_path):
                 "--beta-grid", "0.5", "--steps", 3000, "--burn-in", 500,
                 "--thin", 5, "--seed", 11, "--out", out])
     assert code == 0
-    compare_text(out, GOLDEN / "mc_gibbs.csv")
+    compare_bytes(out, GOLDEN / "mc_gibbs.csv")
 
 
 def test_golden_ensemble(tmp_path):
@@ -91,7 +85,7 @@ def test_golden_ensemble(tmp_path):
     code = run(["ensemble", "--model", "gaussian_charges", "--n", 5,
                 "--trials", 5, "--seed", 2, "--out", out])
     assert code == 0
-    compare_json(out, GOLDEN / "ensemble_charges.json")
+    compare_bytes(out, GOLDEN / "ensemble_charges.json")
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +148,22 @@ def test_mc_partition_appends_pole_fit(tmp_path):
     assert "# pole_fit_kappa=" in text
 
 
-def test_threads_do_not_change_results(tmp_path, monkeypatch):
-    outs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("LOGGAS_THREADS", threads)
-        out = tmp_path / f"ens_{threads}.json"
-        assert run(["ensemble", "--model", "gaussian_couplings", "--n", 6,
-                    "--trials", 8, "--seed", 4, "--out", out]) == 0
-        outs.append(json.loads(out.read_text()))
-    assert outs[0] == outs[1]
+def test_mc_partition_rows_match_serial_estimates(tmp_path):
+    out = tmp_path / "sweep.csv"
+    grid = [0.1, 0.3, 0.5, 0.7]
+    assert run(["mc-partition", "--input", INPUTS / "pair_c1.json",
+                "--beta-grid", ",".join(map(str, grid)), "--samples", 2000,
+                "--seed", 3, "--out", out]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    c = load_system(INPUTS / "pair_c1.json").coupling
+    assert len(rows) == len(grid)
+    for i, (beta, row) in enumerate(zip(grid, rows)):
+        est = estimate_partition(c, beta, 2000, 3 + i)
+        assert float(row["beta"]) == beta
+        assert float(row["logZ_mean"]) == math.log(est.mean)
+        assert float(row["logZ_stderr"]) == est.stderr / est.mean
+        assert row["heavy_tail"] == ("true" if est.heavy_tail else "false")
 
 
 def test_report_schema_is_versioned(tmp_path):
@@ -188,3 +189,37 @@ def test_exit_3_on_oversized_mc_partition(tmp_path):
     big = tmp_path / "big.json"
     big.write_text('{"random": {"model": "couplings", "n": 27, "variance": 1.0, "seed": 0}}')
     assert run(["mc-partition", "--input", big, "--beta-grid", "0.1", "--samples", 2000]) == 3
+
+
+_TIE_MATRIX = '{"matrix": [[0, 1.5, -2], [1.5, 0, 0.5], [-2, 0.5, 0]]}'
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_exit_2_on_bad_tol(tmp_path, tol):
+    path = tmp_path / "m.json"
+    path.write_text(_TIE_MATRIX)
+    assert run(["critical", "--input", path, "--tol", tol]) == 2
+
+
+@pytest.mark.parametrize("command", ["mc-partition", "mc-gibbs"])
+@pytest.mark.parametrize("grid", ["0.1:0.2", "0.1:0.2:0", "0.3,0.1,0.2"])
+def test_exit_2_on_malformed_beta_grid(tmp_path, command, grid):
+    out = tmp_path / "sweep.csv"
+    assert run([command, "--input", INPUTS / "pair_c1.json", "--beta-grid", grid,
+                "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["critical", "bounds"])
+@pytest.mark.parametrize("text", [
+    '{"matrix": [[0, NaN, 1], [NaN, 0, 2], [1, 2, 0]]}',
+    '{"matrix": [[0, Infinity, 1], [Infinity, 0, 2], [1, 2, 0]]}',
+    '{"charges": [1, NaN, -1]}',
+    '{"two_component": {"n1": 2, "n2": 2, "z1": Infinity, "z2": 1}}',
+    '{"random": {"model": "couplings", "n": 4, "variance": Infinity, "seed": 0}}',
+], ids=["matrix-nan", "matrix-inf", "charges-nan", "z1-inf", "variance-inf"])
+def test_exit_2_on_non_finite_input(tmp_path, command, text):
+    path, out = tmp_path / "bad.json", tmp_path / "report.json"
+    path.write_text(text)
+    assert run([command, "--input", path, "--out", out]) == 2
+    assert not out.exists()

@@ -11,7 +11,6 @@ import loggas.solver as solver
 from loggas import (
     ChargeVector,
     CouplingMatrix,
-    SolverOptions,
     SubsetMask,
     TwoComponentSpec,
     brute_force_oracle,
@@ -132,10 +131,12 @@ def test_negation_swaps_roles():
         assert bits(solve_t_minus(neg).optimizers) == bits(solve_t_plus(c).optimizers)
 
 
-def test_instance_too_large():
+def test_instance_too_large(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_N", 2)
     c = from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    with pytest.raises(InstanceTooLarge):
-        solve_t_plus(c, SolverOptions(max_n=2))
+    for solve in (solve_t_plus, solve_t_minus, solve_both):
+        with pytest.raises(InstanceTooLarge):
+            solve(c)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +415,7 @@ def test_max_nest_two_component_family():
     assert not search.truncated
 
 
-def test_max_nest_chain_and_cap():
+def test_max_nest_chain_and_cap(monkeypatch):
     family = [
         SubsetMask.from_indices((0, 1)),
         SubsetMask.from_indices((0, 1, 2)),
@@ -423,14 +424,16 @@ def test_max_nest_chain_and_cap():
     ]
     search = max_nest(family)
     assert search.kappa == 3  # {01} < {012} < {0123}; {23} conflicts with {012}
+    monkeypatch.setattr(solver, "_FAMILY_CAP", 2)
     with pytest.raises(FamilyTooLarge):
-        max_nest(family, family_cap=2)
+        max_nest(family)
 
 
-def test_max_nest_truncation_flag():
+def test_max_nest_truncation_flag(monkeypatch):
     # 6x6 pairing family: 6! = 720 maximum nests, far above a cap of 10
+    monkeypatch.setattr(solver, "_NEST_CAP", 10)
     pairs = [SubsetMask.from_indices((i, 6 + j)) for i in range(6) for j in range(6)]
-    search = max_nest(pairs, nest_cap=10)
+    search = max_nest(pairs)
     assert search.kappa == 6
     assert search.truncated
     assert len(search.nests) == 10

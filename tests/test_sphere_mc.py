@@ -198,7 +198,7 @@ def test_pole_fit_grid_validation():
 # ---------------------------------------------------------------------------
 
 def test_chain_accepts_everything_at_beta_zero():
-    params = ChainParams(beta=0.0, steps=3000, burn_in=300, seed=12, auto_tune=False)
+    params = ChainParams(beta=0.0, steps=3000, burn_in=300, seed=12)
     chain = metropolis_chain(C1, params)
     assert chain.acceptance_rate == 1.0
     assert chain.configurations.shape == (2700, 2, 3)
@@ -206,7 +206,7 @@ def test_chain_accepts_everything_at_beta_zero():
 
 def test_chain_accepts_zero_delta_moves():
     c = from_matrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    params = ChainParams(beta=5.0, steps=2000, burn_in=200, seed=12, auto_tune=False)
+    params = ChainParams(beta=5.0, steps=2000, burn_in=200, seed=12)
     chain = metropolis_chain(c, params)
     assert chain.acceptance_rate == 1.0  # dE = 0 for every proposal
 
@@ -254,7 +254,7 @@ def test_chain_stationarity_across_seeds():
 
 
 def test_chain_auto_tune_freezes_step():
-    params = ChainParams(beta=0.9, steps=6000, burn_in=2000, seed=77, auto_tune=True)
+    params = ChainParams(beta=0.9, steps=6000, burn_in=2000, seed=77)
     c = from_charges(ChargeVector((1, 1, -1, -1)))
     chain = metropolis_chain(c, params)
     assert 0.1 <= chain.acceptance_rate <= 0.9
