@@ -23,10 +23,8 @@ from .solver import (
     OptResult,
     SolverOptions,
     SubsetMask,
-    SupportDescription,
     brute_force_oracle,
     critical_interval,
-    limit_support,
     max_nest,
     solve_both,
     solve_t_minus,

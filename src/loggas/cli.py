@@ -40,7 +40,7 @@ from .errors import (
 )
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
-from .rational import format_real
+from .rational import format_real, parse_number
 from .solver import CriticalReport, SolverOptions, critical_interval, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
@@ -105,8 +105,8 @@ def _critical_report_dict(report: CriticalReport, mode: str) -> dict:
         "max_nests_minus": [[_mask_labels(s) for s in k.members] for k in report.max_nests_minus],
         "nests_truncated_plus": report.nests_truncated_plus,
         "nests_truncated_minus": report.nests_truncated_minus,
-        "support_plus": list(report.support_plus.rendered),
-        "support_minus": list(report.support_minus.rendered),
+        "support_plus": list(report.support_plus),
+        "support_minus": list(report.support_minus),
         "free_energy_asymptote_plus": _asymptote(report.kappa_plus, report.n, report.beta_plus),
         "free_energy_asymptote_minus": _asymptote(report.kappa_minus, report.n, report.beta_minus),
         "degenerate": report.degenerate,
@@ -246,16 +246,17 @@ def cmd_sk_check(args: argparse.Namespace) -> int:
 
 
 def _parse_beta_grid(text: str) -> tuple:
+    """Finite, strictly monotone grid points from "a:b:steps" or "b1,b2,..."."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputFormatError("beta grid range must be a:b:steps")
-        a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        a, b, steps = parse_number(float(parts[0])), parse_number(float(parts[1])), int(parts[2])
         if steps < 1:
             raise InputFormatError("beta grid needs at least one point")
         grid = tuple(float(x) for x in np.linspace(a, b, steps))
     else:
-        grid = tuple(float(x) for x in text.split(","))
+        grid = tuple(parse_number(float(x)) for x in text.split(","))
     if len(grid) > 1:
         diffs = np.diff(grid)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):

@@ -59,10 +59,6 @@ class FamilyTooLarge(LogGasError):
 
 # ---- domain errors (CLI exit code 4) ----
 
-class NotCritical(LogGasError):
-    """Requested side has an infinite critical inverse temperature."""
-
-
 class ConditionsFail(LogGasError):
     """Charge vector fails the 3/2-variation conditions."""
 
@@ -93,7 +89,6 @@ class NoConvergence(LogGasError):
 
 SIZE_ERRORS = (InstanceTooLarge, FamilyTooLarge)
 DOMAIN_ERRORS = (
-    NotCritical,
     ConditionsFail,
     CoincidentPoints,
     OutsideDomain,

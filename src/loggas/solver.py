@@ -20,9 +20,13 @@ The sums are int64 when the absolute entries sum below 2^62 and Python ints
 (dtype=object) otherwise, and sizes are compared as exact fractions, so ties
 are exact.  Float mode finds ties with the ``tie_tol`` rule; its reported
 optimum is the fsum of the pairs of the first optimizer in (size, mask)
-order over |S|-1, so it does not depend on the summation order.  Optimizer
-families, maximal nests (laminar subfamilies) and the limiting-support
-rendering follow.
+order over |S|-1, so it does not depend on the summation order.
+
+kappa, the size of the largest pairwise-nested subfamily of an optimizer
+family, and the maximal nests themselves come from one depth-first search
+over the family's compatibility bitmask (``max_nest``).  Each nest is
+rendered once as a coincidence pattern of the limiting Gibbs support, one
+equality chain of particle labels per subset.
 """
 
 from __future__ import annotations
@@ -36,12 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .errors import (
-    FamilyTooLarge,
-    InputFormatError,
-    InstanceTooLarge,
-    NotCritical,
-)
+from .errors import FamilyTooLarge, InputFormatError, InstanceTooLarge
 from .rational import Real
 
 _BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
@@ -131,14 +130,6 @@ class NestSearch:
 
 
 @dataclass(frozen=True)
-class SupportDescription:
-    """Limiting Gibbs support: one coincidence pattern per maximal nest."""
-
-    nests: tuple
-    rendered: tuple
-
-
-@dataclass(frozen=True)
 class SolverOptions:
     tie_tol: float = 1e-9
     exact: Optional[bool] = None  # None: exact whenever the matrix is
@@ -162,8 +153,8 @@ class CriticalReport:
     max_nests_minus: tuple
     nests_truncated_plus: bool
     nests_truncated_minus: bool
-    support_plus: SupportDescription
-    support_minus: SupportDescription
+    support_plus: tuple  # one coincidence pattern per maximal nest
+    support_minus: tuple
     degenerate: bool
 
 
@@ -427,9 +418,12 @@ def endpoints(plus: OptResult, minus: OptResult) -> tuple:
 def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     """Maximum-size pairwise-nested subfamilies of an optimizer family.
 
-    kappa is computed exactly by branch-and-bound; the enumeration of all
-    maximum nests is capped at ``_NEST_CAP`` (truncated flag set beyond),
-    and families larger than ``_FAMILY_CAP`` are refused.
+    One depth-first search over the compatibility bitmask finds kappa
+    exactly and collects the nests of the best depth seen so far, the first
+    ``_NEST_CAP`` in search order; one more sets the truncated flag, and a
+    deeper nest clears the list and the flag.  Branches that cannot reach
+    the best depth are pruned, and once the flag is set, so are those that
+    cannot beat it.  Families larger than ``_FAMILY_CAP`` are refused.
     """
     fam = list(family)
     if not fam:
@@ -447,72 +441,44 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
             if _nested(fam[i].bits, fam[j].bits):
                 compat[i] |= 1 << j
 
-    best = 0
+    best, found, truncated = 0, [], False
 
-    def grow(depth: int, cand: int):
-        nonlocal best
+    def search(stack: list, cand: int):
+        nonlocal best, found, truncated
+        depth = len(stack)
         if depth > best:
-            best = depth
-        while cand:
-            if depth + cand.bit_count() <= best:
-                return
-            b = cand & -cand
-            j = b.bit_length() - 1
-            cand ^= b
-            grow(depth + 1, cand & compat[j])
-
-    grow(0, (1 << k) - 1)
-    kappa = best
-
-    found = []
-    truncated = False
-
-    def enumerate_nests(stack: list, cand: int):
-        nonlocal truncated
-        if len(stack) == kappa:
+            best, found, truncated = depth, [tuple(stack)], False
+        elif depth == best:
             if len(found) < _NEST_CAP:
                 found.append(tuple(stack))
             else:
                 truncated = True
-            return
         while cand:
-            if truncated or len(stack) + cand.bit_count() < kappa:
+            reach = depth + cand.bit_count()
+            if reach < best or (truncated and reach == best):
                 return
             b = cand & -cand
             j = b.bit_length() - 1
             cand ^= b
             stack.append(j)
-            enumerate_nests(stack, cand & compat[j])
+            search(stack, cand & compat[j])
             stack.pop()
 
-    enumerate_nests([], (1 << k) - 1)
+    search([], (1 << k) - 1)
 
     nests = []
     for combo in found:
         members = sorted((fam[j] for j in combo),
-                         key=lambda s: (min(s.indices()), s.size, s.bits))
+                         key=lambda s: (s.bits & -s.bits, s.size, s.bits))
         nests.append(Nest(tuple(members)))
     nests.sort(key=lambda nest: tuple(s.bits for s in nest.members))
-    return NestSearch(kappa, tuple(nests), truncated)
+    return NestSearch(best, tuple(nests), truncated)
 
 
 def _render_nest(nest: Nest) -> str:
-    chains = []
-    for s in nest.members:
-        chains.append("=".join(f"p{i + 1}" for i in s.indices()))
-    return ", ".join(chains)
-
-
-def limit_support(result: OptResult, nests: Sequence[Nest]) -> SupportDescription:
-    """Coincidence-set rendering of the limiting Gibbs support.
-
-    One pattern per maximal nest: each subset becomes an equality chain of
-    1-based particle labels.
-    """
-    if not result.attained:
-        raise NotCritical("no finite endpoint on this side")
-    nests = tuple(nests)
-    return SupportDescription(nests, tuple(_render_nest(k) for k in nests))
+    """One coincidence pattern of the limiting Gibbs support: each subset of
+    the nest becomes an equality chain of 1-based particle labels."""
+    return ", ".join("=".join(f"p{i + 1}" for i in s.indices()) for s in nest.members)
 
 
 def critical_interval(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -> CriticalReport:
@@ -524,9 +490,9 @@ def critical_interval(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -
 
     def side(result: OptResult):
         if not result.attained:
-            return 0, (), False, SupportDescription((), ())
+            return 0, (), False, ()
         search = max_nest(result.optimizers)
-        support = limit_support(result, search.nests)
+        support = tuple(_render_nest(nest) for nest in search.nests)
         return search.kappa, search.nests, search.truncated, support
 
     kappa_p, nests_p, trunc_p, support_p = side(plus)

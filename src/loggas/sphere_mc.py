@@ -86,8 +86,8 @@ class ChainParams:
             raise ValueError("need 0 <= burn_in < steps")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import loggas.solver as solver
 from loggas import load_system
 from loggas.cli import main
 from loggas.sphere_mc import estimate_partition
@@ -30,6 +31,15 @@ def test_golden_critical(tmp_path):
     out = tmp_path / "report.json"
     assert run(["critical", "--input", INPUTS / "ex72_charges.json", "--out", out]) == 0
     compare_bytes(out, GOLDEN / "critical_ex72.json")
+
+
+def test_golden_critical_truncated(tmp_path, monkeypatch):
+    # 6! = 720 maximum nests on the plus side; the report lists the first 25
+    monkeypatch.setattr(solver, "_NEST_CAP", 25)
+    out = tmp_path / "report.json"
+    assert run(["critical", "--input", INPUTS / "plasma_6_6.json", "--mode", "exact",
+                "--out", out]) == 0
+    compare_bytes(out, GOLDEN / "critical_truncated.json")
 
 
 def test_golden_bounds(tmp_path):
@@ -202,10 +212,19 @@ def test_exit_2_on_bad_tol(tmp_path, tol):
 
 
 @pytest.mark.parametrize("command", ["mc-partition", "mc-gibbs"])
-@pytest.mark.parametrize("grid", ["0.1:0.2", "0.1:0.2:0", "0.3,0.1,0.2"])
+@pytest.mark.parametrize("grid", ["0.1:0.2", "0.1:0.2:0", "0.3,0.1,0.2", "nan", "inf", "0:inf:3"])
 def test_exit_2_on_malformed_beta_grid(tmp_path, command, grid):
     out = tmp_path / "sweep.csv"
     assert run([command, "--input", INPUTS / "pair_c1.json", "--beta-grid", grid,
+                "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step_size", ["0", "nan", "inf"])
+def test_exit_2_on_bad_step_size(tmp_path, step_size):
+    out = tmp_path / "collapse.csv"
+    assert run(["mc-gibbs", "--input", INPUTS / "pair_c1.json", "--beta-grid", "0.2",
+                "--steps", 300, "--burn-in", 100, "--step-size", step_size,
                 "--out", out]) == 2
     assert not out.exists()
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import loggas.solver as solver
 from loggas import (
@@ -18,7 +19,6 @@ from loggas import (
     from_charges,
     from_matrix,
     from_two_component,
-    limit_support,
     max_nest,
     solve_both,
     solve_t_minus,
@@ -26,7 +26,7 @@ from loggas import (
     subset_constraint,
     subset_sum,
 )
-from loggas.errors import FamilyTooLarge, InstanceTooLarge, NotCritical
+from loggas.errors import FamilyTooLarge, InstanceTooLarge
 
 from conftest import (
     exact_coupling_matrices,
@@ -160,14 +160,14 @@ def test_interval_two_component_2211():
         tuple(sorted(masks((0, 2), (1, 3)))),
         tuple(sorted(masks((0, 3), (1, 2)))),
     }
-    assert set(report.support_plus.rendered) == {"p1=p3, p2=p4", "p1=p4, p2=p3"}
+    assert set(report.support_plus) == {"p1=p3, p2=p4", "p1=p4, p2=p3"}
 
 
 def test_interval_example_7_2():
     report = critical_interval(from_charges(ChargeVector((10, 10, 1))))
     assert report.beta_minus == Fraction(-1, 100)
     assert report.kappa_minus == 1
-    assert report.support_minus.rendered == ("p1=p2",)
+    assert report.support_minus == ("p1=p2",)
 
 
 def test_interval_degenerate_zero_matrix():
@@ -175,7 +175,7 @@ def test_interval_degenerate_zero_matrix():
     assert report.degenerate
     assert report.beta_minus == -math.inf and report.beta_plus == math.inf
     assert report.kappa_plus == report.kappa_minus == 0
-    assert report.support_plus.rendered == ()
+    assert report.support_plus == ()
 
 
 def test_interval_always_contains_zero():
@@ -390,7 +390,7 @@ def test_endpoints_match_interval():
 
 
 # ---------------------------------------------------------------------------
-# max_nest / limit_support
+# max_nest and the support rendering
 # ---------------------------------------------------------------------------
 
 def test_max_nest_disjoint_pair():
@@ -439,6 +439,40 @@ def test_max_nest_truncation_flag(monkeypatch):
     assert len(search.nests) == 10
 
 
+def _oracle_max_nests(family) -> set:
+    """Every maximum pairwise-nested subfamily, by trying all subfamilies
+    largest first."""
+    bits = [s.bits for s in family]
+    for size in range(len(bits), 0, -1):
+        nests = {frozenset(combo) for combo in itertools.combinations(bits, size)
+                 if all(x & y in (0, x, y) for x, y in itertools.combinations(combo, 2))}
+        if nests:
+            return nests
+    return set()
+
+
+@settings(max_examples=200)
+@given(st.sets(st.integers(0, 63).filter(lambda m: m.bit_count() >= 2), min_size=1, max_size=10))
+def test_max_nest_matches_subfamily_enumeration(bits):
+    family = [SubsetMask(m) for m in sorted(bits)]
+    expected = _oracle_max_nests(family)
+    kappa = len(next(iter(expected)))
+
+    search = max_nest(family)
+    assert search.kappa == kappa
+    assert not search.truncated
+    assert {frozenset(s.bits for s in nest.members) for nest in search.nests} == expected
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_NEST_CAP", 3)
+        capped = max_nest(family)
+    reported = [frozenset(s.bits for s in nest.members) for nest in capped.nests]
+    assert capped.kappa == kappa
+    assert capped.truncated == (len(expected) > 3)
+    assert len(reported) == min(3, len(expected)) == len(set(reported))
+    assert set(reported) <= expected
+
+
 def test_kappa_bounded_by_n_minus_1():
     rng = random.Random(31)
     for _ in range(20):
@@ -453,16 +487,10 @@ def test_kappa_bounded_by_n_minus_1():
             assert len(nest.members) == report.kappa_minus
 
 
-def test_limit_support_not_critical():
-    plus = solve_t_plus(from_matrix([[0, 1], [1, 0]]))
-    with pytest.raises(NotCritical):
-        limit_support(plus, ())
-
-
-def test_limit_support_total_collapse_rendering():
+def test_support_total_collapse_rendering():
     k = ChargeVector((1, 1, 1, 1))
     report = critical_interval(from_charges(k))
-    assert report.support_minus.rendered == ("p1=p2=p3=p4",)
+    assert report.support_minus == ("p1=p2=p3=p4",)
 
 
 def test_subset_mask_requires_two_members():

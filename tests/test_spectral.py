@@ -7,6 +7,7 @@ import pytest
 
 from loggas import (
     ChargeVector,
+    CouplingMatrix,
     charge_bounds,
     critical_interval,
     eig_bounds,
@@ -65,9 +66,7 @@ def test_residual_and_trace_invariants():
 
 def test_size_cap():
     with pytest.raises(InstanceTooLarge):
-        symmetric_eigs(
-            from_matrix(np.zeros((2049, 2049)))
-        )
+        symmetric_eigs(CouplingMatrix(2049, np.zeros((2049, 2049))))
 
 
 def test_eig_bounds_mixed_charges():
