@@ -21,7 +21,6 @@ from .solver import (
     CriticalReport,
     Nest,
     OptResult,
-    SolverOptions,
     SubsetMask,
     brute_force_oracle,
     critical_interval,

@@ -5,6 +5,9 @@ mc-partition, mc-gibbs, ensemble.  Reports are JSON with a stable field
 order plus a human-readable text rendering; sweeps emit CSV.  Extended
 reals serialize as "inf"/"-inf", exact rationals as "p/q" strings.
 Exit codes: 0 ok, 2 input error, 3 size limit, 4 domain error.
+Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
+and --tol for critical and sk-check, --seed for the sampling commands;
+any other flag is an argparse error (exit 2).
 mc-partition spreads its grid points over up to 4 of the process's CPUs;
 everything else runs serially.
 """
@@ -41,29 +44,29 @@ from .errors import (
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
 from .rational import format_real, parse_number
-from .solver import CriticalReport, SolverOptions, critical_interval, solve_both
+from .solver import CriticalReport, critical_interval, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
 SCHEMA_VERSION = 1
-
-
-def _resolve_mode(system: SystemInput, mode: str) -> bool:
-    """True for exact solving; 'auto' follows the input's exactness."""
-    if mode == "exact":
-        if not system.coupling.is_exact:
-            raise InputFormatError("exact mode requires rational-expressible input")
-        return True
-    if mode == "float":
-        return False
-    return system.coupling.is_exact
 
 
 def _float_view(c: CouplingMatrix) -> CouplingMatrix:
     return CouplingMatrix(c.n, np.array(c.entries, dtype=float), None)
 
 
-def _solver_matrix(system: SystemInput, exact: bool) -> CouplingMatrix:
-    return system.coupling if exact else _float_view(system.coupling)
+def _solver_matrix(system: SystemInput, mode: str) -> CouplingMatrix:
+    """The matrix to solve under ``--mode``: the input's own rational matrix
+    for exact (and for auto on rational input), a float copy otherwise."""
+    c = system.coupling
+    if mode == "exact" and not c.is_exact:
+        raise InputFormatError("exact mode requires rational-expressible input")
+    return c if c.is_exact and mode != "float" else _float_view(c)
+
+
+def _tie_tol(args: argparse.Namespace) -> float:
+    if not 0 < args.tol < math.inf:
+        raise InputFormatError("tol must be positive and finite")
+    return args.tol
 
 
 def _write_report(report: dict, out_path: Optional[str]):
@@ -134,11 +137,10 @@ def _print_critical(doc: dict):
 
 
 def cmd_critical(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
-    exact = _resolve_mode(system, args.mode)
-    opts = SolverOptions(tie_tol=args.tol, exact=exact)
-    report = critical_interval(_solver_matrix(system, exact), opts)
-    doc = _critical_report_dict(report, "exact" if exact else "float")
+    tie_tol = _tie_tol(args)
+    c = _solver_matrix(load_system(args.input), args.mode)
+    report = critical_interval(c, tie_tol=tie_tol)
+    doc = _critical_report_dict(report, "exact" if report.exact else "float")
     _write_report(doc, args.out)
     _print_critical(doc)
     return 0
@@ -230,14 +232,14 @@ def cmd_arboricity(args: argparse.Namespace) -> int:
 
 
 def cmd_sk_check(args: argparse.Namespace) -> int:
-    system = load_system(args.input)
-    exact = _resolve_mode(system, args.mode)
-    holds = sk_ground_state_check(_solver_matrix(system, exact), tol=args.tol)
+    tol = _tie_tol(args)
+    c = _solver_matrix(load_system(args.input), args.mode)
+    holds = sk_ground_state_check(c, tol=tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "sk-check",
-        "n": system.coupling.n,
-        "mode": "exact" if exact else "float",
+        "n": c.n,
+        "mode": "exact" if c.is_exact else "float",
         "holds": holds,
     }
     _write_report(doc, args.out)
@@ -377,6 +379,8 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
         raise ValueError("need trials >= 1")
     if model not in ("gaussian_couplings", "gaussian_charges"):
         raise InputFormatError(f"unknown ensemble model {model!r}")
+    if model == "gaussian_charges" and variance is not None:
+        raise InputFormatError("gaussian_charges are standard normal; variance not allowed")
     if model == "gaussian_couplings" and variance is None:
         variance = 1.0 / n
 
@@ -452,76 +456,66 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+_FLAGS = {
+    "--input": dict(required=True, help="input JSON file"),
+    "--out": dict(default=None, help="output file (JSON report or CSV)"),
+    "--mode": dict(choices=["exact", "float", "auto"], default="auto"),
+    "--tol": dict(type=float, default=1e-9, help="float-mode tie tolerance"),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=100_000),
+    "--beta-grid": dict(required=True, help="a:b:steps or comma list"),
+    "--steps": dict(type=int, default=20_000),
+    "--burn-in": dict(type=int, default=2_000),
+    "--thin": dict(type=int, default=1),
+    "--step-size": dict(type=float, default=0.5),
+    "--model": dict(choices=["gaussian_couplings", "gaussian_charges"],
+                    default="gaussian_couplings"),
+    "--n": dict(type=int, default=8),
+    "--trials": dict(type=int, default=50),
+    "--variance": dict(type=float, default=None, help="coupling variance (default 1/n)"),
+}
+
+_IO = ("--input", "--out")
+
+# subcommand -> (handler, help, the flags it reads)
+_COMMANDS = {
+    "critical": (cmd_critical, "solve for the critical interval and collapse data",
+                 _IO + ("--mode", "--tol")),
+    "bounds": (cmd_bounds, "eigenvalue and charge bounds on beta+-", _IO),
+    "closed-form": (cmd_closed_form,
+                    "closed-form criticals (two-component / point vortex)", _IO),
+    "arboricity": (cmd_arboricity, "fractional arboricity of a graph input", _IO),
+    "sk-check": (cmd_sk_check, "ground-state identity check", _IO + ("--mode", "--tol")),
+    "mc-partition": (cmd_mc_partition, "Monte Carlo partition-function sweep (CSV)",
+                     _IO + ("--seed", "--samples", "--beta-grid")),
+    "mc-gibbs": (cmd_mc_gibbs, "Metropolis collapse-observable sweep (CSV)",
+                 _IO + ("--seed", "--beta-grid", "--steps", "--burn-in", "--thin",
+                        "--step-size")),
+    "ensemble": (cmd_ensemble, "random-instance ensembles with bound checks",
+                 ("--out", "--seed", "--model", "--n", "--trials", "--variance")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, declaring only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="loggas",
         description="Critical temperatures and Monte Carlo checks for "
                     "logarithmic pair-potential systems on the sphere.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON file")
-        p.add_argument("--out", default=None, help="output file (JSON report or CSV)")
-        p.add_argument("--mode", choices=["exact", "float", "auto"], default="auto")
-        p.add_argument("--tol", type=float, default=1e-9, help="float-mode tie tolerance")
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("critical", help="solve for the critical interval and collapse data")
-    common(p)
-    p = sub.add_parser("bounds", help="eigenvalue and charge bounds on beta+-")
-    common(p)
-    p = sub.add_parser("closed-form", help="closed-form criticals (two-component / point vortex)")
-    common(p)
-    p = sub.add_parser("arboricity", help="fractional arboricity of a graph input")
-    common(p)
-    p = sub.add_parser("sk-check", help="ground-state identity check")
-    common(p)
-
-    p = sub.add_parser("mc-partition", help="Monte Carlo partition-function sweep (CSV)")
-    common(p)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--beta-grid", required=True, help="a:b:steps or comma list")
-
-    p = sub.add_parser("mc-gibbs", help="Metropolis collapse-observable sweep (CSV)")
-    common(p)
-    p.add_argument("--beta-grid", required=True, help="a:b:steps or comma list")
-    p.add_argument("--steps", type=int, default=20_000)
-    p.add_argument("--burn-in", type=int, default=2_000)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--step-size", type=float, default=0.5)
-
-    p = sub.add_parser("ensemble", help="random-instance ensembles with bound checks")
-    common(p, needs_input=False)
-    p.add_argument("--model", choices=["gaussian_couplings", "gaussian_charges"],
-                   default="gaussian_couplings")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--variance", type=float, default=None,
-                   help="coupling variance (default 1/n)")
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_COMMANDS = {
-    "critical": cmd_critical,
-    "bounds": cmd_bounds,
-    "closed-form": cmd_closed_form,
-    "arboricity": cmd_arboricity,
-    "sk-check": cmd_sk_check,
-    "mc-partition": cmd_mc_partition,
-    "mc-gibbs": cmd_mc_gibbs,
-    "ensemble": cmd_ensemble,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 < args.tol < math.inf:
-            raise InputFormatError("tol must be positive and finite")
-        return _COMMANDS[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except SIZE_ERRORS as exc:
         print(f"error (size limit): {exc}", file=sys.stderr)
         return 3

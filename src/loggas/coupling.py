@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     AsymmetricInput,
     InputFormatError,
+    InstanceTooLarge,
     NonzeroDiagonal,
     NotNeutral,
     TooSmall,
@@ -29,6 +30,13 @@ from .rational import Real, all_exact, is_exact, parse_number
 
 SYMMETRY_RTOL = 1e-12
 NEUTRALITY_RTOL = 1e-12
+MAX_PARTICLES = 2048  # the eigensolver's cap, the largest n any consumer accepts
+
+
+def _check_count(n: int, context: str):
+    """Refuse a particle count past MAX_PARTICLES before anything n x n exists."""
+    if n > MAX_PARTICLES:
+        raise InstanceTooLarge(f"{context}: n={n} exceeds the cap {MAX_PARTICLES}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,10 @@ def from_matrix(raw) -> CouplingMatrix:
     the stored matrix mirrors the upper triangle.  Integer/Fraction/"p/q"
     entries produce an exact rational grid alongside the floats.
     """
+    arrays = (list, tuple, np.ndarray)
+    if not (isinstance(raw, arrays) and all(isinstance(r, arrays) for r in raw)):
+        raise InputFormatError("matrix must be an array of rows")
+    _check_count(len(raw), "matrix")
     if isinstance(raw, np.ndarray):
         rows = [[raw[i, j] for j in range(raw.shape[1])] for i in range(raw.shape[0])]
     else:
@@ -293,10 +305,25 @@ class SystemInput:
     graph: Optional[GraphSpec] = None
 
 
-def _require_keys(obj: dict, allowed: set, context: str):
+def _require_keys(obj, allowed: set, context: str) -> dict:
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{context} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise InputFormatError(f"unknown keys in {context}: {sorted(unknown)}")
+    return obj
+
+
+def _integer(value, context: str) -> int:
+    if type(value) is not int:  # JSON true/false are not counts
+        raise InputFormatError(f"{context} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise InputFormatError(f"{context} must be an array, got {value!r}")
+    return value
 
 
 def parse_system(obj: dict) -> SystemInput:
@@ -314,39 +341,43 @@ def parse_system(obj: dict) -> SystemInput:
         return SystemInput(kind, from_matrix(obj["matrix"]))
 
     if kind == "charges":
-        k = ChargeVector(tuple(parse_number(v) for v in obj["charges"]))
+        values = _list(obj["charges"], "charges")
+        _check_count(len(values), "charges")
+        k = ChargeVector(tuple(parse_number(v) for v in values))
         return SystemInput(kind, from_charges(k), charges=k)
 
     if kind == "two_component":
-        tc = obj["two_component"]
-        _require_keys(tc, {"n1", "n2", "z1", "z2"}, "two_component")
+        tc = _require_keys(obj["two_component"], {"n1", "n2", "z1", "z2"}, "two_component")
         for key in ("n1", "n2", "z1", "z2"):
             if key not in tc:
                 raise InputFormatError(f"two_component missing {key!r}")
-        if not isinstance(tc["n1"], int) or not isinstance(tc["n2"], int):
-            raise InputFormatError("n1 and n2 must be integers")
-        spec = TwoComponentSpec(tc["n1"], tc["n2"], parse_number(tc["z1"]), parse_number(tc["z2"]))
+        n1, n2 = _integer(tc["n1"], "two_component.n1"), _integer(tc["n2"], "two_component.n2")
+        _check_count(n1 + n2, "two_component")
+        spec = TwoComponentSpec(n1, n2, parse_number(tc["z1"]), parse_number(tc["z2"]))
         return SystemInput(kind, from_two_component(spec),
                            charges=spec.charges(), two_component=spec)
 
     if kind == "graph":
-        gobj = obj["graph"]
-        _require_keys(gobj, {"n", "edges"}, "graph")
+        gobj = _require_keys(obj["graph"], {"n", "edges"}, "graph")
         if "n" not in gobj or "edges" not in gobj:
             raise InputFormatError("graph needs 'n' and 'edges'")
-        g = GraphSpec(gobj["n"], tuple(tuple(e) for e in gobj["edges"]))
+        n = _integer(gobj["n"], "graph.n")
+        _check_count(n, "graph")
+        edges = tuple(tuple(_integer(v, "graph edge end") for v in _list(e, "graph edge"))
+                      for e in _list(gobj["edges"], "graph.edges"))
+        g = GraphSpec(n, edges)
         return SystemInput(kind, from_graph(g), graph=g)
 
-    robj = obj["random"]
-    _require_keys(robj, {"model", "n", "variance", "seed"}, "random")
+    robj = _require_keys(obj["random"], {"model", "n", "variance", "seed"}, "random")
     model = robj.get("model")
     if model not in ("couplings", "charges"):
         raise InputFormatError("random.model must be 'couplings' or 'charges'")
     if "n" not in robj or "seed" not in robj:
         raise InputFormatError("random needs 'n' and 'seed'")
-    n, seed = robj["n"], robj["seed"]
+    n, seed = _integer(robj["n"], "random.n"), _integer(robj["seed"], "random.seed")
+    _check_count(n, "random")
     if model == "couplings":
-        variance = float(robj.get("variance", 1.0))
+        variance = float(parse_number(robj.get("variance", 1.0)))
         return SystemInput("random", sample_gaussian_couplings(n, variance, seed))
     if "variance" in robj:
         raise InputFormatError("random charges are standard normal; 'variance' not allowed")

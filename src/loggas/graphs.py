@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coupling import CouplingMatrix, GraphSpec, from_graph
 from .errors import EdgelessGraph, InstanceTooLarge
-from .solver import SolverOptions, SubsetMask, all_subset_sums, solve_t_minus
+from .solver import SubsetMask, all_subset_sums, solve_t_minus
 
 _ORACLE_MAX_N = 10
 _ORACLE_MAX_EDGES = 20
@@ -29,7 +29,7 @@ class ArboricityReport:
     witness: SubsetMask
 
 
-def arboricity(g: GraphSpec, opts: SolverOptions | None = None) -> ArboricityReport:
+def arboricity(g: GraphSpec) -> ArboricityReport:
     """Fractional and integer arboricity via the exact ratio solver.
 
     The densest-subgraph maximum is attained at induced subgraphs, so
@@ -37,10 +37,8 @@ def arboricity(g: GraphSpec, opts: SolverOptions | None = None) -> ArboricityRep
     if not g.edges:
         raise EdgelessGraph("graph has no edges")
     c = from_graph(g)
-    result = solve_t_minus(c, opts)
-    fractional = -result.t_value
-    if not isinstance(fractional, Fraction):
-        fractional = Fraction(fractional).limit_denominator(10**9)
+    result = solve_t_minus(c)
+    fractional = -result.t_value  # a Fraction: graph couplings are exact
     witness = result.optimizers[0]
     return ArboricityReport(fractional, math.ceil(fractional), witness)
 
@@ -124,10 +122,11 @@ def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
     -1/2 chi' C chi - T- * sum(chi) equals -T-, and that the minimizers are
     exactly the subsets attaining the ratio maximum.  The 1/2 factor matches
     the quadratic form of the ratio identity; without it the identity fails
-    on hand examples."""
+    on hand examples.  In float mode ``tol`` is both the solver's tie
+    tolerance and the tolerance of these comparisons."""
     if c.n > _SK_MAX_N:
         raise InstanceTooLarge(f"check limited to n <= {_SK_MAX_N}")
-    result = solve_t_minus(c)
+    result = solve_t_minus(c, tie_tol=tol)
     t_minus = result.t_value
     exact = c.is_exact
     sums = all_subset_sums(c)

@@ -15,12 +15,15 @@ table is built in blocks of at most 2^16 low-bit masks; the fixed high bits
 of a block add one vector, so memory stays at a few MB up to the n = 26
 cap.
 
-Exact mode scales the entries to integers over their common denominator.
-The sums are int64 when the absolute entries sum below 2^62 and Python ints
-(dtype=object) otherwise, and sizes are compared as exact fractions, so ties
-are exact.  Float mode finds ties with the ``tie_tol`` rule; its reported
-optimum is the fsum of the pairs of the first optimizer in (size, mask)
-order over |S|-1, so it does not depend on the summation order.
+The matrix alone picks the arithmetic: exact mode when it holds rational
+entries (``is_exact``), float mode otherwise; callers wanting float mode on
+rational input pass a float-only copy.  Exact mode scales the entries to
+integers over their common denominator.  The sums are int64 when the
+absolute entries sum below 2^62 and Python ints (dtype=object) otherwise,
+and sizes are compared as exact fractions, so ties are exact.  Float mode
+finds ties with the keyword-only ``tie_tol`` rule; its reported optimum is
+the fsum of the pairs of the first optimizer in (size, mask) order over
+|S|-1, so it does not depend on the summation order.
 
 kappa, the size of the largest pairwise-nested subfamily of an optimizer
 family, and the maximal nests themselves come from one depth-first search
@@ -40,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .errors import FamilyTooLarge, InputFormatError, InstanceTooLarge
+from .errors import FamilyTooLarge, InstanceTooLarge
 from .rational import Real
 
 _BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
@@ -130,12 +133,6 @@ class NestSearch:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    tie_tol: float = 1e-9
-    exact: Optional[bool] = None  # None: exact whenever the matrix is
-
-
-@dataclass(frozen=True)
 class CriticalReport:
     n: int
     exact: bool
@@ -161,14 +158,6 @@ class CriticalReport:
 def _nested(x: int, y: int) -> bool:
     common = x & y
     return common == 0 or common == x or common == y
-
-
-def _resolve_exact(c: CouplingMatrix, opts: SolverOptions) -> bool:
-    if opts.exact is None:
-        return c.is_exact
-    if opts.exact and not c.is_exact:
-        raise InputFormatError("exact mode requires rational matrix entries")
-    return opts.exact
 
 
 def _weights(c: CouplingMatrix, exact: bool):
@@ -317,13 +306,13 @@ class _Scan:
     max_masks: tuple
 
 
-def _scan(c: CouplingMatrix, opts: SolverOptions) -> _Scan:
+def _scan(c: CouplingMatrix, tie_tol: float) -> _Scan:
     """Both extrema of the ratio and their families.
 
     The per-size extrema a_k of the subset sums give each optimum as the
     best a_k/(k-1) over at most n-1 sizes.  Float mode always finds its
     first optimizer, whose fsum'd ratio is the reported value."""
-    exact = _resolve_exact(c, opts)
+    exact = c.is_exact
     w, denom = _weights(c, exact)
     table = _SubsetSums(w)
     sides, ratios = [], []
@@ -334,7 +323,7 @@ def _scan(c: CouplingMatrix, opts: SolverOptions) -> _Scan:
         if exact:
             tol, wins = None, [(k, a[k]) for k in q if q[k] == r != 0]
         else:
-            tol = opts.tie_tol * max(1.0, abs(r))
+            tol = tie_tol * max(1.0, abs(r))
             wins = [(k, r) for k in q if abs(q[k] - r) <= tol]
         sides.append((ext, wins, tol))
         ratios.append(r / denom if exact else r)
@@ -345,11 +334,11 @@ def _scan(c: CouplingMatrix, opts: SolverOptions) -> _Scan:
     return _Scan(*ratios, *families)
 
 
-def _solve(c: CouplingMatrix, opts: Optional[SolverOptions]):
+def _solve(c: CouplingMatrix, tie_tol: float):
     """(plus, minus) results of one scan, shared by the three public solvers."""
     if c.n > _MAX_N:
         raise InstanceTooLarge(f"n={c.n} exceeds solver cap {_MAX_N}")
-    scan = _scan(c, opts or SolverOptions())
+    scan = _scan(c, tie_tol)
     plus = OptResult(-scan.min_ratio, scan.min_masks, attained=scan.min_ratio < 0)
     minus = OptResult(-scan.max_ratio, scan.max_masks, attained=scan.max_ratio > 0)
     return plus, minus
@@ -392,19 +381,19 @@ def subset_constraint(c: CouplingMatrix, s: SubsetMask) -> SubsetConstraint:
     return SubsetConstraint(a, b, "lower" if a > 0 else "upper", bound)
 
 
-def solve_t_plus(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -> OptResult:
+def solve_t_plus(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> OptResult:
     """T+ = -min_S ratio(S); optimizers are the negative-sum argmin sets."""
-    return _solve(c, opts)[0]
+    return _solve(c, tie_tol)[0]
 
 
-def solve_t_minus(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -> OptResult:
+def solve_t_minus(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> OptResult:
     """T- = -max_S ratio(S); optimizers are the positive-sum argmax sets."""
-    return _solve(c, opts)[1]
+    return _solve(c, tie_tol)[1]
 
 
-def solve_both(c: CouplingMatrix, opts: Optional[SolverOptions] = None):
+def solve_both(c: CouplingMatrix, *, tie_tol: float = 1e-9):
     """(plus, minus) results from a single shared scan."""
-    return _solve(c, opts)
+    return _solve(c, tie_tol)
 
 
 def endpoints(plus: OptResult, minus: OptResult) -> tuple:
@@ -481,11 +470,9 @@ def _render_nest(nest: Nest) -> str:
     return ", ".join("=".join(f"p{i + 1}" for i in s.indices()) for s in nest.members)
 
 
-def critical_interval(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -> CriticalReport:
+def critical_interval(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> CriticalReport:
     """Full report: endpoints, optimizer families, nests and support."""
-    opts = opts or SolverOptions()
-    plus, minus = solve_both(c, opts)
-    exact = _resolve_exact(c, opts)
+    plus, minus = solve_both(c, tie_tol=tie_tol)
     beta_minus, beta_plus = endpoints(plus, minus)
 
     def side(result: OptResult):
@@ -500,7 +487,7 @@ def critical_interval(c: CouplingMatrix, opts: Optional[SolverOptions] = None) -
 
     return CriticalReport(
         n=c.n,
-        exact=exact,
+        exact=c.is_exact,
         t_plus=plus.t_value,
         t_minus=minus.t_value,
         beta_plus=beta_plus,

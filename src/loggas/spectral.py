@@ -19,11 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coupling import ChargeVector, CouplingMatrix
+from .coupling import MAX_PARTICLES, ChargeVector, CouplingMatrix
 from .errors import InstanceTooLarge, NoConvergence
 from .rational import Real
 
-_MAX_N = 2048
 _SWEEP_CAP = 100
 _OFFDIAG_RTOL = 1e-12
 
@@ -68,8 +67,8 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     Sweeps rotate away every off-diagonal pair until the off-diagonal
     Frobenius norm falls below 1e-12 * ||C||_F (cap: 100 sweeps).
     """
-    if c.n > _MAX_N:
-        raise InstanceTooLarge(f"eigensolver limited to n <= {_MAX_N}")
+    if c.n > MAX_PARTICLES:
+        raise InstanceTooLarge(f"eigensolver limited to n <= {MAX_PARTICLES}")
     a = np.array(c.entries, dtype=float)
     n = c.n
     v = np.eye(n)

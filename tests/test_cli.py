@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import loggas.coupling as coupling
 import loggas.solver as solver
 from loggas import load_system
 from loggas.cli import main
@@ -242,3 +243,106 @@ def test_exit_2_on_non_finite_input(tmp_path, command, text):
     path.write_text(text)
     assert run([command, "--input", path, "--out", out]) == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Each subcommand takes only the flags it reads
+# ---------------------------------------------------------------------------
+
+_RUNNABLE = {
+    "critical": ["--input", INPUTS / "pair_c1.json"],
+    "sk-check": ["--input", INPUTS / "pair_c1.json"],
+    "bounds": ["--input", INPUTS / "pair_c1.json"],
+    "closed-form": ["--input", INPUTS / "two_component_2332.json"],
+    "arboricity": ["--input", INPUTS / "c5_graph.json"],
+    "mc-partition": ["--input", INPUTS / "pair_c1.json", "--beta-grid", "0.2",
+                     "--samples", 1000],
+    "mc-gibbs": ["--input", INPUTS / "pair_c1.json", "--beta-grid", "0.2",
+                 "--steps", 200, "--burn-in", 100],
+    "ensemble": ["--n", 4, "--trials", 2],
+}
+
+_UNREAD_FLAGS = (
+    [(command, "--seed", "1") for command in ("critical", "sk-check")]
+    + [(command, flag, value) for command in ("bounds", "closed-form", "arboricity")
+       for flag, value in (("--mode", "exact"), ("--tol", "1e-6"), ("--seed", "1"))]
+    + [(command, flag, value) for command in ("mc-partition", "mc-gibbs", "ensemble")
+       for flag, value in (("--mode", "float"), ("--tol", "1e-6"))]
+)
+
+
+@pytest.mark.parametrize("command,flag,value", _UNREAD_FLAGS)
+def test_exit_2_on_flag_the_command_does_not_read(tmp_path, command, flag, value):
+    argv = [command, *_RUNNABLE[command], "--out", tmp_path / "out"]
+    assert run(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, value])
+    assert exc.value.code == 2
+
+
+def test_sk_check_reads_tol(tmp_path):
+    # {1,2} and {1,3} tie within 1e-3; the solver and the identity check
+    # must both see the same tolerance
+    path, out = tmp_path / "m.json", tmp_path / "report.json"
+    path.write_text('{"matrix": [[0, 1, 1.000001], [1, 0, -5], [1.000001, -5, 0]]}')
+    assert run(["critical", "--input", path, "--tol", "1e-3", "--out", out]) == 0
+    assert json.loads(out.read_text())["g_minus"] == [[1, 2], [1, 3]]
+    assert run(["sk-check", "--input", path, "--tol", "1e-3", "--out", out]) == 0
+    assert json.loads(out.read_text())["holds"] is True
+    assert run(["sk-check", "--input", path, "--tol", "0"]) == 2
+
+
+def test_exit_2_on_ensemble_variance_with_charges(tmp_path):
+    out = tmp_path / "ensemble.json"
+    assert run(["ensemble", "--model", "gaussian_charges", "--n", 4, "--trials", 2,
+                "--variance", 2, "--out", out]) == 2
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Malformed and oversized input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    '{"matrix": 5}',
+    '{"matrix": [0, 1]}',
+    '{"charges": 3}',
+    '{"charges": "12"}',
+    '{"graph": 5}',
+    '{"random": 5}',
+    '{"random": {"model": "couplings", "n": "4", "seed": 0}}',
+    '{"random": {"model": "couplings", "n": 4.5, "seed": 0}}',
+    '{"random": {"model": "couplings", "n": 4, "seed": 1.5}}',
+    '{"random": {"model": "couplings", "n": 4, "variance": [1], "seed": 0}}',
+    '{"graph": {"n": "5", "edges": [[0, 1]]}}',
+    '{"graph": {"n": 5, "edges": [3]}}',
+    '{"graph": {"n": 5, "edges": [[0, "1"]]}}',
+    '{"two_component": 5}',
+    '{"two_component": {"n1": true, "n2": 1, "z1": 1, "z2": 1}}',
+])
+def test_exit_2_on_malformed_input(tmp_path, text):
+    path, out = tmp_path / "bad.json", tmp_path / "report.json"
+    path.write_text(text)
+    assert run(["critical", "--input", path, "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system", [
+    {"matrix": [[0]] * 2049},  # the row count is checked before rows or entries
+    {"charges": [1, -1] * 1025},
+    {"two_component": {"n1": 1025, "n2": 1025, "z1": 1, "z2": 1}},
+    {"graph": {"n": 100000, "edges": [[0, 1]]}},
+    {"random": {"model": "couplings", "n": 100000, "seed": 0}},
+    {"random": {"model": "charges", "n": 100000, "seed": 0}},
+], ids=["matrix", "charges", "two_component", "graph", "random-couplings", "random-charges"])
+def test_exit_3_before_building_oversized_input(tmp_path, monkeypatch, system):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an oversized input")
+
+    for name in ("parse_number", "CouplingMatrix", "ChargeVector", "from_charges",
+                 "from_two_component", "from_graph", "sample_gaussian_couplings",
+                 "sample_gaussian_charges"):
+        monkeypatch.setattr(coupling, name, refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(system))
+    assert run(["critical", "--input", path]) == 3
