@@ -21,6 +21,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -85,7 +86,7 @@ def _mask_labels(mask) -> list:
 def _asymptote(kappa: int, n: int, beta) -> Optional[str]:
     if kappa == 0:
         return None
-    return f"({kappa}/{n})*log(beta-({format_real(beta)}))"
+    return f"({Fraction(kappa, n)})*log|beta-({format_real(beta)})|"
 
 
 def _critical_report_dict(report: CriticalReport, mode: str) -> dict:

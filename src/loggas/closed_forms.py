@@ -2,7 +2,7 @@
 
 Two-component plasma under neutrality: beta+ = 1/(z1*z2), the optimum is
 attained exactly at mixed pairs, kappa+ = min(n1, n2), and the free energy
-diverges like z_small/(z1+z2) * log(beta - beta+).  The negative-temperature
+diverges like z_small/(z1+z2) * log|beta - beta+|.  The negative-temperature
 point-vortex system with a strict 3/2 bound on the per-sign charge variation
 collapses one full sign class; beta- is the larger of two explicit
 candidates.

@@ -185,10 +185,7 @@ def from_matrix(raw) -> CouplingMatrix:
     if not (isinstance(raw, arrays) and all(isinstance(r, arrays) for r in raw)):
         raise InputFormatError("matrix must be an array of rows")
     _check_count(len(raw), "matrix")
-    if isinstance(raw, np.ndarray):
-        rows = [[raw[i, j] for j in range(raw.shape[1])] for i in range(raw.shape[0])]
-    else:
-        rows = [list(r) for r in raw]
+    rows = raw.tolist() if isinstance(raw, np.ndarray) else [list(r) for r in raw]
     n = len(rows)
     if n < 2:
         raise TooSmall(f"need at least 2 particles, got n={n}")

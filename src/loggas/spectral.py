@@ -6,9 +6,11 @@ beta- <= -1/lambda_max(C) whenever the respective endpoint is finite.  In
 the charge case c(i,j) = k_i k_j the Weil inequalities yield the explicit
 bounds beta+ >= 1/max k_i^2 and beta- <= -1/(sum k_i^2 - min k_i^2).
 
-The spectrum comes from a self-contained cyclic Jacobi rotation solver
-(eigenvectors are kept for residual checks); no external eigensolver is
-involved on this path.
+The spectrum comes from a self-contained Brent-Luk round-robin Jacobi
+solver (eigenvectors are kept for residual checks); no external eigensolver
+is involved on this path.  The eigenvalues are floats, so the eigenvalue
+bounds hold only up to roundoff: on C = kk' - I with k = (1,1,-1,-1), whose
+exact beta+ is 1, the float bound -1/lambda_min may land an ulp above 1.
 """
 
 from __future__ import annotations
@@ -61,10 +63,39 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
-    """Full spectrum of the coupling matrix by cyclic Jacobi rotations.
+def _round_robin(n: int) -> list:
+    """One Jacobi sweep as n-1 rounds (n odd: n rounds) of disjoint pairs.
 
-    Sweeps rotate away every off-diagonal pair until the off-diagonal
+    The circle method of a round-robin tournament: index 0 stays put and the
+    others rotate one place per round.  An odd n gets a dummy index n, and
+    the pair holding it is left out of that round.  Each round is a pair of
+    index arrays (P, Q) with P < Q elementwise; over one sweep every pair
+    i < j occurs exactly once.
+    """
+    m = n + n % 2
+    ring = np.arange(1, m)
+    rounds = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(ring, r)))
+        left, right = order[: m // 2], order[::-1][: m // 2]
+        keep = (left < n) & (right < n)
+        left, right = left[keep], right[keep]
+        rounds.append((np.minimum(left, right), np.maximum(left, right)))
+    return rounds
+
+
+def _rotate(x: np.ndarray, y: np.ndarray, cs, sn) -> tuple:
+    """Plane rotation of the pair (x, y) by cosine cs and sine sn."""
+    return cs * x - sn * y, sn * x + cs * y
+
+
+def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
+    """Full spectrum of the coupling matrix by Brent-Luk round-robin Jacobi.
+
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    pairs (Brent & Luk 1985).  Rotations in one round touch disjoint rows
+    and columns, so a round computes all its angles at once and applies
+    them as whole-array operations.  Sweeps continue until the off-diagonal
     Frobenius norm falls below 1e-12 * ||C||_F (cap: 100 sweeps).
     """
     if c.n > MAX_PARTICLES:
@@ -74,35 +105,26 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     v = np.eye(n)
     norm_c = float(np.linalg.norm(a))
     target = _OFFDIAG_RTOL * norm_c
+    rounds = _round_robin(n)
 
     sweeps = 0
     while _offdiag_norm(a) > target and norm_c > 0.0:
         if sweeps >= _SWEEP_CAP:
             raise NoConvergence(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
         sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                cs = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * cs
-                # rotate columns p,q of A, then rows (A stays symmetric)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cs * col_p - sn * col_q
-                a[:, q] = sn * col_p + cs * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = cs * row_p - sn * row_q
-                a[q, :] = sn * row_p + cs * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = cs * vec_p - sn * vec_q
-                v[:, q] = sn * vec_p + cs * vec_q
+        for p, q in rounds:
+            apq = a[p, q]
+            live = apq != 0.0  # a zero pair gets the identity rotation
+            theta = (a[q, q] - a[p, p]) / (2.0 * np.where(live, apq, 1.0))
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t = np.where(live, t, 0.0)
+            cs = 1.0 / np.sqrt(t * t + 1.0)
+            sn = t * cs
+            # rotate columns p,q of A, then rows (A stays symmetric)
+            a[:, p], a[:, q] = _rotate(a[:, p], a[:, q], cs, sn)
+            a[p, :], a[q, :] = _rotate(a[p, :], a[q, :], cs[:, None], sn[:, None])
+            a[p, q] = a[q, p] = 0.0
+            v[:, p], v[:, q] = _rotate(v[:, p], v[:, q], cs, sn)
 
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues, kind="stable")

@@ -7,7 +7,7 @@ import pytest
 
 import loggas.coupling as coupling
 import loggas.solver as solver
-from loggas import load_system
+from loggas import load_system, two_component_critical
 from loggas.cli import main
 from loggas.sphere_mc import estimate_partition
 
@@ -47,6 +47,28 @@ def test_golden_bounds(tmp_path):
     out = tmp_path / "report.json"
     assert run(["bounds", "--input", INPUTS / "mixed_charges.json", "--out", out]) == 0
     compare_bytes(out, GOLDEN / "bounds_mixed.json")
+
+
+def test_bounds_report_matches_exact_spectrum(tmp_path):
+    # C = kk' - I for k = (1,1,-1,-1) has the exact spectrum {-1,-1,-1,3}, so
+    # beta+ >= 1 and beta- <= -1/3; the float report may miss them by roundoff
+    out = tmp_path / "report.json"
+    assert run(["bounds", "--input", INPUTS / "mixed_charges.json", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["eigenvalues"]) == 4
+    assert all(abs(x - y) <= 1e-14 for x, y in zip(doc["eigenvalues"], [-1, -1, -1, 3]))
+    assert abs(doc["eig_beta_plus_lower"] - 1) <= 1e-14
+    assert abs(doc["eig_beta_minus_upper"] + 1 / 3) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["two_component_2332.json", "plasma_6_6.json"])
+def test_asymptote_prefactor_is_the_closed_form_one(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert run(["critical", "--input", INPUTS / name, "--mode", "exact", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    expected = two_component_critical(load_system(INPUTS / name).two_component)
+    assert doc["free_energy_asymptote_plus"] == (
+        f"({expected.free_energy_prefactor})*log|beta-({expected.beta_plus})|")
 
 
 def test_golden_closed_form_two_component(tmp_path):

@@ -198,3 +198,25 @@ def test_parse_system_random_models():
     assert c.charges is not None
     with pytest.raises(InputFormatError):
         parse_system({"random": {"model": "charges", "n": 4, "seed": 2, "variance": 2.0}})
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_from_matrix_integer_array_parses_like_lists(dtype):
+    rows = [[0, 2, -3], [2, 0, 1], [-3, 1, 0]]
+    a = from_matrix(np.array(rows, dtype=dtype))
+    b = from_matrix(rows)
+    assert a.is_exact
+    assert a.exact_entries == b.exact_entries
+    assert np.array_equal(a.entries, b.entries)
+
+
+def test_from_matrix_float_array_stays_float():
+    rows = [[0.0, 0.5, -1.25], [0.5, 0.0, 2.0], [-1.25, 2.0, 0.0]]
+    a = from_matrix(np.array(rows, dtype=np.float64))
+    assert not a.is_exact
+    assert np.array_equal(a.entries, from_matrix(rows).entries)
+
+
+def test_from_matrix_rejects_bool_array():
+    with pytest.raises(InputFormatError):
+        from_matrix(np.array([[False, True], [True, False]]))

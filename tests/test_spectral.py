@@ -17,7 +17,9 @@ from loggas import (
     GraphSpec,
     symmetric_eigs,
 )
-from loggas.errors import InstanceTooLarge
+import loggas.spectral as spectral
+from loggas.errors import InstanceTooLarge, NoConvergence
+from loggas.spectral import _round_robin
 
 from conftest import random_exact_matrix, random_float_matrix
 
@@ -62,6 +64,64 @@ def test_residual_and_trace_invariants():
         # eigenvectors are kept and orthonormal
         gram = spec.eigenvectors.T @ spec.eigenvectors
         assert np.max(np.abs(gram - np.eye(n))) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = []
+    for p, q in rounds:
+        assert len(p) == len(q) == n // 2
+        assert np.all(p < q)
+        assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)  # disjoint pairs
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_block_diagonal_input_keeps_blocks_apart():
+    # cross-block pairs are zero, so their rotations are skipped and every
+    # eigenvector stays supported on one block
+    rng = np.random.default_rng(17)
+    sizes = [3, 1, 5, 2, 4]
+    n = sum(sizes)
+    m = np.zeros((n, n))
+    starts = np.cumsum([0] + sizes)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        g = rng.standard_normal((hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = g + g.T
+    np.fill_diagonal(m, 0.0)
+    perm = rng.permutation(n)  # interleave the blocks across the schedule
+    m, block = m[np.ix_(perm, perm)], np.repeat(np.arange(len(sizes)), sizes)[perm]
+    spec = symmetric_eigs(from_matrix(m))
+    assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
+    for k in range(n):
+        support = np.nonzero(spec.eigenvectors[:, k])[0]
+        assert len(set(block[support].tolist())) == 1
+
+
+@pytest.mark.parametrize("n", [64, 96])
+def test_large_gaussian_spectrum(n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    m = (g + g.T) / 2
+    np.fill_diagonal(m, 0.0)
+    spec = symmetric_eigs(from_matrix(m))
+    norm = float(np.linalg.norm(m))
+    assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(m))) <= 1e-10 * norm
+    assert spec.residual <= 1e-12 * norm
+    gram = spec.eigenvectors.T @ spec.eigenvectors
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-12
+
+
+def test_sweep_cap_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(spectral, "_SWEEP_CAP", 1)
+    rng = np.random.default_rng(20)
+    g = rng.standard_normal((20, 20))
+    m = g + g.T
+    np.fill_diagonal(m, 0.0)
+    with pytest.raises(NoConvergence):
+        symmetric_eigs(from_matrix(m))
 
 
 def test_size_cap():
