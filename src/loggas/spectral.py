@@ -97,10 +97,17 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     and columns, so a round computes all its angles at once and applies
     them as whole-array operations.  Sweeps continue until the off-diagonal
     Frobenius norm falls below 1e-12 * ||C||_F (cap: 100 sweeps).
+
+    The sweeps run on C / 2^e, where 2^e is the power of two that brings
+    max|C| into [1/2, 1), so that ||C||_F neither overflows (entries near
+    1e200) nor underflows (near 1e-200).  Every rotation and the stopping
+    rule are homogeneous in C, so short of underflow the scaling changes no
+    bit of the result.
     """
     if c.n > MAX_PARTICLES:
         raise InstanceTooLarge(f"eigensolver limited to n <= {MAX_PARTICLES}")
-    a = np.array(c.entries, dtype=float)
+    exponent = math.frexp(float(np.max(np.abs(c.entries))))[1]
+    a = np.ldexp(c.entries, -exponent)
     n = c.n
     v = np.eye(n)
     norm_c = float(np.linalg.norm(a))
@@ -126,7 +133,7 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
             a[p, q] = a[q, p] = 0.0
             v[:, p], v[:, q] = _rotate(v[:, p], v[:, q], cs, sn)
 
-    eigenvalues = np.diag(a).copy()
+    eigenvalues = np.ldexp(np.diag(a), exponent)
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = v[:, order]

@@ -6,6 +6,11 @@ least-squares pole-order fitting of the free-energy divergence, and a
 single-particle Metropolis sampler of the Gibbs measure with collapse
 observables.
 
+``energy`` and the sampler share one pair helper, ``_log_d2``.  A chain
+builds an (N,N) table of log d^2 over its coupled pairs once; each step
+then evaluates only the proposal's row against it, and an accepted move
+writes that row back into the table.
+
 All randomness comes from numpy's Philox counter-based generator with
 explicit seeds.  Chordal distances are plain Euclidean norms in R^3; no
 stereographic chart is used anywhere.
@@ -129,22 +134,32 @@ def sample_uniform(n: int, seed: int) -> SphereConfiguration:
     return SphereConfiguration(pts)
 
 
-def energy(c: CouplingMatrix, cfg: SphereConfiguration) -> float:
-    """E = -sum_{i<j} c(i,j) log d(p_i,p_j)^2, chordal distance in R^3."""
-    pts = cfg.points
-    if cfg.n != c.n:
-        raise ValueError(f"configuration has {cfg.n} points, matrix has n={c.n}")
+def _log_d2(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """log d(p_i, p_j)^2 for index arrays i, j; -inf where two points coincide."""
+    diffs = pts[i] - pts[j]
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(diffs * diffs, axis=1))
+
+
+def _coupled_pairs(c: CouplingMatrix):
+    """Pairs i < j with c(i,j) != 0, as index arrays, and their couplings."""
     iu = np.triu_indices(c.n, k=1)
-    d2 = np.sum((pts[iu[0]] - pts[iu[1]]) ** 2, axis=1)
     cij = c.entries[iu]
     coupled = cij != 0.0
-    bad = coupled & (d2 == 0.0)
+    return iu[0][coupled], iu[1][coupled], cij[coupled]
+
+
+def energy(c: CouplingMatrix, cfg: SphereConfiguration) -> float:
+    """E = -sum_{i<j} c(i,j) log d(p_i,p_j)^2, chordal distance in R^3."""
+    if cfg.n != c.n:
+        raise ValueError(f"configuration has {cfg.n} points, matrix has n={c.n}")
+    rows, cols, cij = _coupled_pairs(c)
+    logd2 = _log_d2(cfg.points, rows, cols)
+    bad = np.isneginf(logd2)
     if np.any(bad):
-        k = int(np.where(bad)[0][0])
-        raise CoincidentPoints(f"particles {iu[0][k]} and {iu[1][k]} coincide")
-    with np.errstate(divide="ignore"):
-        logd2 = np.log(d2[coupled])
-    return float(-np.sum(cij[coupled] * logd2))
+        k = int(np.argmax(bad))
+        raise CoincidentPoints(f"particles {rows[k]} and {cols[k]} coincide")
+    return float(-np.sum(cij * logd2))
 
 
 def analytic_partition_two(c12: float, beta: float) -> float:
@@ -237,22 +252,6 @@ def pole_order_fit(betas: Sequence[float], logz: Sequence[float], beta_crit: flo
     return float(slope)
 
 
-def _particle_energy(c_row: np.ndarray, pts: np.ndarray, i: int, p: np.ndarray):
-    """Interaction energy of particle i at position p with all others.
-
-    Returns +/-inf-free value or None when p coincides with a coupled
-    particle (proposal must be rejected)."""
-    diffs = pts - p
-    d2 = np.sum(diffs * diffs, axis=1)
-    d2[i] = 1.0
-    coupled = c_row != 0.0
-    if np.any(d2[coupled] == 0.0):
-        return None
-    with np.errstate(divide="ignore"):
-        val = -np.sum(c_row[coupled] * np.log(d2[coupled]))
-    return float(val)
-
-
 def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     """Single-particle Metropolis sampling of the Gibbs measure.
 
@@ -260,54 +259,68 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     sphere; the induced kernel depends only on chord distance so it is
     symmetric and min(1, exp(-beta dE)) is the correct acceptance rule.
     Particles are updated in a fixed cyclic order.  Acceptance is reported
-    over post-burn-in steps."""
+    over post-burn-in steps.
+
+    The chain keeps an (N,N) table of log d^2 over its coupled pairs, built
+    once from the starting points.  A step computes the proposal's row
+    only: the current energy of particle i is read from row i of the table,
+    and an accepted move writes the new row into row i and column i.  While
+    a coupled pair coincides (log d^2 = -inf, possible only at the start and
+    with probability zero), any valid move of either particle is accepted
+    unconditionally."""
     lo, hi = _interval(c)
     _check_inside(params.beta, lo, hi)
 
     rng = _philox(params.seed)
     n = c.n
     pts = _unit_rows(rng.standard_normal((n, 3)), rng)
-    rows = np.array(c.entries, dtype=float)
-    total_energy = 0.0
-    for i in range(n):
-        part = _particle_energy(rows[i], pts, i, pts[i])
-        total_energy += part / 2.0 if part is not None else math.inf
+    rows, cols, cij = _coupled_pairs(c)
+    table = np.zeros((n, n))
+    table[rows, cols] = table[cols, rows] = _log_d2(pts, rows, cols)
+    partners = [np.flatnonzero(c.entries[i]) for i in range(n)]
+    weights = [c.entries[i, p] for i, p in enumerate(partners)]
 
+    def total():
+        logd2 = table[rows, cols]
+        return math.inf if np.any(np.isneginf(logd2)) else float(-np.sum(cij * logd2))
+
+    total_energy = total()
     step = params.step_size
     beta = params.beta
-    configs, energies = [], []
+    emitted = -(-(params.steps - params.burn_in) // params.thin)
+    configs = np.empty((emitted, n, 3))
+    energies = np.empty(emitted)
     accepted_tune = 0
     accepted_main = 0
-    main_steps = 0
 
     for t in range(params.steps):
         i = t % n
         g = rng.standard_normal(3)
         proposal = pts[i] + step * g
-        norm = float(np.linalg.norm(proposal))
+        norm = math.sqrt(proposal.dot(proposal))
         u = rng.random()
         accept = False
         if norm > 0.0:
             proposal = proposal / norm
-            e_old = _particle_energy(rows[i], pts, i, pts[i])
-            e_new = _particle_energy(rows[i], pts, i, proposal)
-            if e_new is not None:
-                if e_old is None:
-                    # coincident start (measure zero): escape unconditionally
+            p, w = partners[i], weights[i]
+            diffs = pts[p] - proposal
+            d2 = (diffs * diffs).sum(axis=1)
+            if d2.all():  # a proposal onto a coupled particle is rejected
+                logd2 = np.log(d2)
+                e_new = float(-(w * logd2).sum())
+                e_old = float(-(w * table[i, p]).sum())
+                escape = not math.isfinite(e_old) and np.isneginf(table[i, p]).any()
+                if escape:
                     accept = True
-                    pts[i] = proposal
-                    parts = [_particle_energy(rows[j], pts, j, pts[j]) for j in range(n)]
-                    total_energy = (math.inf if any(p is None for p in parts)
-                                    else sum(parts) / 2.0)
                 else:
                     log_alpha = -beta * (e_new - e_old)
-                    if log_alpha >= 0.0 or u < math.exp(log_alpha):
-                        accept = True
-                        pts[i] = proposal
-                        total_energy += e_new - e_old
+                    accept = log_alpha >= 0.0 or u < math.exp(log_alpha)
+                if accept:
+                    pts[i] = proposal
+                    table[i, p] = table[p, i] = logd2
+                    total_energy = total() if escape else total_energy + (e_new - e_old)
 
-        in_burn = t < params.burn_in
-        if in_burn:
+        if t < params.burn_in:
             if accept:
                 accepted_tune += 1
             if (t + 1) % _TUNE_WINDOW == 0:
@@ -318,17 +331,17 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
                     step = max(step / _TUNE_FACTOR, _STEP_MIN)
                 accepted_tune = 0
         else:
-            main_steps += 1
             if accept:
                 accepted_main += 1
-            if (t - params.burn_in) % params.thin == 0:
-                configs.append(pts.copy())
-                energies.append(total_energy)
+            k, r = divmod(t - params.burn_in, params.thin)
+            if r == 0:
+                configs[k] = pts
+                energies[k] = total_energy
 
-    rate = accepted_main / main_steps if main_steps else 0.0
+    rate = accepted_main / (params.steps - params.burn_in)
     return ChainResult(
-        configurations=np.array(configs),
-        energies=np.array(energies),
+        configurations=configs,
+        energies=energies,
         acceptance_rate=rate,
         step_size=step,
     )

@@ -61,6 +61,17 @@ def test_bounds_report_matches_exact_spectrum(tmp_path):
     assert abs(doc["eig_beta_minus_upper"] + 1 / 3) <= 1e-14
 
 
+def test_bounds_finite_for_huge_couplings(tmp_path):
+    # the spectrum is {-1e200, 1e200}, so beta+ >= 1e-200 and beta- <= -1e-200
+    source = tmp_path / "huge.json"
+    source.write_text(json.dumps({"matrix": [[0, 1e200], [1e200, 0]]}))
+    out = tmp_path / "report.json"
+    assert run(["bounds", "--input", source, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert abs(doc["eig_beta_plus_lower"] - 1e-200) <= 1e-12 * 1e-200
+    assert abs(doc["eig_beta_minus_upper"] + 1e-200) <= 1e-12 * 1e-200
+
+
 @pytest.mark.parametrize("name", ["two_component_2332.json", "plasma_6_6.json"])
 def test_asymptote_prefactor_is_the_closed_form_one(tmp_path, name):
     out = tmp_path / "report.json"

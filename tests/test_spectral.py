@@ -114,6 +114,23 @@ def test_large_gaussian_spectrum(n):
     assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
 
+@pytest.mark.parametrize("x", [1e200, 1e-200])
+def test_extreme_magnitudes_keep_the_spectrum(x):
+    # ||C||_F overflows (1e200) or underflows (1e-200) unless C is rescaled
+    spec = symmetric_eigs(from_matrix([[0, x], [x, 0]]))
+    assert np.all(np.abs(spec.eigenvalues - [-x, x]) <= 1e-12 * x)
+
+
+@pytest.mark.parametrize("k", [-700, 600])
+def test_power_of_two_scaling_changes_no_bit(k):
+    c = random_float_matrix(random.Random(k), 9)
+    base = symmetric_eigs(c)
+    scaled = symmetric_eigs(CouplingMatrix(c.n, np.ldexp(c.entries, k)))
+    assert np.array_equal(scaled.eigenvalues, np.ldexp(base.eigenvalues, k))
+    assert np.array_equal(scaled.eigenvectors, base.eigenvectors)
+    assert scaled.sweeps == base.sweeps
+
+
 def test_sweep_cap_raises_no_convergence(monkeypatch):
     monkeypatch.setattr(spectral, "_SWEEP_CAP", 1)
     rng = np.random.default_rng(20)

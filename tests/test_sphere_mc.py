@@ -18,6 +18,7 @@ from loggas import (
     pole_order_fit,
     sample_uniform,
 )
+import loggas.sphere_mc as sphere_mc
 from loggas.errors import (
     CoincidentPoints,
     DegenerateGrid,
@@ -259,6 +260,77 @@ def test_chain_auto_tune_freezes_step():
     chain = metropolis_chain(c, params)
     assert 0.1 <= chain.acceptance_rate <= 0.9
     assert chain.step_size > 0
+
+
+def _sparse_float_matrix():
+    # 7 points, 16 nonzero couplings out of 21 pairs; interval about (-0.41, 1.07)
+    rng = np.random.Generator(np.random.Philox(41))
+    m = np.triu(rng.standard_normal((7, 7)), 1)
+    m[np.triu(rng.random((7, 7)) < 0.4, 1)] = 0.0
+    return from_matrix((m + m.T).tolist())
+
+
+def _assert_energies_match_oracle(c, chain):
+    for cfg, e in zip(chain.configurations, chain.energies):
+        expected = energy(c, SphereConfiguration(cfg))
+        assert abs(e - expected) <= 1e-9 * (1.0 + abs(expected))
+
+
+@pytest.mark.parametrize("model", ["plasma_4_4", "sparse_float"])
+def test_chain_energies_match_energy_oracle(model):
+    if model == "plasma_4_4":
+        c, beta = from_charges(ChargeVector((1,) * 4 + (-1,) * 4)), 0.6
+    else:
+        c, beta = _sparse_float_matrix(), 0.5
+        assert np.count_nonzero(c.entries == 0.0) > c.n  # some pairs are uncoupled
+    chain = metropolis_chain(c, ChainParams(beta=beta, steps=6000, burn_in=500, thin=7, seed=5))
+    assert 0.1 < chain.acceptance_rate < 0.9
+    _assert_energies_match_oracle(c, chain)
+
+
+def test_chain_escapes_coincident_start(monkeypatch):
+    # particles 0 and 2 carry opposite charges and start at the same point:
+    # log d^2 = -inf, and at beta > 0 no finite move would pass Metropolis
+    plasma = from_charges(ChargeVector((1, 1, -1, -1)))
+    unit_rows = sphere_mc._unit_rows
+    starts = []
+
+    def coincident_start(raw, rng):
+        pts = unit_rows(raw, rng)
+        pts[2] = pts[0]
+        starts.append(pts.copy())
+        return pts
+
+    monkeypatch.setattr(sphere_mc, "_unit_rows", coincident_start)
+    chain = metropolis_chain(plasma, ChainParams(beta=0.5, steps=2000, burn_in=0, seed=3))
+    (start,) = starts
+    with pytest.raises(CoincidentPoints):
+        energy(plasma, SphereConfiguration(start))
+    # step 0 moves particle 0, and only particle 0
+    assert not np.array_equal(chain.configurations[0, 0], start[0])
+    assert np.array_equal(chain.configurations[0, 1:], start[1:])
+    assert np.all(np.isfinite(chain.energies))
+    _assert_energies_match_oracle(plasma, chain)
+
+
+def _pair_ks_statistic(beta_run, beta_law, seed):
+    """sqrt(m) * KS distance between a thinned N=2 chain's d^2/4 and the
+    exact law at beta_law: for c = 1, d^2/4 ~ Beta(beta+1, 1), CDF x^(beta+1)."""
+    params = ChainParams(beta=beta_run, steps=82_000, burn_in=2_000, thin=40, seed=seed)
+    chain = metropolis_chain(C1, params)
+    pairs = chain.configurations
+    x = np.sort(np.sum((pairs[:, 0, :] - pairs[:, 1, :]) ** 2, axis=1) / 4.0)
+    m = x.size
+    cdf = x ** (beta_law + 1.0)
+    distance = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m))
+    return math.sqrt(m) * distance
+
+
+@pytest.mark.parametrize("beta", [-0.5, 0.5])
+def test_chain_pair_distance_follows_exact_beta_law(beta):
+    # 2,000 samples 40 steps apart are close to independent; 1.95 is the
+    # Kolmogorov critical value at level 0.001
+    assert _pair_ks_statistic(beta, beta, seed=10) < 1.95
 
 
 # ---------------------------------------------------------------------------
