@@ -26,17 +26,14 @@ from loggas.sphere_mc import write_collapse_csv
 
 
 def sweep(matrix, labels, betas, args, seed0):
+    """(beta, CollapseStats) for each beta, one chain each."""
     rows = []
     for j, beta in enumerate(betas):
         params = ChainParams(beta=beta, steps=args.steps, burn_in=args.burn_in,
                              thin=args.thin, seed=seed0 + j)
         chain = metropolis_chain(matrix, params)
-        stats = collapse_observables(chain.configurations, labels, chain.energies)
-        if stats.min_opposite_quantiles is not None:
-            rows.append((beta, "min_opposite_dist", stats.min_opposite_quantiles))
-        if stats.min_same_quantiles is not None:
-            rows.append((beta, "min_same_dist", stats.min_same_quantiles))
-        rows.append((beta, "max_pair_dist", stats.max_quantiles))
+        stats = collapse_observables(chain.configurations, labels)
+        rows.append((beta, stats))
         print(f"  beta={beta:+.2f}: acceptance={chain.acceptance_rate:.2f} "
               f"median max dist={stats.max_quantiles[2]:.3f}")
     return rows

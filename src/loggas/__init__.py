@@ -28,8 +28,6 @@ from .solver import (
     solve_both,
     solve_t_minus,
     solve_t_plus,
-    subset_constraint,
-    subset_sum,
 )
 from .spectral import BoundReport, Spectrum, charge_bounds, eig_bounds, symmetric_eigs
 from .closed_forms import (
@@ -51,14 +49,12 @@ from .sphere_mc import (
     ChainResult,
     CollapseStats,
     MCEstimate,
-    SphereConfiguration,
     analytic_partition_two,
     collapse_observables,
     energy,
     estimate_partition,
     metropolis_chain,
     pole_order_fit,
-    sample_uniform,
 )
 
 __version__ = "0.1.0"

@@ -331,19 +331,13 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> int:
             step_size=args.step_size, seed=args.seed + index,
         )
         chain = sphere_mc.metropolis_chain(c, params)
-        stats = sphere_mc.collapse_observables(chain.configurations, labels, chain.energies)
+        stats = sphere_mc.collapse_observables(chain.configurations, labels)
         results.append((chain, stats))
 
-    rows = []
-    for beta, (chain, stats) in zip(grid, results):
-        if stats.min_opposite_quantiles is not None:
-            rows.append((beta, "min_opposite_dist", stats.min_opposite_quantiles))
-        if stats.min_same_quantiles is not None:
-            rows.append((beta, "min_same_dist", stats.min_same_quantiles))
-        rows.append((beta, "max_pair_dist", stats.max_quantiles))
     out = args.out or "collapse_sweep.csv"
-    sphere_mc.write_collapse_csv(out, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    sweep = [(beta, stats) for beta, (_, stats) in zip(grid, results)]
+    rows = sphere_mc.write_collapse_csv(out, sweep)
+    print(f"wrote {rows} rows to {out}")
     for beta, (chain, stats) in zip(grid, results):
         print(f"  beta={beta:g}: acceptance={chain.acceptance_rate:.2f} "
               f"median max dist={stats.max_quantiles[2]:.3f}")
@@ -517,7 +511,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand][0](args)
-    except SIZE_ERRORS as exc:
+    except (*SIZE_ERRORS, MemoryError) as exc:
         print(f"error (size limit): {exc}", file=sys.stderr)
         return 3
     except DOMAIN_ERRORS as exc:

@@ -40,7 +40,6 @@ class TwoComponentCritical:
     kappa_plus: int
     g_plus_description: str
     free_energy_prefactor: Real
-    species_swapped: bool  # True when z2 > z1 forced an internal relabeling
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
         kappa_plus=min(n1, n2),
         g_plus_description="all mixed pairs",
         free_energy_prefactor=prefactor,
-        species_swapped=swapped,
     )
 
 

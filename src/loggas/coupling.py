@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -59,37 +59,6 @@ class CouplingMatrix:
     @property
     def is_exact(self) -> bool:
         return self.exact_entries is not None
-
-    def value(self, i: int, j: int) -> Real:
-        """Single coupling c(i,j), exact when available."""
-        if self.exact_entries is not None:
-            return self.exact_entries[i][j]
-        return float(self.entries[i, j])
-
-    def negated(self) -> "CouplingMatrix":
-        exact = None
-        if self.exact_entries is not None:
-            exact = tuple(tuple(-q for q in row) for row in self.exact_entries)
-        return CouplingMatrix(self.n, -self.entries, exact)
-
-    def scaled(self, t: Real) -> "CouplingMatrix":
-        exact = None
-        if self.exact_entries is not None and is_exact(t):
-            tq = Fraction(t)
-            exact = tuple(tuple(tq * q for q in row) for row in self.exact_entries)
-        return CouplingMatrix(self.n, self.entries * float(t), exact)
-
-    def permuted(self, perm: Sequence[int]) -> "CouplingMatrix":
-        """Relabel particles: new index i holds old particle perm[i]."""
-        idx = np.asarray(perm)
-        entries = self.entries[np.ix_(idx, idx)].copy()
-        exact = None
-        if self.exact_entries is not None:
-            exact = tuple(
-                tuple(self.exact_entries[perm[i]][perm[j]] for j in range(self.n))
-                for i in range(self.n)
-            )
-        return CouplingMatrix(self.n, entries, exact)
 
 
 @dataclass(frozen=True)
@@ -295,7 +264,6 @@ _INPUT_KEYS = ("matrix", "charges", "two_component", "graph", "random")
 class SystemInput:
     """A parsed input file: the coupling matrix plus the model it came from."""
 
-    kind: str
     coupling: CouplingMatrix
     charges: Optional[ChargeVector] = None
     two_component: Optional[TwoComponentSpec] = None
@@ -335,13 +303,13 @@ def parse_system(obj: dict) -> SystemInput:
     kind = present[0]
 
     if kind == "matrix":
-        return SystemInput(kind, from_matrix(obj["matrix"]))
+        return SystemInput(from_matrix(obj["matrix"]))
 
     if kind == "charges":
         values = _list(obj["charges"], "charges")
         _check_count(len(values), "charges")
         k = ChargeVector(tuple(parse_number(v) for v in values))
-        return SystemInput(kind, from_charges(k), charges=k)
+        return SystemInput(from_charges(k), charges=k)
 
     if kind == "two_component":
         tc = _require_keys(obj["two_component"], {"n1", "n2", "z1", "z2"}, "two_component")
@@ -351,8 +319,7 @@ def parse_system(obj: dict) -> SystemInput:
         n1, n2 = _integer(tc["n1"], "two_component.n1"), _integer(tc["n2"], "two_component.n2")
         _check_count(n1 + n2, "two_component")
         spec = TwoComponentSpec(n1, n2, parse_number(tc["z1"]), parse_number(tc["z2"]))
-        return SystemInput(kind, from_two_component(spec),
-                           charges=spec.charges(), two_component=spec)
+        return SystemInput(from_two_component(spec), charges=spec.charges(), two_component=spec)
 
     if kind == "graph":
         gobj = _require_keys(obj["graph"], {"n", "edges"}, "graph")
@@ -363,7 +330,7 @@ def parse_system(obj: dict) -> SystemInput:
         edges = tuple(tuple(_integer(v, "graph edge end") for v in _list(e, "graph edge"))
                       for e in _list(gobj["edges"], "graph.edges"))
         g = GraphSpec(n, edges)
-        return SystemInput(kind, from_graph(g), graph=g)
+        return SystemInput(from_graph(g), graph=g)
 
     robj = _require_keys(obj["random"], {"model", "n", "variance", "seed"}, "random")
     model = robj.get("model")
@@ -375,11 +342,11 @@ def parse_system(obj: dict) -> SystemInput:
     _check_count(n, "random")
     if model == "couplings":
         variance = float(parse_number(robj.get("variance", 1.0)))
-        return SystemInput("random", sample_gaussian_couplings(n, variance, seed))
+        return SystemInput(sample_gaussian_couplings(n, variance, seed))
     if "variance" in robj:
         raise InputFormatError("random charges are standard normal; 'variance' not allowed")
     k = sample_gaussian_charges(n, seed)
-    return SystemInput("random", from_charges(k), charges=k)
+    return SystemInput(from_charges(k), charges=k)
 
 
 def load_system(path) -> SystemInput:

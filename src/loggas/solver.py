@@ -4,7 +4,9 @@ For a symmetric coupling matrix the two optimization targets are the extrema
 over subsets S (|S| >= 2) of the ratio  sum_{i<j in S} c(i,j) / (|S|-1).
 T+ is minus the minimum, T- is minus the maximum; the partition function is
 finite exactly on (beta-, beta+) with beta+ = 1/T+ when T+ > 0 (else +inf)
-and beta- = 1/T- when T- < 0 (else -inf).
+and beta- = 1/T- when T- < 0 (else -inf).  Equivalently, Z is finite iff
+beta * a_S + |S| - 1 > 0 for every subset S, where a_S is the sum of
+c(i,j) over the pairs inside S.
 
 One numpy kernel scans all 2^n subsets.  It builds the table of subset sums
 by doubling, s[mask | 1<<k] = s[mask] + L_k[mask], with L_k the doubling
@@ -38,7 +40,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,16 +102,6 @@ class OptResult:
     t_value: Real
     optimizers: tuple
     attained: bool
-
-
-@dataclass(frozen=True)
-class SubsetConstraint:
-    """The inequality beta * a_s + (|S|-1) > 0 induced by one subset."""
-
-    a_s: Real
-    b_s: int
-    kind: str  # 'lower' | 'upper' | 'none'
-    bound: Optional[Real]
 
 
 @dataclass(frozen=True)
@@ -347,39 +339,6 @@ def _solve(c: CouplingMatrix, tie_tol: float):
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def subset_sum(c: CouplingMatrix, s: SubsetMask) -> Real:
-    """Sum of c(i,j) over unordered pairs inside s; exact when entries are."""
-    if s.bits >> c.n:
-        raise ValueError(f"mask {s.bits:b} has bits beyond n={c.n}")
-    idx = s.indices()
-    if c.is_exact:
-        total = Fraction(0)
-        for a, i in enumerate(idx):
-            for j in idx[a + 1:]:
-                total += c.exact_entries[i][j]
-        return total
-    total = 0.0
-    for a, i in enumerate(idx):
-        for j in idx[a + 1:]:
-            total += float(c.entries[i, j])
-    return total
-
-
-def subset_constraint(c: CouplingMatrix, s: SubsetMask) -> SubsetConstraint:
-    """Coefficients (a_s, b_s = |S|-2) and the induced bound on beta.
-
-    a_s > 0 gives beta > -(|S|-1)/a_s, a_s < 0 gives beta < -(|S|-1)/a_s,
-    a_s = 0 constrains nothing.
-    """
-    a = subset_sum(c, s)
-    b = s.size - 2
-    if a == 0:
-        return SubsetConstraint(a, b, "none", None)
-    m = s.size - 1
-    bound = -(Fraction(m) / a) if isinstance(a, Fraction) else -(m / a)
-    return SubsetConstraint(a, b, "lower" if a > 0 else "upper", bound)
-
 
 def solve_t_plus(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> OptResult:
     """T+ = -min_S ratio(S); optimizers are the negative-sum argmin sets."""

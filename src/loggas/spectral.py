@@ -55,7 +55,6 @@ class Spectrum:
 class BoundReport:
     beta_plus_lower: Real
     beta_minus_upper: Real
-    source: str  # 'eigenvalue' | 'charge_formula'
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -147,7 +146,7 @@ def eig_bounds(c: CouplingMatrix) -> BoundReport:
     spec = symmetric_eigs(c)
     lo = -1.0 / spec.lambda_min if spec.lambda_min < 0 else math.inf
     hi = -1.0 / spec.lambda_max if spec.lambda_max > 0 else -math.inf
-    return BoundReport(lo, hi, "eigenvalue")
+    return BoundReport(lo, hi)
 
 
 def charge_bounds(k: ChargeVector) -> BoundReport:
@@ -159,7 +158,7 @@ def charge_bounds(k: ChargeVector) -> BoundReport:
     if k.is_exact:
         top = max(squares)
         spread = sum(squares, Fraction(0)) - min(squares)
-        return BoundReport(Fraction(1) / top, -Fraction(1) / spread, "charge_formula")
+        return BoundReport(Fraction(1) / top, -Fraction(1) / spread)
     top = max(float(s) for s in squares)
     spread = sum(float(s) for s in squares) - min(float(s) for s in squares)
-    return BoundReport(1.0 / top, -1.0 / spread, "charge_formula")
+    return BoundReport(1.0 / top, -1.0 / spread)

@@ -6,10 +6,10 @@ least-squares pole-order fitting of the free-energy divergence, and a
 single-particle Metropolis sampler of the Gibbs measure with collapse
 observables.
 
-``energy`` and the sampler share one pair helper, ``_log_d2``.  A chain
-builds an (N,N) table of log d^2 over its coupled pairs once; each step
-then evaluates only the proposal's row against it, and an accepted move
-writes that row back into the table.
+``energy``, the partition estimator and the sampler share one pair helper,
+``_log_d2``.  A chain builds an (N,N) table of log d^2 over its coupled
+pairs once; each step then evaluates only the proposal's row against it,
+and an accepted move writes that row back into the table.
 
 All randomness comes from numpy's Philox counter-based generator with
 explicit seeds.  Chordal distances are plain Euclidean norms in R^3; no
@@ -40,26 +40,6 @@ _BATCHES = 32
 _TUNE_WINDOW = 200
 _TUNE_FACTOR = 1.25
 _STEP_MIN, _STEP_MAX = 1e-3, 4.0
-
-
-@dataclass(frozen=True)
-class SphereConfiguration:
-    """N unit vectors in R^3."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = self.points
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"expected (N,3) array, got {pts.shape}")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("points must lie on the unit sphere within 1e-12")
-        pts.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,7 +93,6 @@ class CollapseStats:
     min_opposite_quantiles: Optional[tuple]  # None when a single class
     min_same_quantiles: Optional[tuple]  # None when all classes are singletons
     max_quantiles: tuple
-    mean_energy: float
 
 
 def _unit_rows(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -125,20 +104,12 @@ def _unit_rows(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return raw / norms
 
 
-def sample_uniform(n: int, seed: int) -> SphereConfiguration:
-    """n i.i.d. uniform points on S^2 via normalized 3D normal draws."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rng = _philox(seed)
-    pts = _unit_rows(rng.standard_normal((n, 3)), rng)
-    return SphereConfiguration(pts)
-
-
 def _log_d2(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """log d(p_i, p_j)^2 for index arrays i, j; -inf where two points coincide."""
-    diffs = pts[i] - pts[j]
+    """log d(p_i, p_j)^2 for index arrays i, j over the particle axis of
+    (..., N, 3) points; -inf where two points coincide."""
+    diffs = pts[..., i, :] - pts[..., j, :]
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(diffs * diffs, axis=1))
+        return np.log(np.sum(diffs * diffs, axis=-1))
 
 
 def _coupled_pairs(c: CouplingMatrix):
@@ -149,12 +120,15 @@ def _coupled_pairs(c: CouplingMatrix):
     return iu[0][coupled], iu[1][coupled], cij[coupled]
 
 
-def energy(c: CouplingMatrix, cfg: SphereConfiguration) -> float:
-    """E = -sum_{i<j} c(i,j) log d(p_i,p_j)^2, chordal distance in R^3."""
-    if cfg.n != c.n:
-        raise ValueError(f"configuration has {cfg.n} points, matrix has n={c.n}")
+def energy(c: CouplingMatrix, points: np.ndarray) -> float:
+    """E = -sum_{i<j} c(i,j) log d(p_i,p_j)^2 for an (N,3) array of points,
+    chordal distance in R^3."""
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected (N,3) array, got {points.shape}")
+    if points.shape[0] != c.n:
+        raise ValueError(f"configuration has {points.shape[0]} points, matrix has n={c.n}")
     rows, cols, cij = _coupled_pairs(c)
-    logd2 = _log_d2(cfg.points, rows, cols)
+    logd2 = _log_d2(points, rows, cols)
     bad = np.isneginf(logd2)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -183,31 +157,19 @@ def _check_inside(beta: float, lo: float, hi: float):
         raise OutsideInterval(f"beta={beta} not strictly inside ({lo}, {hi})")
 
 
-def _pair_log_weights(c: CouplingMatrix, pts: np.ndarray) -> np.ndarray:
-    """sum_{i<j} c(i,j) log d_ij^2 for a batch of configurations (B,N,3)."""
-    n = c.n
-    iu = np.triu_indices(n, k=1)
-    cij = c.entries[iu]
-    coupled = cij != 0.0
-    diffs = pts[:, iu[0][coupled], :] - pts[:, iu[1][coupled], :]
-    d2 = np.sum(diffs * diffs, axis=2)
-    with np.errstate(divide="ignore"):
-        logd2 = np.log(d2)
-    return logd2 @ cij[coupled]
-
-
 def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) -> MCEstimate:
     """Plain Monte Carlo average of prod d^(2 c beta) over uniform draws.
 
-    Standard error by 32 batch means.  The heavy-tail flag marks exponents
-    where the single-pair factor has no second moment
-    (min_{i<j} c(i,j)*beta <= -1/2), so the reported stderr is then only
-    indicative."""
+    Standard error by 32 batch means.  The weight's second moment is
+    E[w^2] = Z(2 beta), so the heavy-tail flag marks exactly the beta with
+    2 beta outside (beta-, beta+): there the weights have infinite variance
+    and the reported stderr is only indicative."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     lo, hi = _interval(c)
     _check_inside(beta, lo, hi)
 
+    rows, cols, cij = _coupled_pairs(c)
     rng = _philox(seed)
     block = max(1, (1 << 21) // (c.n * c.n))
     weights = np.empty(samples, dtype=float)
@@ -215,15 +177,18 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     while done < samples:
         b = min(block, samples - done)
         pts = _unit_rows(rng.standard_normal((b, c.n, 3)), rng)
-        logw = beta * _pair_log_weights(c, pts)
-        weights[done:done + b] = np.exp(logw)
+        # in place: a per-block temporary would land in the freed pair
+        # arrays and fragment the heap for the next block
+        w = weights[done:done + b]
+        np.matmul(_log_d2(pts, rows, cols), cij, out=w)
+        w *= beta
+        np.exp(w, out=w)
         done += b
 
     mean = float(np.mean(weights))
     batch_means = np.array([np.mean(chunk) for chunk in np.array_split(weights, _BATCHES)])
     stderr = float(np.std(batch_means, ddof=1) / math.sqrt(_BATCHES))
-    iu = np.triu_indices(c.n, k=1)
-    heavy = bool(np.min(c.entries[iu] * beta) <= -0.5)
+    heavy = not (lo < 2.0 * beta < hi)
     return MCEstimate(mean, stderr, samples, heavy)
 
 
@@ -347,8 +312,7 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     )
 
 
-def collapse_observables(samples: np.ndarray, labels: Sequence[int],
-                         energies: Optional[np.ndarray] = None) -> CollapseStats:
+def collapse_observables(samples: np.ndarray, labels: Sequence[int]) -> CollapseStats:
     """Distance-quantile summary of sampled configurations.
 
     ``labels`` assigns each particle a class (charge sign or species); the
@@ -374,8 +338,7 @@ def collapse_observables(samples: np.ndarray, labels: Sequence[int],
     min_opp = quantiles(np.min(dists[:, opposite], axis=1)) if np.any(opposite) else None
     min_same = quantiles(np.min(dists[:, same], axis=1)) if np.any(same) else None
     max_q = quantiles(np.max(dists, axis=1))
-    mean_e = float(np.mean(energies)) if energies is not None else math.nan
-    return CollapseStats(min_opp, min_same, max_q, mean_e)
+    return CollapseStats(min_opp, min_same, max_q)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +363,18 @@ def write_partition_csv(path, rows, metadata: Optional[dict] = None):
                 fh.write(f"# {key}={value}\n")
 
 
-def write_collapse_csv(path, rows):
-    """Collapse sweep: beta, obs_name, q05, q25, q50, q75, q95."""
+def write_collapse_csv(path, sweep) -> int:
+    """Collapse sweep from (beta, CollapseStats) pairs: beta, obs_name, q05,
+    q25, q50, q75, q95, one row per observable the labels define.  Returns
+    the number of rows written."""
+    rows = [[beta, name, *quants]
+            for beta, stats in sweep
+            for name, quants in (("min_opposite_dist", stats.min_opposite_quantiles),
+                                 ("min_same_dist", stats.min_same_quantiles),
+                                 ("max_pair_dist", stats.max_quantiles))
+            if quants is not None]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["beta", "obs_name", "q05", "q25", "q50", "q75", "q95"])
-        for beta, name, quants in rows:
-            writer.writerow([beta, name, *quants])
+        writer.writerows(rows)
+    return len(rows)

@@ -260,7 +260,7 @@ def test_criterion_11_collapse_trends():
     for j, beta in enumerate((0.0, 0.5, 0.9)):
         params = ChainParams(beta=beta, steps=110_000, burn_in=10_000, thin=1, seed=300 + j)
         chain = metropolis_chain(plasma, params)
-        stats = collapse_observables(chain.configurations, [0, 0, 1, 1], chain.energies)
+        stats = collapse_observables(chain.configurations, [0, 0, 1, 1])
         med_opposite.append(stats.min_opposite_quantiles[2])
 
     # equal charges at the normalization sqrt(2/(N-1)), so beta- = -3/4
@@ -270,7 +270,7 @@ def test_criterion_11_collapse_trends():
     for j, beta in enumerate((0.0, -0.4, -0.6)):
         params = ChainParams(beta=beta, steps=110_000, burn_in=10_000, thin=1, seed=400 + j)
         chain = metropolis_chain(equal, params)
-        stats = collapse_observables(chain.configurations, [0, 0, 0, 0], chain.energies)
+        stats = collapse_observables(chain.configurations, [0, 0, 0, 0])
         med_max.append(stats.max_quantiles[2])
 
     elapsed = time.perf_counter() - t0

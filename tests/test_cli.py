@@ -7,6 +7,7 @@ import pytest
 
 import loggas.coupling as coupling
 import loggas.solver as solver
+import loggas.sphere_mc as sphere_mc
 from loggas import load_system, two_component_critical
 from loggas.cli import main
 from loggas.sphere_mc import estimate_partition
@@ -233,6 +234,24 @@ def test_exit_3_on_oversized_mc_partition(tmp_path):
     big = tmp_path / "big.json"
     big.write_text('{"random": {"model": "couplings", "n": 27, "variance": 1.0, "seed": 0}}')
     assert run(["mc-partition", "--input", big, "--beta-grid", "0.1", "--samples", 2000]) == 3
+
+
+@pytest.mark.parametrize("command,sampler,flags", [
+    ("mc-partition", "estimate_partition", ["--samples", 10**12]),
+    ("mc-gibbs", "metropolis_chain", ["--steps", 10**12]),
+])
+def test_exit_3_when_sample_arrays_cannot_be_allocated(tmp_path, monkeypatch,
+                                                       command, sampler, flags):
+    # numpy raises MemoryError before any sampling when the sample or chain
+    # arrays do not fit; the stand-in raises it without allocating
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(sphere_mc, sampler, out_of_memory)
+    out = tmp_path / "sweep.csv"
+    assert run([command, "--input", INPUTS / "pair_c1.json", "--beta-grid", "0.1",
+                *flags, "--out", out]) == 3
+    assert not out.exists()
 
 
 _TIE_MATRIX = '{"matrix": [[0, 1.5, -2], [1.5, 0, 0.5], [-2, 0.5, 0]]}'

@@ -31,7 +31,7 @@ from conftest import exact_charge_tuples
 def test_from_matrix_identity():
     c = from_matrix([[0, 1], [1, 0]])
     assert c.n == 2
-    assert c.value(0, 1) == 1
+    assert c.exact_entries[0][1] == 1
     assert c.is_exact
 
 
@@ -60,14 +60,14 @@ def test_from_matrix_example_7_2_charges():
 def test_float_entries_do_not_promote():
     c = from_matrix([[0.0, 1.5], [1.5, 0.0]])
     assert not c.is_exact
-    assert c.value(0, 1) == 1.5
+    assert c.entries[0, 1] == 1.5
 
 
 def test_from_charges_signs():
     c = from_charges(ChargeVector((1, 1, -1, -1)))
-    assert c.value(0, 1) == 1
-    assert c.value(2, 3) == 1
-    assert c.value(0, 2) == c.value(1, 3) == -1
+    assert c.exact_entries[0][1] == 1
+    assert c.exact_entries[2][3] == 1
+    assert c.exact_entries[0][2] == c.exact_entries[1][3] == -1
 
 
 def test_from_charges_rejects_zero():
@@ -81,15 +81,15 @@ def test_two_component_matches_charges_exactly():
     b = from_charges(ChargeVector((Fraction(3),) * 2 + (Fraction(-2),) * 3))
     assert a.exact_entries == b.exact_entries
     assert np.array_equal(a.entries, b.entries)
-    assert a.value(0, 1) == 9
-    assert a.value(2, 3) == 4
-    assert a.value(0, 2) == -6
+    assert a.exact_entries[0][1] == 9
+    assert a.exact_entries[2][3] == 4
+    assert a.exact_entries[0][2] == -6
 
 
 def test_two_component_1_2_2_1_block_values():
     c = from_two_component(TwoComponentSpec(1, 2, Fraction(2), Fraction(1)))
-    assert c.value(0, 1) == c.value(0, 2) == -2
-    assert c.value(1, 2) == 1
+    assert c.exact_entries[0][1] == c.exact_entries[0][2] == -2
+    assert c.exact_entries[1][2] == 1
 
 
 def test_from_graph_k4_and_path():
@@ -97,7 +97,8 @@ def test_from_graph_k4_and_path():
     off = k4.entries[np.triu_indices(4, k=1)]
     assert np.all(off == 1.0)
     path = from_graph(GraphSpec(3, ((0, 1), (1, 2))))
-    assert path.value(0, 1) == 1 and path.value(1, 2) == 1 and path.value(0, 2) == 0
+    assert path.exact_entries[0][1] == path.exact_entries[1][2] == 1
+    assert path.exact_entries[0][2] == 0
     empty = from_graph(GraphSpec(3, ()))
     assert np.all(empty.entries == 0.0)
 
@@ -173,7 +174,7 @@ def test_gaussian_charges_moments():
 def test_parse_system_matrix_exact_strings():
     system = parse_system({"matrix": [[0, "1/2"], ["1/2", 0]]})
     assert system.coupling.is_exact
-    assert system.coupling.value(0, 1) == Fraction(1, 2)
+    assert system.coupling.exact_entries[0][1] == Fraction(1, 2)
 
 
 def test_parse_system_exactly_one_key():

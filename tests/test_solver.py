@@ -23,8 +23,6 @@ from loggas import (
     solve_both,
     solve_t_minus,
     solve_t_plus,
-    subset_constraint,
-    subset_sum,
 )
 from loggas.errors import FamilyTooLarge, InstanceTooLarge
 
@@ -45,41 +43,26 @@ def bits(family):
 
 
 # ---------------------------------------------------------------------------
-# subset_sum / subset_constraint
+# Subset sums a_S
 # ---------------------------------------------------------------------------
+
+def subset_sum(c, indices):
+    return solver.all_subset_sums(c)[SubsetMask.from_indices(indices).bits]
+
 
 def test_subset_sum_mixed_charges_full_set():
     c = from_charges(ChargeVector((1, 1, -1, -1)))
-    assert subset_sum(c, SubsetMask.from_indices((0, 1, 2, 3))) == -2  # 1+1-4
+    assert subset_sum(c, (0, 1, 2, 3)) == -2  # 1+1-4
 
 
 def test_subset_sum_pair_is_single_entry():
     c = from_matrix([[0, 5, -3], [5, 0, 2], [-3, 2, 0]])
-    assert subset_sum(c, SubsetMask.from_indices((0, 2))) == -3
+    assert subset_sum(c, (0, 2)) == -3
 
 
 def test_subset_sum_example_7_2_triple():
     c = from_charges(ChargeVector((10, 10, 1)))
-    assert subset_sum(c, SubsetMask.from_indices((0, 1, 2))) == 120
-
-
-def test_subset_constraint_n2():
-    c = from_matrix([[0, 1], [1, 0]])
-    con = subset_constraint(c, SubsetMask.from_indices((0, 1)))
-    assert con.kind == "lower" and con.bound == -1 and con.b_s == 0
-
-
-def test_subset_constraint_zero_sum_unconstrained():
-    c = from_matrix([[0, 1, -1], [1, 0, 0], [-1, 0, 0]])
-    con = subset_constraint(c, SubsetMask.from_indices((0, 1, 2)))
-    assert con.kind == "none" and con.bound is None
-
-
-def test_subset_constraint_triple_positive():
-    c = from_matrix([[0, 2, 1], [2, 0, 3], [1, 3, 0]])
-    con = subset_constraint(c, SubsetMask.from_indices((0, 1, 2)))
-    assert con.kind == "lower"
-    assert con.bound == Fraction(-2, 6)  # -2/(c12+c23+c13)
+    assert subset_sum(c, (0, 1, 2)) == 120
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +105,24 @@ def test_t_minus_equal_charges_full_collapse():
     assert bits(result.optimizers) == masks(tuple(range(n)))
 
 
+def negated(c):
+    return from_matrix([[-q for q in row] for row in c.exact_entries])
+
+
+def scaled(c, t):
+    return from_matrix([[t * q for q in row] for row in c.exact_entries])
+
+
+def permuted(c, perm):
+    """Relabel particles: new index i holds old particle perm[i]."""
+    return from_matrix([[c.exact_entries[i][j] for j in perm] for i in perm])
+
+
 def test_negation_swaps_roles():
     rng = random.Random(7)
     for _ in range(10):
         c = random_exact_matrix(rng, 5)
-        neg = c.negated()
+        neg = negated(c)
         assert solve_t_minus(neg).t_value == -solve_t_plus(c).t_value
         assert bits(solve_t_minus(neg).optimizers) == bits(solve_t_plus(c).optimizers)
 
@@ -244,7 +240,7 @@ def test_oracle_example_3_2_candidates():
 @given(exact_coupling_matrices(max_n=5), st.integers(1, 6))
 def test_scaling_covariance(c, t):
     plus, minus = solve_both(c)
-    scaled_plus, scaled_minus = solve_both(c.scaled(Fraction(t)))
+    scaled_plus, scaled_minus = solve_both(scaled(c, t))
     assert scaled_plus.t_value == t * plus.t_value
     assert scaled_minus.t_value == t * minus.t_value
     assert bits(scaled_plus.optimizers) == bits(plus.optimizers)
@@ -254,7 +250,7 @@ def test_scaling_covariance(c, t):
 @given(exact_coupling_matrices(max_n=5))
 def test_negation_duality(c):
     plus, minus = solve_both(c)
-    neg_plus, neg_minus = solve_both(c.negated())
+    neg_plus, neg_minus = solve_both(negated(c))
     assert neg_plus.t_value == -minus.t_value
     assert bits(neg_plus.optimizers) == bits(minus.optimizers)
     assert bits(neg_minus.optimizers) == bits(plus.optimizers)
@@ -265,7 +261,7 @@ def test_permutation_equivariance(c, pyrandom):
     perm = list(range(c.n))
     pyrandom.shuffle(perm)
     plus, minus = solve_both(c)
-    p_plus, p_minus = solve_both(c.permuted(perm))
+    p_plus, p_minus = solve_both(permuted(c, perm))
     assert p_plus.t_value == plus.t_value and p_minus.t_value == minus.t_value
     # new index i holds old particle perm[i]: old set S maps to perm^-1(S)
     inverse = {old: new for new, old in enumerate(perm)}
@@ -291,12 +287,9 @@ def test_interval_membership_exhaustive():
         span_hi = hi if math.isfinite(hi) else 2.0
         betas = [span_lo + (span_hi - span_lo) * (j + 1) / 11.0 for j in range(10)]
 
-        pairs = []  # (a_S, |S|-1) for every subset, computed once
-        for mask in range(1 << n):
-            if mask.bit_count() < 2:
-                continue
-            s = SubsetMask(mask)
-            pairs.append((float(subset_sum(c, s)), s.size - 1))
+        # (a_S, |S|-1) for every subset, computed once
+        pairs = [(float(a), mask.bit_count() - 1)
+                 for mask, a in solver.all_subset_sums(c).items()]
 
         def satisfied(beta):
             return all(beta * a + m > 0 for a, m in pairs)

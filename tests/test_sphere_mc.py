@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from loggas import (
     ChainParams,
     ChargeVector,
-    SphereConfiguration,
     analytic_partition_two,
     collapse_observables,
     energy,
@@ -16,7 +15,6 @@ from loggas import (
     from_matrix,
     metropolis_chain,
     pole_order_fit,
-    sample_uniform,
 )
 import loggas.sphere_mc as sphere_mc
 from loggas.errors import (
@@ -43,34 +41,50 @@ def quad_partition_two(c12, beta):
 # Uniform sampling and energy
 # ---------------------------------------------------------------------------
 
+def sample_uniform(n, seed):
+    """n uniform points on S^2, drawn as estimate_partition and the chain
+    start draw them: Philox normals, normalized."""
+    rng = sphere_mc._philox(seed)
+    return sphere_mc._unit_rows(rng.standard_normal((n, 3)), rng)
+
+
 def test_sample_uniform_unit_norms_and_determinism():
     a = sample_uniform(50, seed=4)
     b = sample_uniform(50, seed=4)
-    assert np.array_equal(a.points, b.points)
-    assert np.max(np.abs(np.linalg.norm(a.points, axis=1) - 1.0)) <= 1e-12
+    assert np.array_equal(a, b)
+    assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) <= 1e-12
 
 
 def test_sample_uniform_moments():
-    pts = sample_uniform(1_000_000, seed=8).points
+    pts = sample_uniform(1_000_000, seed=8)
     z = pts[:, 2]
     assert abs(np.mean(z)) < 0.005
     assert abs(np.mean(z * z) - 1.0 / 3.0) < 0.01
 
 
 def test_energy_antipodal():
-    cfg = SphereConfiguration(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    cfg = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     assert abs(energy(C1, cfg) - (-math.log(4.0))) < 1e-14
 
 
 def test_energy_coincident_raises():
-    cfg = SphereConfiguration(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+    cfg = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(CoincidentPoints):
         energy(C1, cfg)
 
 
+def test_energy_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        energy(C1, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        energy(C1, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        energy(C1, np.eye(3))  # three points, two particles
+
+
 def test_energy_zero_coupling_ignores_coincidence():
     c = from_matrix([[0, 0], [0, 0]])
-    cfg = SphereConfiguration(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+    cfg = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     assert energy(c, cfg) == 0.0
 
 
@@ -90,7 +104,7 @@ def test_energy_rotation_invariance():
     base = energy(c, cfg)
     for _ in range(100):
         rot = _random_rotation(rng)
-        rotated = SphereConfiguration(cfg.points @ rot.T)
+        rotated = cfg @ rot.T
         assert abs(energy(c, rotated) - base) <= 1e-10
 
 
@@ -132,6 +146,15 @@ def test_estimate_outside_interval():
 def test_estimate_heavy_tail_flag():
     assert estimate_partition(C1, -0.5, 2000, seed=3).heavy_tail
     assert not estimate_partition(C1, -0.4, 2000, seed=3).heavy_tail
+
+
+def test_estimate_heavy_tail_flag_multi_particle():
+    # four equal unit charges: (beta-, beta+) = (-1/2, inf), and the weight's
+    # second moment Z(2 beta) is infinite once 2 beta <= -1/2, although every
+    # pair has c*beta > -1/2
+    c = from_charges(ChargeVector((1, 1, 1, 1)))
+    assert estimate_partition(c, -0.3, 2000, seed=3).heavy_tail
+    assert not estimate_partition(c, -0.2, 2000, seed=3).heavy_tail
 
 
 def test_estimate_matches_analytic_n2():
@@ -237,7 +260,7 @@ def _chain_d2(seed, beta=-0.5, steps=60_000, burn_in=6_000, thin=3):
 def test_chain_matches_direct_reweighted_estimator():
     chain_mean, chain_se = _chain_d2(seed=51)
 
-    pts = sample_uniform(2 * 100_000, seed=52).points.reshape(100_000, 2, 3)
+    pts = sample_uniform(2 * 100_000, seed=52).reshape(100_000, 2, 3)
     d2 = np.sum((pts[:, 0, :] - pts[:, 1, :]) ** 2, axis=1)
     w = d2 ** (-0.5)  # d^(2 c beta) at c=1, beta=-1/2
     direct_mean, direct_se = _ratio_with_batch_stderr(d2, w)
@@ -272,7 +295,7 @@ def _sparse_float_matrix():
 
 def _assert_energies_match_oracle(c, chain):
     for cfg, e in zip(chain.configurations, chain.energies):
-        expected = energy(c, SphereConfiguration(cfg))
+        expected = energy(c, cfg)
         assert abs(e - expected) <= 1e-9 * (1.0 + abs(expected))
 
 
@@ -305,7 +328,7 @@ def test_chain_escapes_coincident_start(monkeypatch):
     chain = metropolis_chain(plasma, ChainParams(beta=0.5, steps=2000, burn_in=0, seed=3))
     (start,) = starts
     with pytest.raises(CoincidentPoints):
-        energy(plasma, SphereConfiguration(start))
+        energy(plasma, start)
     # step 0 moves particle 0, and only particle 0
     assert not np.array_equal(chain.configurations[0, 0], start[0])
     assert np.array_equal(chain.configurations[0, 1:], start[1:])
@@ -344,15 +367,13 @@ def test_collapse_all_identical_points():
     assert stats.min_opposite_quantiles == (0.0,) * 5
     assert stats.min_same_quantiles == (0.0,) * 5
     assert stats.max_quantiles == (0.0,) * 5
-    assert math.isnan(stats.mean_energy)
 
 
 def test_collapse_single_class_has_no_opposite():
-    samples = sample_uniform(4, seed=5).points[None, :, :]
-    stats = collapse_observables(samples, [0, 0, 0, 0], energies=np.array([1.5]))
+    samples = sample_uniform(4, seed=5)[None, :, :]
+    stats = collapse_observables(samples, [0, 0, 0, 0])
     assert stats.min_opposite_quantiles is None
     assert stats.min_same_quantiles is not None
-    assert stats.mean_energy == 1.5
     assert all(0.0 <= q <= 2.0 for q in stats.max_quantiles)
 
 
