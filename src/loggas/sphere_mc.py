@@ -7,9 +7,16 @@ single-particle Metropolis sampler of the Gibbs measure with collapse
 observables.
 
 ``energy``, the partition estimator and the sampler share one pair helper,
-``_log_d2``.  A chain builds an (N,N) table of log d^2 over its coupled
-pairs once; each step then evaluates only the proposal's row against it,
-and an accepted move writes that row back into the table.
+``_log_d2``, over coordinate-major points: x[k, ..., p] is coordinate k of
+particle p, so each coordinate of a pair difference is one contiguous row
+and the squares are summed with two array additions, not a reduction over
+an axis of length 3.  ``_uniform_points`` draws configurations in that
+layout.  The partition estimator works in blocks of
+``_BLOCK_FLOATS // (3 * max(pairs, N))`` configurations, so each (3, block,
+pairs) temporary holds about 2^17 floats (1 MB) whatever N is.  A chain
+builds an (N,N) table of log d^2 over its coupled pairs once; each step
+then evaluates only the proposal's row against it, and an accepted move
+writes that row back into the table.
 
 All randomness comes from numpy's Philox counter-based generator with
 explicit seeds.  Chordal distances are plain Euclidean norms in R^3; no
@@ -40,6 +47,10 @@ _BATCHES = 32
 _TUNE_WINDOW = 200
 _TUNE_FACTOR = 1.25
 _STEP_MIN, _STEP_MAX = 1e-3, 4.0
+# floats per partition-estimator temporary; the plasma weights were checked
+# bit-identical to one-shot row-major weights at this budget, and matmul
+# rounding can depend on the block's row count
+_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -95,21 +106,41 @@ class CollapseStats:
     max_quantiles: tuple
 
 
-def _unit_rows(raw: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    while np.any(norms == 0.0):  # probability-zero guard
-        zero = norms[..., 0] == 0.0
-        raw[zero] = rng.standard_normal((int(np.sum(zero)), 3))
-        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    return raw / norms
+def _uniform_points(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
+    """b configurations of n uniform points on S^2, coordinate-major (3, b, n).
+
+    The (b, n, 3) standard normals are drawn in C order, point after point,
+    and normalised in one contiguous coordinate-major copy.  A zero draw
+    (probability zero) is replaced by fresh normals, in the same C order."""
+    x = rng.standard_normal((b, n, 3)).transpose(2, 0, 1).copy()
+
+    def norms():
+        # (x^2 + y^2) + z^2, as np.linalg.norm over a last axis of three
+        return np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
+
+    r = norms()
+    while not r.all():  # probability-zero guard
+        zero = r == 0.0
+        x[:, zero] = rng.standard_normal((int(np.sum(zero)), 3)).T
+        r = norms()
+    x /= r
+    return x
 
 
-def _log_d2(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _log_d2(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """log d(p_i, p_j)^2 for index arrays i, j over the particle axis of
-    (..., N, 3) points; -inf where two points coincide."""
-    diffs = pts[..., i, :] - pts[..., j, :]
+    coordinate-major (3, ..., N) points; -inf where two points coincide.
+
+    The squares are summed as (dx^2 + dy^2) + dz^2, the order numpy's sum
+    over a last axis of three uses, so the result is bit-identical to the
+    row-major ``log(sum(diffs * diffs, axis=-1))``."""
+    d = x[..., i]
+    d -= x[..., j]
+    d *= d
+    s = d[0] + d[1]
+    s += d[2]
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(diffs * diffs, axis=-1))
+        return np.log(s, out=s)
 
 
 def _coupled_pairs(c: CouplingMatrix):
@@ -128,7 +159,7 @@ def energy(c: CouplingMatrix, points: np.ndarray) -> float:
     if points.shape[0] != c.n:
         raise ValueError(f"configuration has {points.shape[0]} points, matrix has n={c.n}")
     rows, cols, cij = _coupled_pairs(c)
-    logd2 = _log_d2(points, rows, cols)
+    logd2 = _log_d2(points.T, rows, cols)
     bad = np.isneginf(logd2)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -171,16 +202,16 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
 
     rows, cols, cij = _coupled_pairs(c)
     rng = _philox(seed)
-    block = max(1, (1 << 21) // (c.n * c.n))
+    # coordinate-major (3, block, pairs) temporaries of about _BLOCK_FLOATS
+    # floats each (1 MB), whatever n is: 364 configurations on the 8+8
+    # plasma, 21,845 on a pair
+    block = max(1, _BLOCK_FLOATS // (3 * max(rows.size, c.n)))
     weights = np.empty(samples, dtype=float)
     done = 0
     while done < samples:
         b = min(block, samples - done)
-        pts = _unit_rows(rng.standard_normal((b, c.n, 3)), rng)
-        # in place: a per-block temporary would land in the freed pair
-        # arrays and fragment the heap for the next block
         w = weights[done:done + b]
-        np.matmul(_log_d2(pts, rows, cols), cij, out=w)
+        np.matmul(_log_d2(_uniform_points(rng, b, c.n), rows, cols), cij, out=w)
         w *= beta
         np.exp(w, out=w)
         done += b
@@ -238,10 +269,10 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
 
     rng = _philox(params.seed)
     n = c.n
-    pts = _unit_rows(rng.standard_normal((n, 3)), rng)
+    pts = _uniform_points(rng, 1, n)[:, 0].T.copy()
     rows, cols, cij = _coupled_pairs(c)
     table = np.zeros((n, n))
-    table[rows, cols] = table[cols, rows] = _log_d2(pts, rows, cols)
+    table[rows, cols] = table[cols, rows] = _log_d2(pts.T, rows, cols)
     partners = [np.flatnonzero(c.entries[i]) for i in range(n)]
     weights = [c.entries[i, p] for i, p in enumerate(partners)]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,10 +43,10 @@ def quad_partition_two(c12, beta):
 # ---------------------------------------------------------------------------
 
 def sample_uniform(n, seed):
-    """n uniform points on S^2, drawn as estimate_partition and the chain
-    start draw them: Philox normals, normalized."""
+    """n uniform points on S^2 as an (n,3) array, drawn as estimate_partition
+    and the chain start draw them: Philox normals, normalized."""
     rng = sphere_mc._philox(seed)
-    return sphere_mc._unit_rows(rng.standard_normal((n, 3)), rng)
+    return sphere_mc._uniform_points(rng, 1, n)[:, 0].T
 
 
 def test_sample_uniform_unit_norms_and_determinism():
@@ -60,6 +61,64 @@ def test_sample_uniform_moments():
     z = pts[:, 2]
     assert abs(np.mean(z)) < 0.005
     assert abs(np.mean(z * z) - 1.0 / 3.0) < 0.01
+
+
+class _StubNormals:
+    """A generator that returns the given standard-normal draws in order and
+    records the shapes asked for."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.draws.pop(0)
+
+
+def test_uniform_points_redraws_only_zero_rows_in_c_order():
+    first = np.arange(1.0, 19.0).reshape(2, 3, 3)
+    first[0, 2] = first[1, 0] = 0.0
+    # C order: (configuration 0, point 2) first; its redraw is zero again
+    second = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    third = np.array([[0.0, 0.0, 2.0]])
+    rng = _StubNormals(first, second, third)
+    x = sphere_mc._uniform_points(rng, 2, 3)
+    assert rng.shapes == [(2, 3, 3), (2, 3), (1, 3)]
+    assert x.shape == (3, 2, 3) and x.flags.c_contiguous
+    expected = first.copy()
+    expected[0, 2], expected[1, 0] = third[0], second[1]
+    expected /= np.linalg.norm(expected, axis=-1, keepdims=True)
+    pts = x.transpose(1, 2, 0)
+    assert np.array_equal(pts, expected)
+    assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) <= 1e-15
+
+
+def test_uniform_points_match_row_major_normalisation():
+    raw = sphere_mc._philox(6).standard_normal((200, 4, 3))
+    x = sphere_mc._uniform_points(sphere_mc._philox(6), 200, 4)
+    expected = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    assert np.array_equal(x.transpose(1, 2, 0), expected)
+
+
+def _log_d2_row_major(pts, i, j):
+    """Row-major reference for _log_d2 on (..., N, 3) points."""
+    diffs = pts[..., i, :] - pts[..., j, :]
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(diffs * diffs, axis=-1))
+
+
+@pytest.mark.parametrize("b,n", [(1, 2), (9, 2), (5, 16), (300, 7)])
+def test_log_d2_matches_row_major_reference(b, n):
+    rng = np.random.Generator(np.random.Philox(100 * b + n))
+    # coordinates of mixed magnitudes, so a different summation order shows
+    pts = rng.standard_normal((b, n, 3)) * np.exp(4.0 * rng.standard_normal((b, n, 3)))
+    pts[-1, 1] = pts[-1, 0]  # a coincident coupled pair
+    i, j = np.triu_indices(n, k=1)
+    got = sphere_mc._log_d2(np.ascontiguousarray(pts.transpose(2, 0, 1)), i, j)
+    expected = _log_d2_row_major(pts, i, j)
+    assert np.isneginf(got[-1, 0])
+    assert np.array_equal(got, expected)
 
 
 def test_energy_antipodal():
@@ -160,6 +219,47 @@ def test_estimate_heavy_tail_flag_multi_particle():
 def test_estimate_matches_analytic_n2():
     est = estimate_partition(C1, -0.5, 1_000_000, seed=17)
     assert abs(est.mean - 1.0) <= 3 * est.stderr
+
+
+def _row_major_estimate(c, beta, samples, seed):
+    """(mean, stderr) of the plain-MC estimate from one row-major draw of all
+    samples, normalized by np.linalg.norm, weights by _log_d2_row_major."""
+    i, j = np.triu_indices(c.n, k=1)
+    coupled = c.entries[i, j] != 0.0
+    i, j, cij = i[coupled], j[coupled], c.entries[i, j][coupled]
+    raw = sphere_mc._philox(seed).standard_normal((samples, c.n, 3))
+    pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    w = np.concatenate([np.exp(beta * (_log_d2_row_major(chunk, i, j) @ cij))
+                        for chunk in np.array_split(pts, 20)])
+    batch_means = [np.mean(chunk) for chunk in np.array_split(w, 32)]
+    return float(np.mean(w)), float(np.std(batch_means, ddof=1) / math.sqrt(32))
+
+
+@pytest.mark.parametrize("model", ["plasma_8_8", "sparse_float"])
+def test_estimate_matches_row_major_reference(model):
+    if model == "plasma_8_8":
+        c, beta = from_charges(ChargeVector((1,) * 8 + (-1,) * 8)), 0.3
+    else:
+        c, beta = _sparse_float_matrix(), 0.5
+    est = estimate_partition(c, beta, 20_000, seed=9)
+    mean, stderr = _row_major_estimate(c, beta, 20_000, seed=9)
+    assert abs(est.mean - mean) <= 1e-12 * abs(mean)
+    assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+def test_estimate_memory_is_block_sized():
+    # a 20,000-sample estimate on the 8+8 plasma (120 coupled pairs) holds
+    # about 1 MB per temporary; one (8192, 120, 3) block of pair differences
+    # alone would take 23.6 MB
+    c = from_charges(ChargeVector((1,) * 8 + (-1,) * 8))
+    estimate_partition(c, 0.15, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        estimate_partition(c, 0.15, 20_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_oracle_agreement_grid():
@@ -315,16 +415,16 @@ def test_chain_escapes_coincident_start(monkeypatch):
     # particles 0 and 2 carry opposite charges and start at the same point:
     # log d^2 = -inf, and at beta > 0 no finite move would pass Metropolis
     plasma = from_charges(ChargeVector((1, 1, -1, -1)))
-    unit_rows = sphere_mc._unit_rows
+    uniform_points = sphere_mc._uniform_points
     starts = []
 
-    def coincident_start(raw, rng):
-        pts = unit_rows(raw, rng)
-        pts[2] = pts[0]
-        starts.append(pts.copy())
-        return pts
+    def coincident_start(rng, b, n):
+        x = uniform_points(rng, b, n)
+        x[..., 2] = x[..., 0]
+        starts.append(x[:, 0].T.copy())
+        return x
 
-    monkeypatch.setattr(sphere_mc, "_unit_rows", coincident_start)
+    monkeypatch.setattr(sphere_mc, "_uniform_points", coincident_start)
     chain = metropolis_chain(plasma, ChainParams(beta=0.5, steps=2000, burn_in=0, seed=3))
     (start,) = starts
     with pytest.raises(CoincidentPoints):
