@@ -6,17 +6,23 @@ least-squares pole-order fitting of the free-energy divergence, and a
 single-particle Metropolis sampler of the Gibbs measure with collapse
 observables.
 
-``energy``, the partition estimator and the sampler share one pair helper,
-``_log_d2``, over coordinate-major points: x[k, ..., p] is coordinate k of
-particle p, so each coordinate of a pair difference is one contiguous row
-and the squares are summed with two array additions, not a reduction over
-an axis of length 3.  ``_uniform_points`` draws configurations in that
-layout.  The partition estimator works in blocks of
+``energy``, the partition estimator, the chain start and the collapse
+observables share one pair helper, ``_d2`` (``_log_d2`` takes its log),
+over coordinate-major points: x[k, ..., p] is coordinate k of particle p,
+so each coordinate of a pair difference is one contiguous row and the
+squares are summed with two array additions, not a reduction over an axis
+of length 3.  ``_uniform_points`` draws configurations in that layout.
+The partition estimator and ``collapse_observables`` work in blocks of
 ``_BLOCK_FLOATS // (3 * max(pairs, N))`` configurations, so each (3, block,
-pairs) temporary holds about 2^17 floats (1 MB) whatever N is.  A chain
-builds an (N,N) table of log d^2 over its coupled pairs once; each step
-then evaluates only the proposal's row against it, and an accepted move
-writes that row back into the table.
+pairs) temporary holds about 2^17 floats (1 MB) whatever N is.
+
+A chain builds an (N,N) table of log d^2 over its coupled pairs once, then
+steps in plain Python floats: a step costs two generator calls and one
+loop over the moved particle's partners, not a dozen numpy calls on
+3-vectors and short rows.  Every chain first solves its interval, so
+N <= 26 (the solver's cap); over that whole range the float step beats a
+numpy step on 3-vectors and rows (measured about 2x at N = 26 and 3-4x at
+N = 4 and 8), so it is the only step.
 
 All randomness comes from numpy's Philox counter-based generator with
 explicit seeds.  Chordal distances are plain Euclidean norms in R^3; no
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -127,18 +134,31 @@ def _uniform_points(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
     return x
 
 
-def _log_d2(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """log d(p_i, p_j)^2 for index arrays i, j over the particle axis of
-    coordinate-major (3, ..., N) points; -inf where two points coincide.
+def _block(pairs: int, n: int) -> int:
+    """Configurations per block, so that each coordinate-major (3, block,
+    pairs) temporary holds about _BLOCK_FLOATS floats (1 MB) whatever n is."""
+    return max(1, _BLOCK_FLOATS // (3 * max(pairs, n)))
+
+
+def _d2(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """d(p_i, p_j)^2 for index arrays i, j over the particle axis of
+    coordinate-major (3, ..., N) points.
 
     The squares are summed as (dx^2 + dy^2) + dz^2, the order numpy's sum
     over a last axis of three uses, so the result is bit-identical to the
-    row-major ``log(sum(diffs * diffs, axis=-1))``."""
+    row-major ``sum(diffs * diffs, axis=-1)``."""
     d = x[..., i]
     d -= x[..., j]
     d *= d
     s = d[0] + d[1]
     s += d[2]
+    return s
+
+
+def _log_d2(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """log d(p_i, p_j)^2 over coordinate-major points, as ``_d2``; -inf where
+    two points coincide."""
+    s = _d2(x, i, j)
     with np.errstate(divide="ignore"):
         return np.log(s, out=s)
 
@@ -202,10 +222,8 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
 
     rows, cols, cij = _coupled_pairs(c)
     rng = _philox(seed)
-    # coordinate-major (3, block, pairs) temporaries of about _BLOCK_FLOATS
-    # floats each (1 MB), whatever n is: 364 configurations on the 8+8
-    # plasma, 21,845 on a pair
-    block = max(1, _BLOCK_FLOATS // (3 * max(rows.size, c.n)))
+    # 364 configurations on the 8+8 plasma, 21,845 on a pair
+    block = _block(rows.size, c.n)
     weights = np.empty(samples, dtype=float)
     done = 0
     while done < samples:
@@ -257,27 +275,35 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     Particles are updated in a fixed cyclic order.  Acceptance is reported
     over post-burn-in steps.
 
-    The chain keeps an (N,N) table of log d^2 over its coupled pairs, built
-    once from the starting points.  A step computes the proposal's row
-    only: the current energy of particle i is read from row i of the table,
-    and an accepted move writes the new row into row i and column i.  While
-    a coupled pair coincides (log d^2 = -inf, possible only at the start and
-    with probability zero), any valid move of either particle is accepted
-    unconditionally."""
+    The step is plain Python float arithmetic: the points are a list of
+    (x, y, z) tuples, the log d^2 table over coupled pairs a list of lists,
+    and each particle keeps a list of its (j, c_ij) partners.  One loop over
+    particle i's partners sums e_new and e_old and collects the proposal's
+    row; an accepted move writes that row into row i and column i.  The
+    proposal's norm is sqrt((x*x + y*y) + z*z) in plain IEEE arithmetic, so
+    chains do not depend on how a BLAS kernel fuses a dot product.  The
+    interval solve caps n at 26, and at n <= 26 a loop over at most 25
+    partners costs less than numpy calls on 3-vectors and short rows, so
+    there is no numpy step.  A proposal of norm 0 is rejected, and so is
+    one that lands on a coupled partner.  While a coupled pair coincides
+    (log d^2 = -inf, possible only at the start and with probability zero),
+    any valid move of either particle is accepted unconditionally."""
     lo, hi = _interval(c)
     _check_inside(params.beta, lo, hi)
 
     rng = _philox(params.seed)
     n = c.n
-    pts = _uniform_points(rng, 1, n)[:, 0].T.copy()
+    x = _uniform_points(rng, 1, n)[:, 0]
     rows, cols, cij = _coupled_pairs(c)
     table = np.zeros((n, n))
-    table[rows, cols] = table[cols, rows] = _log_d2(pts.T, rows, cols)
-    partners = [np.flatnonzero(c.entries[i]) for i in range(n)]
-    weights = [c.entries[i, p] for i, p in enumerate(partners)]
+    table[rows, cols] = table[cols, rows] = _log_d2(x, rows, cols)
+    table = table.tolist()
+    pts = list(zip(*x.tolist()))
+    flat = array("d", x.T.ravel())  # pts as one buffer: an emission is one copy
+    partners = [[(j, w) for j, w in enumerate(row) if w != 0.0] for row in c.entries.tolist()]
 
     def total():
-        logd2 = table[rows, cols]
+        logd2 = np.array(table)[rows, cols]
         return math.inf if np.any(np.isneginf(logd2)) else float(-np.sum(cij * logd2))
 
     total_energy = total()
@@ -285,35 +311,52 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     beta = params.beta
     emitted = -(-(params.steps - params.burn_in) // params.thin)
     configs = np.empty((emitted, n, 3))
+    flat_configs = configs.reshape(emitted, 3 * n)
     energies = np.empty(emitted)
     accepted_tune = 0
     accepted_main = 0
 
     for t in range(params.steps):
         i = t % n
-        g = rng.standard_normal(3)
-        proposal = pts[i] + step * g
-        norm = math.sqrt(proposal.dot(proposal))
+        gx, gy, gz = rng.standard_normal(3).tolist()
+        px, py, pz = pts[i]
+        px += step * gx
+        py += step * gy
+        pz += step * gz
+        norm = math.sqrt((px * px + py * py) + pz * pz)
         u = rng.random()
         accept = False
         if norm > 0.0:
-            proposal = proposal / norm
-            p, w = partners[i], weights[i]
-            diffs = pts[p] - proposal
-            d2 = (diffs * diffs).sum(axis=1)
-            if d2.all():  # a proposal onto a coupled particle is rejected
-                logd2 = np.log(d2)
-                e_new = float(-(w * logd2).sum())
-                e_old = float(-(w * table[i, p]).sum())
-                escape = not math.isfinite(e_old) and np.isneginf(table[i, p]).any()
+            px /= norm
+            py /= norm
+            pz /= norm
+            row = table[i]
+            new_row = []
+            e_new = e_old = 0.0
+            for j, w in partners[i]:
+                qx, qy, qz = pts[j]
+                dx = qx - px
+                dy = qy - py
+                dz = qz - pz
+                d2 = (dx * dx + dy * dy) + dz * dz
+                if d2 == 0.0:  # a proposal onto a coupled particle is rejected
+                    break
+                logd2 = math.log(d2)
+                new_row.append(logd2)
+                e_new -= w * logd2
+                e_old -= w * row[j]
+            else:
+                escape = not math.isfinite(e_old) and -math.inf in row
                 if escape:
                     accept = True
                 else:
                     log_alpha = -beta * (e_new - e_old)
                     accept = log_alpha >= 0.0 or u < math.exp(log_alpha)
                 if accept:
-                    pts[i] = proposal
-                    table[i, p] = table[p, i] = logd2
+                    pts[i] = (px, py, pz)
+                    flat[3 * i:3 * i + 3] = array("d", pts[i])
+                    for (j, _), logd2 in zip(partners[i], new_row):
+                        row[j] = table[j][i] = logd2
                     total_energy = total() if escape else total_energy + (e_new - e_old)
 
         if t < params.burn_in:
@@ -331,7 +374,7 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
                 accepted_main += 1
             k, r = divmod(t - params.burn_in, params.thin)
             if r == 0:
-                configs[k] = pts
+                flat_configs[k] = flat
                 energies[k] = total_energy
 
     rate = accepted_main / (params.steps - params.burn_in)
@@ -357,19 +400,31 @@ def collapse_observables(samples: np.ndarray, labels: Sequence[int]) -> Collapse
     if labels.shape != (n,):
         raise ValueError(f"need {n} class labels, got {labels.shape}")
 
-    iu = np.triu_indices(n, k=1)
-    opposite = labels[iu[0]] != labels[iu[1]]
-    same = ~opposite
-    diffs = samples[:, iu[0], :] - samples[:, iu[1], :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=2))
+    i, j = np.triu_indices(n, k=1)
+    opposite = labels[i] != labels[j]
+    # opposite-class pairs first, so each class's minimum is over a slice
+    order = np.argsort(~opposite, kind="stable")
+    i, j = i[order], j[order]
+    k = int(np.count_nonzero(opposite))
+    m = samples.shape[0]
+    min_opposite, min_same, max_dist = np.empty((3, m))
+    block = _block(i.size, n)
+    for start in range(0, m, block):
+        b = slice(start, start + block)
+        dist = _d2(samples[b].transpose(2, 0, 1), i, j)
+        np.sqrt(dist, out=dist)
+        if k > 0:
+            np.min(dist[:, :k], axis=1, out=min_opposite[b])
+        if k < i.size:
+            np.min(dist[:, k:], axis=1, out=min_same[b])
+        np.max(dist, axis=1, out=max_dist[b])
 
     def quantiles(values: np.ndarray) -> tuple:
         return tuple(float(q) for q in np.percentile(values, QUANTILE_LEVELS))
 
-    min_opp = quantiles(np.min(dists[:, opposite], axis=1)) if np.any(opposite) else None
-    min_same = quantiles(np.min(dists[:, same], axis=1)) if np.any(same) else None
-    max_q = quantiles(np.max(dists, axis=1))
-    return CollapseStats(min_opp, min_same, max_q)
+    return CollapseStats(quantiles(min_opposite) if k > 0 else None,
+                         quantiles(min_same) if k < i.size else None,
+                         quantiles(max_dist))
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,124 @@ def test_chain_energies_match_energy_oracle(model):
     _assert_energies_match_oracle(c, chain)
 
 
+def _reference_chain(c, params):
+    """Independent numpy reference for metropolis_chain: the same Philox calls
+    in the same order (the (N,3) start normals, then per step
+    standard_normal(3) and random()), the same proposal, norm
+    (x*x + y*y) + z*z, acceptance rule and burn-in tuning.  Each step
+    recomputes particle i's energy from the points.  Returns the
+    configurations, the post-burn-in acceptance rate and the frozen step."""
+    rng = sphere_mc._philox(params.seed)
+    raw = rng.standard_normal((c.n, 3))
+    pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    step = params.step_size
+    configs, tune, accepted = [], 0, 0
+    for t in range(params.steps):
+        i = t % c.n
+        proposal = pts[i] + step * rng.standard_normal(3)
+        x, y, z = proposal
+        norm = math.sqrt((x * x + y * y) + z * z)
+        u = rng.random()
+        accept = False
+        if norm > 0.0:
+            proposal = proposal / norm
+            partners = np.flatnonzero(c.entries[i])
+            w = c.entries[i, partners]
+            d2_new = np.sum((pts[partners] - proposal) ** 2, axis=1)
+            if np.all(d2_new > 0.0):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    e_old = -np.sum(w * np.log(np.sum((pts[partners] - pts[i]) ** 2, axis=1)))
+                e_new = -np.sum(w * np.log(d2_new))
+                accept = (not np.isfinite(e_old) or params.beta * (e_new - e_old) <= 0.0
+                          or u < math.exp(-params.beta * (e_new - e_old)))
+        if accept:
+            pts[i] = proposal
+        if t < params.burn_in:
+            tune += accept
+            if (t + 1) % sphere_mc._TUNE_WINDOW == 0:
+                if tune > 0.5 * sphere_mc._TUNE_WINDOW:
+                    step = min(step * sphere_mc._TUNE_FACTOR, sphere_mc._STEP_MAX)
+                elif tune < 0.3 * sphere_mc._TUNE_WINDOW:
+                    step = max(step / sphere_mc._TUNE_FACTOR, sphere_mc._STEP_MIN)
+                tune = 0
+        else:
+            accepted += accept
+            if (t - params.burn_in) % params.thin == 0:
+                configs.append(pts.copy())
+    return np.array(configs), accepted / (params.steps - params.burn_in), step
+
+
+@pytest.mark.parametrize("model", ["pair", "plasma_4_4", "sparse_float", "plasma_13_13"])
+def test_chain_matches_reference_step_for_step(model):
+    if model == "pair":
+        c, beta = C1, 0.5
+    elif model == "sparse_float":
+        c, beta = _sparse_float_matrix(), 0.5
+    else:
+        k = 4 if model == "plasma_4_4" else 13  # 13 + 13 = 26, the solver's cap
+        c, beta = from_charges(ChargeVector((1,) * k + (-1,) * k)), 0.5
+    params = ChainParams(beta=beta, steps=3000, burn_in=1000, thin=7, seed=23)
+    chain = metropolis_chain(c, params)
+    configs, rate, step = _reference_chain(c, params)
+    assert chain.configurations.shape == configs.shape
+    assert np.max(np.abs(chain.configurations - configs)) <= 1e-12
+    assert chain.acceptance_rate == rate
+    assert chain.step_size == step
+    assert 0.0 < rate < 1.0
+
+
+class _StubChainGenerator:
+    """A generator for a chain: the given standard normals in order, and
+    uniforms of 0, so only the rejection rules can refuse a move."""
+
+    def __init__(self, *normals):
+        self.normals = [np.array(g, dtype=float) for g in normals]
+
+    def standard_normal(self, shape):
+        assert shape == 3
+        return self.normals.pop(0)
+
+    def random(self):
+        return 0.0
+
+
+_PAIR_START = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def _stub_pair_chain(monkeypatch, *normals):
+    """A chain on the pair that starts at p0 = (1,0,0), p1 = (0,1,0) with
+    step 0.5 and draws the given normals; returns the chain and the stub."""
+    monkeypatch.setattr(sphere_mc, "_uniform_points",
+                        lambda rng, b, n: _PAIR_START.T[:, None, :].copy())
+    rng = _StubChainGenerator(*normals)
+    monkeypatch.setattr(sphere_mc, "_philox", lambda seed: rng)
+    params = ChainParams(beta=0.5, steps=len(normals), burn_in=0, step_size=0.5)
+    return metropolis_chain(C1, params), rng
+
+
+def test_chain_rejects_moves_onto_a_partner_and_of_norm_zero(monkeypatch):
+    # step 0 proposes p0 + (-1,1,0) = p1, step 1 proposes p1 + (1,-1,0) = p0,
+    # step 2 proposes p0 + (-1,0,0) = 0, which has no direction
+    chain, rng = _stub_pair_chain(monkeypatch, (-2, 2, 0), (2, -2, 0), (-2, 0, 0))
+    assert rng.normals == []
+    assert chain.acceptance_rate == 0.0
+    assert np.array_equal(chain.configurations, np.stack([_PAIR_START] * 3))
+    assert np.all(np.isfinite(chain.energies))
+    assert np.allclose(chain.energies, -math.log(2.0))
+
+
+def test_chain_proposal_norm_is_plain_float_arithmetic(monkeypatch):
+    # for this draw the normalised proposal changes in its last bits when the
+    # squares are summed as x*x + (y*y + z*z), as (x*x + z*z) + y*y, or with
+    # fused multiply-adds as a BLAS dot product may
+    g = (-0.48, -0.72, -0.52)
+    chain, _ = _stub_pair_chain(monkeypatch, g)
+    x, y, z = 1.0 + 0.5 * g[0], 0.5 * g[1], 0.5 * g[2]
+    norm = math.sqrt((x * x + y * y) + z * z)
+    assert chain.acceptance_rate == 1.0
+    assert chain.configurations[0, 0].tolist() == [x / norm, y / norm, z / norm]
+
+
 def test_chain_escapes_coincident_start(monkeypatch):
     # particles 0 and 2 carry opposite charges and start at the same point:
     # log d^2 = -inf, and at beta > 0 no finite move would pass Metropolis
@@ -480,3 +598,49 @@ def test_collapse_single_class_has_no_opposite():
 def test_collapse_empty_sample():
     with pytest.raises(EmptySample):
         collapse_observables(np.zeros((0, 2, 3)), [0, 1])
+
+
+def _collapse_row_major(samples, labels):
+    """Row-major reference for collapse_observables: every pair distance of
+    every sample at once, as sqrt(sum(diffs * diffs, axis=-1))."""
+    labels = np.asarray(labels)
+    i, j = np.triu_indices(samples.shape[1], k=1)
+    diffs = samples[:, i, :] - samples[:, j, :]
+    dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
+    opposite = labels[i] != labels[j]
+    levels = sphere_mc.QUANTILE_LEVELS
+    return (np.percentile(np.min(dists[:, opposite], axis=1), levels) if opposite.any() else None,
+            np.percentile(np.min(dists[:, ~opposite], axis=1), levels) if not opposite.all() else None,
+            np.percentile(np.max(dists, axis=1), levels))
+
+
+def _assert_collapse_equal(stats, expected):
+    got = (stats.min_opposite_quantiles, stats.min_same_quantiles, stats.max_quantiles)
+    for g, e in zip(got, expected):
+        assert (g is None) == (e is None)
+        if e is not None:
+            assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0, 1, 1], [0, 1, 2, 3, 4], [7] * 5])
+def test_collapse_matches_row_major_reference(labels):
+    rng = np.random.Generator(np.random.Philox(31))
+    # unnormalised points of mixed magnitudes, so a different summation order shows
+    samples = rng.standard_normal((500, 5, 3)) * np.exp(3.0 * rng.standard_normal((500, 5, 3)))
+    _assert_collapse_equal(collapse_observables(samples, labels), _collapse_row_major(samples, labels))
+
+
+def test_collapse_memory_is_block_sized():
+    # 14,000 samples of 18 particles (6.0 MB): the row-major (M, 153, 3)
+    # pair differences alone would take 51 MB
+    rng = np.random.Generator(np.random.Philox(32))
+    samples = rng.standard_normal((14_000, 18, 3))
+    labels = [0] * 9 + [1] * 9
+    tracemalloc.start()
+    try:
+        stats = collapse_observables(samples, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * samples.nbytes
+    _assert_collapse_equal(stats, _collapse_row_major(samples, labels))
