@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,6 +40,7 @@ from .errors import (
     InputFormatError,
     InstanceTooLarge,
     LogGasError,
+    TooSmall,
 )
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
@@ -351,23 +351,17 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> int:
 _BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class EnsembleReport:
-    model: str
-    n: int
-    trials: int
-    rows: tuple
-    summary: dict
-    bound_violations: int
-
-
 def run_ensemble(model: str, n: int, trials: int, seed: int,
-                 variance: Optional[float] = None) -> EnsembleReport:
+                 variance: Optional[float] = None) -> dict:
     """Sample random instances, solve, and check the deterministic bounds.
 
     gaussian_couplings records the eigenvalue bounds of the coupling matrix;
     gaussian_charges records the closed-form charge bounds.  Violations
-    (beyond 1e-9 relative slack) are counted and must be zero."""
+    (beyond 1e-9 relative slack) are counted and must be zero.  Returns the
+    report fields in report order: model, n, trials, bound_violations,
+    summary, rows."""
+    if n < 2:
+        raise TooSmall(f"need n >= 2, got {n}")
     if n > 20:
         raise InstanceTooLarge(f"ensemble limited to n <= 20, got {n}")
     if trials < 1:
@@ -422,27 +416,19 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
     total = int(sum(r["violations"] for r in rows))
     if total != 0:
         raise RuntimeError(f"deterministic bounds violated on {total} trials")
-    return EnsembleReport(model, n, trials, tuple(rows), summary, total)
+    return {"model": model, "n": n, "trials": trials, "bound_violations": total,
+            "summary": summary, "rows": rows}
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     report = run_ensemble(args.model, args.n, args.trials, args.seed, args.variance)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "ensemble",
-        "model": report.model,
-        "n": report.n,
-        "trials": report.trials,
-        "bound_violations": report.bound_violations,
-        "summary": report.summary,
-        "rows": list(report.rows),
-    }
-    _write_report(doc, args.out)
-    q = report.summary["t_plus_quantiles"]
-    print(f"{report.model}: n={report.n}, trials={report.trials}, "
-          f"bound violations={report.bound_violations}")
+    _write_report({"schema_version": SCHEMA_VERSION, "subcommand": "ensemble", **report},
+                  args.out)
+    q = report["summary"]["t_plus_quantiles"]
+    print(f"{args.model}: n={args.n}, trials={args.trials}, "
+          f"bound violations={report['bound_violations']}")
     print(f"T+ quantiles (5/25/50/75/95%): {['%.3f' % v for v in q]}")
-    q = report.summary["t_minus_quantiles"]
+    q = report["summary"]["t_minus_quantiles"]
     print(f"T- quantiles (5/25/50/75/95%): {['%.3f' % v for v in q]}")
     return 0
 
@@ -517,7 +503,7 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"error (domain): {exc}", file=sys.stderr)
         return 4
-    except (LogGasError, FileNotFoundError, ValueError) as exc:
+    except (LogGasError, OSError, ValueError) as exc:
         print(f"error (input): {exc}", file=sys.stderr)
         return 2
 

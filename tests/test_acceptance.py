@@ -285,11 +285,11 @@ def test_criterion_11_collapse_trends():
 def test_criterion_12_ensemble_sanity():
     couplings = run_ensemble("gaussian_couplings", 16, 200, seed=312, variance=1.0 / 16)
     charges = run_ensemble("gaussian_charges", 14, 200, seed=313)
-    ok = couplings.bound_violations == 0 and charges.bound_violations == 0
-    ok = ok and len(couplings.summary["t_plus_quantiles"]) == 5
-    ok = ok and len(charges.summary["t_minus_quantiles"]) == 5
+    ok = couplings["bound_violations"] == 0 and charges["bound_violations"] == 0
+    ok = ok and len(couplings["summary"]["t_plus_quantiles"]) == 5
+    ok = ok and len(charges["summary"]["t_minus_quantiles"]) == 5
     _report(12, "ensembles complete with zero deterministic-bound violations", ok,
-            f"T+ median (couplings) {couplings.summary['t_plus_quantiles'][2]:.3f}")
+            f"T+ median (couplings) {couplings['summary']['t_plus_quantiles'][2]:.3f}")
 
 
 def test_criterion_13_solver_oracle_equivalence():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import loggas.coupling as coupling
 import loggas.solver as solver
 import loggas.sphere_mc as sphere_mc
 from loggas import load_system, two_component_critical
-from loggas.cli import main
+from loggas.cli import build_parser, main
 from loggas.sphere_mc import estimate_partition
 
 HERE = Path(__file__).parent
@@ -149,8 +150,29 @@ def test_exit_2_on_asymmetric_matrix(tmp_path):
     assert run(["critical", "--input", bad]) == 2
 
 
+def test_readme_experiment_commands_parse():
+    # the README's Experiments block is the one way to run each experiment
+    block = (HERE.parent / "README.md").read_text().split("## Experiments", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("loggas ")]
+    assert len(commands) == 5
+    for argv in commands:
+        args = build_parser().parse_args(argv[1:])
+        assert getattr(args, "input", None) is None or (HERE.parent / args.input).is_file()
+
+
 def test_exit_2_on_missing_file():
     assert run(["critical", "--input", "/nonexistent/input.json"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["critical", "--input", INPUTS],
+    ["critical", "--input", INPUTS / "pair_c1.json", "--out", INPUTS],
+    ["mc-gibbs", "--input", INPUTS / "pair_c1.json", "--beta-grid", "0.1",
+     "--steps", 20, "--burn-in", 0, "--out", INPUTS],
+], ids=["critical-input", "critical-out", "mc-gibbs-out"])
+def test_exit_2_on_directory_path(args):
+    assert run(args) == 2
 
 
 def test_exit_2_when_exact_mode_needs_rationals(tmp_path):
@@ -167,6 +189,10 @@ def test_exit_3_on_oversized_instance(tmp_path):
 
 def test_exit_3_on_ensemble_size_cap():
     assert run(["ensemble", "--model", "gaussian_couplings", "--n", 21, "--trials", 1]) == 3
+
+
+def test_exit_2_on_ensemble_below_two_particles():
+    assert run(["ensemble", "--model", "gaussian_couplings", "--n", 0, "--trials", 1]) == 2
 
 
 def test_exit_4_when_grid_leaves_interval(tmp_path):

@@ -554,17 +554,25 @@ def test_chain_escapes_coincident_start(monkeypatch):
     _assert_energies_match_oracle(plasma, chain)
 
 
+def _root_m_ks(sample, cdf):
+    """sqrt(m) * KS distance between m samples and a continuous CDF."""
+    x = np.sort(sample)
+    m = x.size
+    f = cdf(x)
+    return math.sqrt(m) * max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(m) / m))
+
+
+def _pair_u(chain):
+    """u = d^2/4 for particles 0 and 1 of each emitted configuration."""
+    pairs = chain.configurations
+    return np.sum((pairs[:, 0, :] - pairs[:, 1, :]) ** 2, axis=1) / 4.0
+
+
 def _pair_ks_statistic(beta_run, beta_law, seed):
     """sqrt(m) * KS distance between a thinned N=2 chain's d^2/4 and the
     exact law at beta_law: for c = 1, d^2/4 ~ Beta(beta+1, 1), CDF x^(beta+1)."""
     params = ChainParams(beta=beta_run, steps=82_000, burn_in=2_000, thin=40, seed=seed)
-    chain = metropolis_chain(C1, params)
-    pairs = chain.configurations
-    x = np.sort(np.sum((pairs[:, 0, :] - pairs[:, 1, :]) ** 2, axis=1) / 4.0)
-    m = x.size
-    cdf = x ** (beta_law + 1.0)
-    distance = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m))
-    return math.sqrt(m) * distance
+    return _root_m_ks(_pair_u(metropolis_chain(C1, params)), lambda x: x ** (beta_law + 1.0))
 
 
 @pytest.mark.parametrize("beta", [-0.5, 0.5])
@@ -572,6 +580,41 @@ def test_chain_pair_distance_follows_exact_beta_law(beta):
     # 2,000 samples 40 steps apart are close to independent; 1.95 is the
     # Kolmogorov critical value at level 0.001
     assert _pair_ks_statistic(beta, beta, seed=10) < 1.95
+
+
+# ---------------------------------------------------------------------------
+# Exact N-particle oracle: equal unit charges at beta = 1
+# ---------------------------------------------------------------------------
+# With all c_ij = 1 and beta = 1 the Gibbs measure is the spherical ensemble.
+# Stereographic projection and Andreief's identity give Z_N in closed form,
+# and one pair's u = d^2/4 has density N/(N-1) * (1 - (1-u)^(N-1)) (Caillol
+# 1981; Krishnapur 2009).  2 beta = 2 lies inside (-2/N, inf), so plain MC
+# has finite variance here.
+
+def _spherical_ensemble_z(n):
+    """Z_N = 4^(N(N-1)/2) * prod_{k<N} k!(N-1-k)! / (N!)^(N-1)."""
+    prod = math.prod(math.factorial(k) * math.factorial(n - 1 - k) for k in range(n))
+    return 4.0 ** (n * (n - 1) // 2) * prod / math.factorial(n) ** (n - 1)
+
+
+def _unit_charges(n):
+    return from_charges(ChargeVector((1,) * n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_estimate_matches_spherical_ensemble_partition(n):
+    est = estimate_partition(_unit_charges(n), 1.0, 200_000, seed=7)
+    assert not est.heavy_tail
+    assert abs(est.mean - _spherical_ensemble_z(n)) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_chain_pair_distance_follows_spherical_ensemble_law(n):
+    # four chains; the exact CDF is F(u) = N/(N-1) u - (1 - (1-u)^N)/(N-1)
+    c = _unit_charges(n)
+    u = np.concatenate([_pair_u(metropolis_chain(c, ChainParams(
+        beta=1.0, steps=60_000, burn_in=2_000, thin=20, seed=seed))) for seed in range(4)])
+    assert _root_m_ks(u, lambda x: n / (n - 1) * x - (1.0 - (1.0 - x) ** n) / (n - 1)) < 1.95
 
 
 # ---------------------------------------------------------------------------
