@@ -4,12 +4,21 @@ Subcommands: critical, bounds, closed-form, arboricity, sk-check,
 mc-partition, mc-gibbs, ensemble.  Reports are JSON with a stable field
 order plus a human-readable text rendering; sweeps emit CSV.  Extended
 reals serialize as "inf"/"-inf", exact rationals as "p/q" strings.
-Exit codes: 0 ok, 2 input error, 3 size limit, 4 domain error.
 Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
 and --tol for critical and sk-check, --seed for the sampling commands;
 any other flag is an argparse error (exit 2).
 mc-partition spreads its grid points over up to 4 of the process's CPUs;
 everything else runs serially.
+
+``main`` alone frames a run.  It refuses an ``--out`` path that cannot be
+written (an existing directory, a missing parent directory) before the
+handler does any work.  A handler returns ``(doc, lines)``: the JSON report
+body, or None for the two sweeps that write their own CSV, and the text
+lines to print.  ``main`` stamps ``schema_version`` and ``subcommand`` on the
+report, writes it and prints the lines.  Exit codes: 0 ok, and the
+``exit_code`` of the ``LogGasError`` raised (2 input, 3 size limit, 4
+domain); a failed allocation exits 3, an unreadable file or an unwritable
+value 2.
 """
 
 from __future__ import annotations
@@ -34,14 +43,7 @@ from .coupling import (
     sample_gaussian_charges,
     sample_gaussian_couplings,
 )
-from .errors import (
-    DOMAIN_ERRORS,
-    SIZE_ERRORS,
-    InputFormatError,
-    InstanceTooLarge,
-    LogGasError,
-    TooSmall,
-)
+from .errors import DomainError, InputError, LogGasError, SizeLimitError
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
 from .rational import format_real, parse_number
@@ -60,23 +62,14 @@ def _solver_matrix(system: SystemInput, mode: str) -> CouplingMatrix:
     for exact (and for auto on rational input), a float copy otherwise."""
     c = system.coupling
     if mode == "exact" and not c.is_exact:
-        raise InputFormatError("exact mode requires rational-expressible input")
+        raise InputError("exact mode requires rational-expressible input")
     return c if c.is_exact and mode != "float" else _float_view(c)
 
 
 def _tie_tol(args: argparse.Namespace) -> float:
     if not 0 < args.tol < math.inf:
-        raise InputFormatError("tol must be positive and finite")
+        raise InputError("tol must be positive and finite")
     return args.tol
-
-
-def _write_report(report: dict, out_path: Optional[str]):
-    """Write the report to ``out_path`` when one is given.  Its values are
-    JSON-ready (format_real renders rationals and infinities), so a stray NaN
-    or infinity raises ValueError instead of writing a non-JSON literal."""
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _mask_labels(mask) -> list:
@@ -91,8 +84,6 @@ def _asymptote(kappa: int, n: int, beta) -> Optional[str]:
 
 def _critical_report_dict(report: CriticalReport, mode: str) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "critical",
         "mode": mode,
         "n": report.n,
         "t_plus": format_real(report.t_plus),
@@ -117,44 +108,39 @@ def _critical_report_dict(report: CriticalReport, mode: str) -> dict:
     }
 
 
-def _print_critical(doc: dict):
-    print(f"n = {doc['n']}  (mode: {doc['mode']})")
-    print(f"interval: ({doc['beta_minus']}, {doc['beta_plus']})")
-    print(f"T+ = {doc['t_plus']}   T- = {doc['t_minus']}")
+def _critical_lines(doc: dict) -> list:
+    lines = [f"n = {doc['n']}  (mode: {doc['mode']})",
+             f"interval: ({doc['beta_minus']}, {doc['beta_plus']})",
+             f"T+ = {doc['t_plus']}   T- = {doc['t_minus']}"]
     if doc["degenerate"]:
-        print("degenerate: both endpoints infinite, no collapse on either side")
-        return
+        return lines + ["degenerate: both endpoints infinite, no collapse on either side"]
     for side in ("plus", "minus"):
         if not doc[f"attained_{side}"]:
-            print(f"{side}: endpoint infinite")
+            lines.append(f"{side}: endpoint infinite")
             continue
         sets = ", ".join("{" + ",".join(map(str, s)) + "}" for s in doc[f"g_{side}"])
-        print(f"G_{side} = [{sets}]   kappa_{side} = {doc[f'kappa_{side}']}")
-        for pattern in doc[f"support_{side}"]:
-            print(f"  support_{side}: {pattern}")
+        lines.append(f"G_{side} = [{sets}]   kappa_{side} = {doc[f'kappa_{side}']}")
+        lines += [f"  support_{side}: {pattern}" for pattern in doc[f"support_{side}"]]
         if doc[f"nests_truncated_{side}"]:
-            print(f"  (nest enumeration truncated)")
-        print(f"  free energy ~ {doc[f'free_energy_asymptote_{side}']}")
+            lines.append("  (nest enumeration truncated)")
+        lines.append(f"  free energy ~ {doc[f'free_energy_asymptote_{side}']}")
+    return lines
 
 
-def cmd_critical(args: argparse.Namespace) -> int:
+def cmd_critical(args: argparse.Namespace) -> tuple:
     tie_tol = _tie_tol(args)
     c = _solver_matrix(load_system(args.input), args.mode)
     report = critical_interval(c, tie_tol=tie_tol)
     doc = _critical_report_dict(report, "exact" if report.exact else "float")
-    _write_report(doc, args.out)
-    _print_critical(doc)
-    return 0
+    return doc, _critical_lines(doc)
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> tuple:
     system = load_system(args.input)
     c = _float_view(system.coupling)
     spectrum = symmetric_eigs(c)
     eig = eig_bounds(c)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "bounds",
         "n": c.n,
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "eig_beta_plus_lower": format_real(eig.beta_plus_lower),
@@ -162,41 +148,36 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "charge_beta_plus_lower": None,
         "charge_beta_minus_upper": None,
     }
+    lines = [
+        f"beta+ >= {doc['eig_beta_plus_lower']}  (eigenvalue bound, valid when beta+ finite)",
+        f"beta- <= {doc['eig_beta_minus_upper']}  (eigenvalue bound, valid when beta- finite)",
+    ]
     if system.charges is not None:
         cb = charge_bounds(system.charges)
         doc["charge_beta_plus_lower"] = format_real(cb.beta_plus_lower)
         doc["charge_beta_minus_upper"] = format_real(cb.beta_minus_upper)
-    _write_report(doc, args.out)
-    print(f"beta+ >= {doc['eig_beta_plus_lower']}  (eigenvalue bound, valid when beta+ finite)")
-    print(f"beta- <= {doc['eig_beta_minus_upper']}  (eigenvalue bound, valid when beta- finite)")
-    if system.charges is not None:
-        print(f"beta+ >= {doc['charge_beta_plus_lower']}  (charge bound)")
-        print(f"beta- <= {doc['charge_beta_minus_upper']}  (charge bound)")
-    return 0
+        lines += [f"beta+ >= {doc['charge_beta_plus_lower']}  (charge bound)",
+                  f"beta- <= {doc['charge_beta_minus_upper']}  (charge bound)"]
+    return doc, lines
 
 
-def cmd_closed_form(args: argparse.Namespace) -> int:
+def cmd_closed_form(args: argparse.Namespace) -> tuple:
     system = load_system(args.input)
     if system.two_component is not None:
         crit = closed_forms.two_component_critical(system.two_component)
         doc = {
-            "schema_version": SCHEMA_VERSION,
-            "subcommand": "closed-form",
             "model": "two_component",
             "beta_plus": format_real(crit.beta_plus),
             "kappa_plus": crit.kappa_plus,
             "g_plus": crit.g_plus_description,
             "free_energy_prefactor": format_real(crit.free_energy_prefactor),
         }
-        _write_report(doc, args.out)
-        print(f"beta+ = {doc['beta_plus']}   kappa+ = {doc['kappa_plus']}  ({doc['g_plus']})")
-        print(f"free energy prefactor: {doc['free_energy_prefactor']}")
-        return 0
+        return doc, [
+            f"beta+ = {doc['beta_plus']}   kappa+ = {doc['kappa_plus']}  ({doc['g_plus']})",
+            f"free energy prefactor: {doc['free_energy_prefactor']}"]
     if system.charges is not None:
         crit = closed_forms.onsager_beta_minus(system.charges)
         doc = {
-            "schema_version": SCHEMA_VERSION,
-            "subcommand": "closed-form",
             "model": "onsager",
             "beta_minus": format_real(crit.beta_minus),
             "winning_side": crit.winning_side,
@@ -204,48 +185,34 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
             "candidate_neg": format_real(crit.candidate_neg),
             "support": list(crit.support_rendered),
         }
-        _write_report(doc, args.out)
-        print(f"beta- = {doc['beta_minus']}   side: {doc['winning_side']}")
-        for pattern in doc["support"]:
-            print(f"  support: {pattern}")
-        return 0
-    raise InputFormatError("closed-form needs a 'two_component' or 'charges' input")
+        return doc, [f"beta- = {doc['beta_minus']}   side: {doc['winning_side']}",
+                     *(f"  support: {pattern}" for pattern in doc["support"])]
+    raise InputError("closed-form needs a 'two_component' or 'charges' input")
 
 
-def cmd_arboricity(args: argparse.Namespace) -> int:
+def cmd_arboricity(args: argparse.Namespace) -> tuple:
     system = load_system(args.input)
     if system.graph is None:
-        raise InputFormatError("arboricity needs a 'graph' input")
+        raise InputError("arboricity needs a 'graph' input")
     report = run_arboricity(system.graph)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "arboricity",
         "n": system.graph.n,
         "edges": len(system.graph.edges),
         "fractional": str(report.fractional),
         "arboricity": report.arboricity,
         "witness": _mask_labels(report.witness),
     }
-    _write_report(doc, args.out)
-    print(f"fractional arboricity = {doc['fractional']}  ->  arboricity = {doc['arboricity']}")
-    print(f"densest vertex set (1-based): {doc['witness']}")
-    return 0
+    return doc, [
+        f"fractional arboricity = {doc['fractional']}  ->  arboricity = {doc['arboricity']}",
+        f"densest vertex set (1-based): {doc['witness']}"]
 
 
-def cmd_sk_check(args: argparse.Namespace) -> int:
+def cmd_sk_check(args: argparse.Namespace) -> tuple:
     tol = _tie_tol(args)
     c = _solver_matrix(load_system(args.input), args.mode)
     holds = sk_ground_state_check(c, tol=tol)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "sk-check",
-        "n": c.n,
-        "mode": "exact" if c.is_exact else "float",
-        "holds": holds,
-    }
-    _write_report(doc, args.out)
-    print(f"ground-state identity holds: {holds}")
-    return 0
+    doc = {"n": c.n, "mode": "exact" if c.is_exact else "float", "holds": holds}
+    return doc, [f"ground-state identity holds: {holds}"]
 
 
 def _parse_beta_grid(text: str) -> tuple:
@@ -253,21 +220,21 @@ def _parse_beta_grid(text: str) -> tuple:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise InputFormatError("beta grid range must be a:b:steps")
+            raise InputError("beta grid range must be a:b:steps")
         a, b, steps = parse_number(float(parts[0])), parse_number(float(parts[1])), int(parts[2])
         if steps < 1:
-            raise InputFormatError("beta grid needs at least one point")
+            raise InputError("beta grid needs at least one point")
         grid = tuple(float(x) for x in np.linspace(a, b, steps))
     else:
         grid = tuple(parse_number(float(x)) for x in text.split(","))
     if len(grid) > 1:
         diffs = np.diff(grid)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise InputFormatError("beta grid must be strictly monotone")
+            raise InputError("beta grid must be strictly monotone")
     return grid
 
 
-def cmd_mc_partition(args: argparse.Namespace) -> int:
+def cmd_mc_partition(args: argparse.Namespace) -> tuple:
     grid = _parse_beta_grid(args.beta_grid)
     system = load_system(args.input)
     c = _float_view(system.coupling)
@@ -284,30 +251,35 @@ def cmd_mc_partition(args: argparse.Namespace) -> int:
         estimates = list(pool.map(estimate, range(len(grid))))
     rows = list(zip(grid, estimates))
 
+    # a flagged point's estimate has infinite variance, so a fit through it
+    # says nothing about the pole order; the count marks such a fit
+    heavy = sum(est.heavy_tail for est in estimates)
     metadata = {}
     finite_endpoints = [e for e in (lo, hi) if math.isfinite(e)]
     for endpoint in finite_endpoints:
         if len(grid) >= 5 and abs(grid[-1] - endpoint) < abs(grid[0] - endpoint):
-            betas = list(grid)
             logz = [math.log(est.mean) for est in estimates]
             try:
-                kappa = sphere_mc.pole_order_fit(betas, logz, endpoint)
-            except LogGasError:
+                kappa = sphere_mc.pole_order_fit(grid, logz, endpoint)
+            except DomainError:
                 continue
             metadata["pole_fit_beta_crit"] = endpoint
             metadata["pole_fit_kappa"] = kappa
+            if heavy:
+                metadata["pole_fit_heavy_tail_points"] = heavy
             break
 
-    out = args.out or "partition_sweep.csv"
-    sphere_mc.write_partition_csv(out, rows, metadata or None)
-    print(f"wrote {len(rows)} rows to {out}")
+    sphere_mc.write_partition_csv(args.out, rows, metadata or None)
+    lines = [f"wrote {len(rows)} rows to {args.out}"]
     for beta, est in rows:
         tail = " heavy-tail" if est.heavy_tail else ""
-        print(f"  beta={beta:g}: Z~{est.mean:.6g} +- {est.stderr:.2g}{tail}")
+        lines.append(f"  beta={beta:g}: Z~{est.mean:.6g} +- {est.stderr:.2g}{tail}")
     if metadata:
-        print(f"pole fit toward beta={metadata['pole_fit_beta_crit']:g}: "
-              f"kappa ~ {metadata['pole_fit_kappa']:.3f}")
-    return 0
+        mark = (f" ({heavy} of {len(rows)} points heavy-tailed: not an estimate of kappa)"
+                if heavy else "")
+        lines.append(f"pole fit toward beta={metadata['pole_fit_beta_crit']:g}: "
+                     f"kappa ~ {metadata['pole_fit_kappa']:.3f}{mark}")
+    return None, lines
 
 
 def _class_labels(system: SystemInput) -> list:
@@ -318,7 +290,7 @@ def _class_labels(system: SystemInput) -> list:
     return [0] * system.coupling.n
 
 
-def cmd_mc_gibbs(args: argparse.Namespace) -> int:
+def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
     grid = _parse_beta_grid(args.beta_grid)
     system = load_system(args.input)
     c = _float_view(system.coupling)
@@ -334,14 +306,13 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> int:
         stats = sphere_mc.collapse_observables(chain.configurations, labels)
         results.append((chain, stats))
 
-    out = args.out or "collapse_sweep.csv"
     sweep = [(beta, stats) for beta, (_, stats) in zip(grid, results)]
-    rows = sphere_mc.write_collapse_csv(out, sweep)
-    print(f"wrote {rows} rows to {out}")
+    rows = sphere_mc.write_collapse_csv(args.out, sweep)
+    lines = [f"wrote {rows} rows to {args.out}"]
     for beta, (chain, stats) in zip(grid, results):
-        print(f"  beta={beta:g}: acceptance={chain.acceptance_rate:.2f} "
-              f"median max dist={stats.max_quantiles[2]:.3f}")
-    return 0
+        lines.append(f"  beta={beta:g}: acceptance={chain.acceptance_rate:.2f} "
+                     f"median max dist={stats.max_quantiles[2]:.3f}")
+    return None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +332,15 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
     report fields in report order: model, n, trials, bound_violations,
     summary, rows."""
     if n < 2:
-        raise TooSmall(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     if n > 20:
-        raise InstanceTooLarge(f"ensemble limited to n <= 20, got {n}")
+        raise SizeLimitError(f"ensemble limited to n <= 20, got {n}")
     if trials < 1:
         raise ValueError("need trials >= 1")
     if model not in ("gaussian_couplings", "gaussian_charges"):
-        raise InputFormatError(f"unknown ensemble model {model!r}")
+        raise InputError(f"unknown ensemble model {model!r}")
     if model == "gaussian_charges" and variance is not None:
-        raise InputFormatError("gaussian_charges are standard normal; variance not allowed")
+        raise InputError("gaussian_charges are standard normal; variance not allowed")
     if model == "gaussian_couplings" and variance is None:
         variance = 1.0 / n
 
@@ -420,17 +391,15 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
             "summary": summary, "rows": rows}
 
 
-def cmd_ensemble(args: argparse.Namespace) -> int:
+def cmd_ensemble(args: argparse.Namespace) -> tuple:
     report = run_ensemble(args.model, args.n, args.trials, args.seed, args.variance)
-    _write_report({"schema_version": SCHEMA_VERSION, "subcommand": "ensemble", **report},
-                  args.out)
-    q = report["summary"]["t_plus_quantiles"]
-    print(f"{args.model}: n={args.n}, trials={args.trials}, "
-          f"bound violations={report['bound_violations']}")
-    print(f"T+ quantiles (5/25/50/75/95%): {['%.3f' % v for v in q]}")
-    q = report["summary"]["t_minus_quantiles"]
-    print(f"T- quantiles (5/25/50/75/95%): {['%.3f' % v for v in q]}")
-    return 0
+    q_plus = report["summary"]["t_plus_quantiles"]
+    q_minus = report["summary"]["t_minus_quantiles"]
+    return report, [
+        f"{args.model}: n={args.n}, trials={args.trials}, "
+        f"bound violations={report['bound_violations']}",
+        f"T+ quantiles (5/25/50/75/95%): {['%.3f' % v for v in q_plus]}",
+        f"T- quantiles (5/25/50/75/95%): {['%.3f' % v for v in q_minus]}"]
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +445,9 @@ _COMMANDS = {
                  ("--out", "--seed", "--model", "--n", "--trials", "--variance")),
 }
 
+# the sweeps always write a CSV, here when --out is not given
+_CSV_OUT = {"mc-partition": "partition_sweep.csv", "mc-gibbs": "collapse_sweep.csv"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, declaring only the flags it reads."""
@@ -492,20 +464,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: Optional[str]):
+    """Refuse an output path that is a directory or lies in a missing one,
+    without creating anything."""
+    if path and os.path.isdir(path):
+        raise InputError(f"--out {path} is a directory")
+    parent = os.path.dirname(path or "")
+    if parent and not os.path.isdir(parent):
+        raise InputError(f"--out {path}: {parent} is not a directory")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.out = args.out or _CSV_OUT.get(args.subcommand)
     try:
-        return _COMMANDS[args.subcommand][0](args)
-    except (*SIZE_ERRORS, MemoryError) as exc:
+        _check_out(args.out)
+        doc, lines = _COMMANDS[args.subcommand][0](args)
+        if doc is not None and args.out:
+            # every value is JSON-ready (format_real renders rationals and
+            # infinities), so a stray NaN raises ValueError, not a bad literal
+            report = {"schema_version": SCHEMA_VERSION, "subcommand": args.subcommand, **doc}
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        print(*lines, sep="\n")
+    except LogGasError as exc:
+        print(f"error ({exc.label}): {exc}", file=sys.stderr)
+        return exc.exit_code
+    except MemoryError as exc:
         print(f"error (size limit): {exc}", file=sys.stderr)
         return 3
-    except DOMAIN_ERRORS as exc:
-        print(f"error (domain): {exc}", file=sys.stderr)
-        return 4
-    except (LogGasError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error (input): {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import ChargeVector, TwoComponentSpec, neutrality_check
-from .errors import (
-    ConditionsFail,
-    InvalidParity,
-    SingleSignCharges,
-    TooFewParticles,
-)
+from .errors import DomainError, InputError
 from .rational import Real
 
 INEQ1 = "ineq1"
@@ -82,9 +77,9 @@ def technical_inequality(z: Real, a: int, b: int) -> str:
     a and b must be odd integers of the form 2k-1 with k >= 0, not both -1;
     z >= 1.  At least one inequality always holds."""
     if not (isinstance(a, int) and isinstance(b, int)):
-        raise InvalidParity("a and b must be integers")
+        raise InputError("a and b must be integers")
     if a % 2 == 0 or b % 2 == 0 or a < -1 or b < -1 or (a == -1 and b == -1):
-        raise InvalidParity(f"(a,b)=({a},{b}) is not an admissible odd pair")
+        raise InputError(f"(a,b)=({a},{b}) is not an admissible odd pair")
     if not z >= 1:
         raise ValueError(f"z must be >= 1, got {z}")
 
@@ -111,9 +106,9 @@ def onsager_conditions(k: ChargeVector) -> bool:
     Requires both signs present and more than two particles."""
     pos, neg = _split_signs(k)
     if not pos or not neg:
-        raise SingleSignCharges("need at least one positive and one negative charge")
+        raise InputError("need at least one positive and one negative charge")
     if k.n <= 2:
-        raise TooFewParticles("need N > 2")
+        raise InputError("need N > 2")
     pos_vals = [k.values[i] for i in pos]
     neg_vals = [-k.values[i] for i in neg]
     cond_pos = max(pos_vals) * 2 < 3 * min(pos_vals)
@@ -143,7 +138,7 @@ def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
     class collapses totally.  A side with a single particle cannot collapse
     and contributes -inf."""
     if not onsager_conditions(k):
-        raise ConditionsFail("charge vector fails the 3/2-variation conditions")
+        raise DomainError("charge vector fails the 3/2-variation conditions")
     pos, neg = _split_signs(k)
 
     def candidate(idx):

@@ -17,15 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AsymmetricInput,
-    InputFormatError,
-    InstanceTooLarge,
-    NonzeroDiagonal,
-    NotNeutral,
-    TooSmall,
-    ZeroCharge,
-)
+from .errors import InputError, SizeLimitError
 from .rational import Real, all_exact, is_exact, parse_number
 
 SYMMETRY_RTOL = 1e-12
@@ -36,7 +28,7 @@ MAX_PARTICLES = 2048  # the eigensolver's cap, the largest n any consumer accept
 def _check_count(n: int, context: str):
     """Refuse a particle count past MAX_PARTICLES before anything n x n exists."""
     if n > MAX_PARTICLES:
-        raise InstanceTooLarge(f"{context}: n={n} exceeds the cap {MAX_PARTICLES}")
+        raise SizeLimitError(f"{context}: n={n} exceeds the cap {MAX_PARTICLES}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class CouplingMatrix:
 
     def __post_init__(self):
         if self.n < 2:
-            raise TooSmall(f"need at least 2 particles, got n={self.n}")
+            raise InputError(f"need at least 2 particles, got n={self.n}")
         self.entries.setflags(write=False)
 
     @property
@@ -69,10 +61,10 @@ class ChargeVector:
 
     def __post_init__(self):
         if len(self.values) < 2:
-            raise TooSmall("need at least 2 charges")
+            raise InputError("need at least 2 charges")
         for i, k in enumerate(self.values):
             if k == 0:
-                raise ZeroCharge(f"charge k[{i}] is zero")
+                raise InputError(f"charge k[{i}] is zero")
 
     @property
     def n(self) -> int:
@@ -97,9 +89,9 @@ class TwoComponentSpec:
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
-            raise TooSmall("need n1 >= 1 and n2 >= 1")
+            raise InputError("need n1 >= 1 and n2 >= 1")
         if not (self.z1 > 0 and self.z2 > 0):
-            raise ZeroCharge("charge magnitudes must be positive")
+            raise InputError("charge magnitudes must be positive")
 
     @property
     def n(self) -> int:
@@ -130,16 +122,16 @@ class GraphSpec:
 
     def __post_init__(self):
         if self.n < 2:
-            raise TooSmall("need at least 2 vertices")
+            raise InputError("need at least 2 vertices")
         seen = set()
         for e in self.edges:
             if len(e) != 2:
-                raise InputFormatError(f"edge {e!r} is not a pair")
+                raise InputError(f"edge {e!r} is not a pair")
             i, j = e
             if not (0 <= i < j < self.n):
-                raise InputFormatError(f"edge ({i},{j}) violates 0 <= i < j < n")
+                raise InputError(f"edge ({i},{j}) violates 0 <= i < j < n")
             if (i, j) in seen:
-                raise InputFormatError(f"duplicate edge ({i},{j})")
+                raise InputError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
 
 
@@ -152,23 +144,23 @@ def from_matrix(raw) -> CouplingMatrix:
     """
     arrays = (list, tuple, np.ndarray)
     if not (isinstance(raw, arrays) and all(isinstance(r, arrays) for r in raw)):
-        raise InputFormatError("matrix must be an array of rows")
+        raise InputError("matrix must be an array of rows")
     _check_count(len(raw), "matrix")
     rows = raw.tolist() if isinstance(raw, np.ndarray) else [list(r) for r in raw]
     n = len(rows)
     if n < 2:
-        raise TooSmall(f"need at least 2 particles, got n={n}")
+        raise InputError(f"need at least 2 particles, got n={n}")
     if any(len(r) != n for r in rows):
-        raise InputFormatError("matrix is not square")
+        raise InputError("matrix is not square")
 
     parsed = [[parse_number(v) for v in r] for r in rows]
     for i in range(n):
         if parsed[i][i] != 0:
-            raise NonzeroDiagonal(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
+            raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
         for j in range(i + 1, n):
             a, b = float(parsed[i][j]), float(parsed[j][i])
             if abs(a - b) > SYMMETRY_RTOL * max(1.0, abs(a)):
-                raise AsymmetricInput(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
+                raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
 
     exact_mode = all(all_exact(r) for r in parsed)
     floats = np.zeros((n, n), dtype=float)
@@ -229,7 +221,7 @@ def _philox(seed: int) -> np.random.Generator:
 def sample_gaussian_couplings(n: int, variance: float, seed: int) -> CouplingMatrix:
     """i.i.d. normal off-diagonal couplings, mean 0 and the given variance."""
     if n < 2:
-        raise TooSmall(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     if not 0 < variance < math.inf:
         raise ValueError("variance must be positive and finite")
     rng = _philox(seed)
@@ -244,7 +236,7 @@ def sample_gaussian_couplings(n: int, variance: float, seed: int) -> CouplingMat
 def sample_gaussian_charges(n: int, seed: int) -> ChargeVector:
     """n i.i.d. standard normal charges; exact-zero draws are resampled."""
     if n < 2:
-        raise TooSmall(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     rng = _philox(seed)
     k = rng.standard_normal(n)
     while np.any(k == 0.0):  # probability-zero event, guards exact zeros
@@ -272,22 +264,22 @@ class SystemInput:
 
 def _require_keys(obj, allowed: set, context: str) -> dict:
     if not isinstance(obj, dict):
-        raise InputFormatError(f"{context} must be a JSON object")
+        raise InputError(f"{context} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
-        raise InputFormatError(f"unknown keys in {context}: {sorted(unknown)}")
+        raise InputError(f"unknown keys in {context}: {sorted(unknown)}")
     return obj
 
 
 def _integer(value, context: str) -> int:
     if type(value) is not int:  # JSON true/false are not counts
-        raise InputFormatError(f"{context} must be an integer, got {value!r}")
+        raise InputError(f"{context} must be an integer, got {value!r}")
     return value
 
 
 def _list(value, context: str) -> list:
     if not isinstance(value, list):
-        raise InputFormatError(f"{context} must be an array, got {value!r}")
+        raise InputError(f"{context} must be an array, got {value!r}")
     return value
 
 
@@ -295,11 +287,11 @@ def parse_system(obj: dict) -> SystemInput:
     """Parse the input schema: exactly one of matrix / charges /
     two_component / graph / random.  Unknown keys are rejected."""
     if not isinstance(obj, dict):
-        raise InputFormatError("input must be a JSON object")
+        raise InputError("input must be a JSON object")
     _require_keys(obj, set(_INPUT_KEYS), "input")
     present = [k for k in _INPUT_KEYS if k in obj]
     if len(present) != 1:
-        raise InputFormatError(f"exactly one of {_INPUT_KEYS} required, got {present}")
+        raise InputError(f"exactly one of {_INPUT_KEYS} required, got {present}")
     kind = present[0]
 
     if kind == "matrix":
@@ -315,7 +307,7 @@ def parse_system(obj: dict) -> SystemInput:
         tc = _require_keys(obj["two_component"], {"n1", "n2", "z1", "z2"}, "two_component")
         for key in ("n1", "n2", "z1", "z2"):
             if key not in tc:
-                raise InputFormatError(f"two_component missing {key!r}")
+                raise InputError(f"two_component missing {key!r}")
         n1, n2 = _integer(tc["n1"], "two_component.n1"), _integer(tc["n2"], "two_component.n2")
         _check_count(n1 + n2, "two_component")
         spec = TwoComponentSpec(n1, n2, parse_number(tc["z1"]), parse_number(tc["z2"]))
@@ -324,7 +316,7 @@ def parse_system(obj: dict) -> SystemInput:
     if kind == "graph":
         gobj = _require_keys(obj["graph"], {"n", "edges"}, "graph")
         if "n" not in gobj or "edges" not in gobj:
-            raise InputFormatError("graph needs 'n' and 'edges'")
+            raise InputError("graph needs 'n' and 'edges'")
         n = _integer(gobj["n"], "graph.n")
         _check_count(n, "graph")
         edges = tuple(tuple(_integer(v, "graph edge end") for v in _list(e, "graph edge"))
@@ -335,16 +327,16 @@ def parse_system(obj: dict) -> SystemInput:
     robj = _require_keys(obj["random"], {"model", "n", "variance", "seed"}, "random")
     model = robj.get("model")
     if model not in ("couplings", "charges"):
-        raise InputFormatError("random.model must be 'couplings' or 'charges'")
+        raise InputError("random.model must be 'couplings' or 'charges'")
     if "n" not in robj or "seed" not in robj:
-        raise InputFormatError("random needs 'n' and 'seed'")
+        raise InputError("random needs 'n' and 'seed'")
     n, seed = _integer(robj["n"], "random.n"), _integer(robj["seed"], "random.seed")
     _check_count(n, "random")
     if model == "couplings":
         variance = float(parse_number(robj.get("variance", 1.0)))
         return SystemInput(sample_gaussian_couplings(n, variance, seed))
     if "variance" in robj:
-        raise InputFormatError("random charges are standard normal; 'variance' not allowed")
+        raise InputError("random charges are standard normal; 'variance' not allowed")
     k = sample_gaussian_charges(n, seed)
     return SystemInput(from_charges(k), charges=k)
 
@@ -355,12 +347,12 @@ def load_system(path) -> SystemInput:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InputFormatError(f"invalid JSON in {path}: {exc}") from exc
+            raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return parse_system(obj)
 
 
 def neutrality_check(spec: TwoComponentSpec):
     if not spec.is_neutral:
-        raise NotNeutral(
+        raise InputError(
             f"n1*z1 = {float(spec.n1 * spec.z1)} != n2*z2 = {float(spec.n2 * spec.z2)}"
         )

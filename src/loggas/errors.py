@@ -1,98 +1,43 @@
-"""Exception hierarchy shared by all loggas modules."""
+"""Errors shared by all loggas modules, one class per command-line exit code.
+
+A raise site picks the class by what went wrong; the message names the
+cause.  ``cli.main`` prints ``error (<label>): <message>`` to stderr and
+exits with the class's ``exit_code``:
+
+- ``InputError`` (2, "input"): malformed or inconsistent input, or a
+  computation that cannot answer for it (a Jacobi run that does not
+  converge);
+- ``SizeLimitError`` (3, "size limit"): an instance or optimizer family
+  above a hard cap;
+- ``DomainError`` (4, "domain"): well-formed input outside the domain of
+  the requested quantity (an inverse temperature outside the interval,
+  charges that fail the 3/2-variation conditions, a grid a fit cannot use).
+"""
 
 
 class LogGasError(Exception):
     """Base class for all loggas errors."""
 
-
-# ---- input / validation errors (CLI exit code 2) ----
-
-class AsymmetricInput(LogGasError):
-    """Coupling matrix input is not symmetric within tolerance."""
+    exit_code: int
+    label: str
 
 
-class NonzeroDiagonal(LogGasError):
-    """Coupling matrix input has a nonzero diagonal entry."""
+class InputError(LogGasError):
+    """Input the command cannot use (exit code 2)."""
+
+    exit_code = 2
+    label = "input"
 
 
-class TooSmall(LogGasError):
-    """System has fewer than two particles."""
+class SizeLimitError(LogGasError):
+    """Instance or family past a hard cap (exit code 3)."""
+
+    exit_code = 3
+    label = "size limit"
 
 
-class ZeroCharge(LogGasError):
-    """A charge vector entry is exactly zero."""
+class DomainError(LogGasError):
+    """Parameter outside the domain of the requested quantity (exit code 4)."""
 
-
-class NotNeutral(LogGasError):
-    """Two-component spec violates charge neutrality n1*z1 == n2*z2."""
-
-
-class InvalidParity(LogGasError):
-    """Arguments are not odd integers of the admissible form."""
-
-
-class SingleSignCharges(LogGasError):
-    """Charge vector has no sign change (needs both positive and negative)."""
-
-
-class TooFewParticles(LogGasError):
-    """Operation requires more particles than provided."""
-
-
-class EdgelessGraph(LogGasError):
-    """Graph has no edges."""
-
-
-class InputFormatError(LogGasError):
-    """Input file violates the JSON input schema."""
-
-
-# ---- size limits (CLI exit code 3) ----
-
-class InstanceTooLarge(LogGasError):
-    """Particle count (or edge count) exceeds the configured hard cap."""
-
-
-class FamilyTooLarge(LogGasError):
-    """Optimizer family exceeds the nest-search cap."""
-
-
-# ---- domain errors (CLI exit code 4) ----
-
-class ConditionsFail(LogGasError):
-    """Charge vector fails the 3/2-variation conditions."""
-
-
-class CoincidentPoints(LogGasError):
-    """Two coupled particles coincide, making the energy infinite."""
-
-
-class OutsideDomain(LogGasError):
-    """Parameter outside the convergence domain of a closed form."""
-
-
-class OutsideInterval(LogGasError):
-    """Inverse temperature outside the open interval (beta_minus, beta_plus)."""
-
-
-class EmptySample(LogGasError):
-    """No samples supplied to an estimator."""
-
-
-class DegenerateGrid(LogGasError):
-    """Grid unsuitable for pole-order fitting."""
-
-
-class NoConvergence(LogGasError):
-    """Iterative eigensolver did not converge within the sweep cap."""
-
-
-SIZE_ERRORS = (InstanceTooLarge, FamilyTooLarge)
-DOMAIN_ERRORS = (
-    ConditionsFail,
-    CoincidentPoints,
-    OutsideDomain,
-    OutsideInterval,
-    EmptySample,
-    DegenerateGrid,
-)
+    exit_code = 4
+    label = "domain"

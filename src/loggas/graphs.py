@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import CouplingMatrix, GraphSpec, from_graph
-from .errors import EdgelessGraph, InstanceTooLarge
+from .errors import InputError, SizeLimitError
 from .solver import SubsetMask, all_subset_sums, solve_t_minus
 
 _ORACLE_MAX_N = 10
@@ -35,7 +35,7 @@ def arboricity(g: GraphSpec) -> ArboricityReport:
     The densest-subgraph maximum is attained at induced subgraphs, so
     optimizing over vertex subsets suffices."""
     if not g.edges:
-        raise EdgelessGraph("graph has no edges")
+        raise InputError("graph has no edges")
     c = from_graph(g)
     result = solve_t_minus(c)
     fractional = -result.t_value  # a Fraction: graph couplings are exact
@@ -83,11 +83,11 @@ def forest_partition_oracle(g: GraphSpec) -> int:
     Independent of the ratio solver: tries color counts upward from the
     trivial bound ceil(|E|/(n-1)), with symmetry breaking on color order."""
     if g.n > _ORACLE_MAX_N or len(g.edges) > _ORACLE_MAX_EDGES:
-        raise InstanceTooLarge(
+        raise SizeLimitError(
             f"oracle limited to n <= {_ORACLE_MAX_N}, |E| <= {_ORACLE_MAX_EDGES}"
         )
     if not g.edges:
-        raise EdgelessGraph("graph has no edges")
+        raise InputError("graph has no edges")
     edges = list(g.edges)
     m = len(edges)
 
@@ -125,7 +125,7 @@ def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
     on hand examples.  In float mode ``tol`` is both the solver's tie
     tolerance and the tolerance of these comparisons."""
     if c.n > _SK_MAX_N:
-        raise InstanceTooLarge(f"check limited to n <= {_SK_MAX_N}")
+        raise SizeLimitError(f"check limited to n <= {_SK_MAX_N}")
     result = solve_t_minus(c, tie_tol=tol)
     t_minus = result.t_value
     exact = c.is_exact

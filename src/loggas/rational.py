@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputFormatError
+from .errors import InputError
 
 Real = Union[Fraction, float]
 
@@ -25,21 +25,21 @@ def parse_number(value) -> Real:
     infinite floats (which ``json.load`` accepts) are rejected.
     """
     if isinstance(value, bool):
-        raise InputFormatError(f"expected a number, got {value!r}")
+        raise InputError(f"expected a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise InputFormatError(f"expected a finite number, got {value!r}")
+            raise InputError(f"expected a finite number, got {value!r}")
         return value
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"cannot parse number {value!r}") from exc
-    raise InputFormatError(f"expected a number, got {type(value).__name__}")
+            raise InputError(f"cannot parse number {value!r}") from exc
+    raise InputError(f"expected a number, got {type(value).__name__}")
 
 
 def is_exact(x) -> bool:

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .errors import FamilyTooLarge, InstanceTooLarge
+from .errors import SizeLimitError
 from .rational import Real
 
 _BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
@@ -278,7 +278,7 @@ class _SubsetSums:
                 hit = _near(seg, k, target, tol) & (seg != 0)
                 count += np.count_nonzero(hit)
                 if count > _COLLECT_CAP:
-                    raise FamilyTooLarge("optimizer family exceeds internal cap")
+                    raise SizeLimitError("optimizer family exceeds internal cap")
                 found[i].append((k, h, (h << self.bits) | self.order[lo + np.flatnonzero(hit)]))
         return [[int(m) for *_, masks in sorted(f, key=lambda p: p[:2]) for m in masks]
                 for f in found]
@@ -329,7 +329,7 @@ def _scan(c: CouplingMatrix, tie_tol: float) -> _Scan:
 def _solve(c: CouplingMatrix, tie_tol: float):
     """(plus, minus) results of one scan, shared by the three public solvers."""
     if c.n > _MAX_N:
-        raise InstanceTooLarge(f"n={c.n} exceeds solver cap {_MAX_N}")
+        raise SizeLimitError(f"n={c.n} exceeds solver cap {_MAX_N}")
     scan = _scan(c, tie_tol)
     plus = OptResult(-scan.min_ratio, scan.min_masks, attained=scan.min_ratio < 0)
     minus = OptResult(-scan.max_ratio, scan.max_masks, attained=scan.max_ratio > 0)
@@ -379,7 +379,7 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     if len(set(s.bits for s in fam)) != len(fam):
         raise ValueError("family members must be pairwise distinct")
     if len(fam) > _FAMILY_CAP:
-        raise FamilyTooLarge(f"family of size {len(fam)} exceeds cap {_FAMILY_CAP}")
+        raise SizeLimitError(f"family of size {len(fam)} exceeds cap {_FAMILY_CAP}")
 
     fam.sort(key=lambda s: (-s.size, s.bits))
     k = len(fam)
@@ -501,7 +501,7 @@ def brute_force_oracle(c: CouplingMatrix, tie_tol: float = 1e-9) -> OracleResult
     """Reference solver: plain loop over all masks, no pruning, no
     incremental sums.  Kept deliberately simple; n <= 16."""
     if c.n > 16:
-        raise InstanceTooLarge(f"oracle limited to n <= 16, got {c.n}")
+        raise SizeLimitError(f"oracle limited to n <= 16, got {c.n}")
     ratios = {mask: a / (mask.bit_count() - 1) for mask, a in all_subset_sums(c).items()}
 
     rmin = min(ratios.values())

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coupling import MAX_PARTICLES, ChargeVector, CouplingMatrix
-from .errors import InstanceTooLarge, NoConvergence
+from .errors import InputError, SizeLimitError
 from .rational import Real
 
 _SWEEP_CAP = 100
@@ -104,7 +104,7 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     bit of the result.
     """
     if c.n > MAX_PARTICLES:
-        raise InstanceTooLarge(f"eigensolver limited to n <= {MAX_PARTICLES}")
+        raise SizeLimitError(f"eigensolver limited to n <= {MAX_PARTICLES}")
     exponent = math.frexp(float(np.max(np.abs(c.entries))))[1]
     a = np.ldexp(c.entries, -exponent)
     n = c.n
@@ -116,7 +116,7 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     sweeps = 0
     while _offdiag_norm(a) > target and norm_c > 0.0:
         if sweeps >= _SWEEP_CAP:
-            raise NoConvergence(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
+            raise InputError(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
         sweeps += 1
         for p, q in rounds:
             apq = a[p, q]

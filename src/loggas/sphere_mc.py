@@ -40,13 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupling import CouplingMatrix, _philox
-from .errors import (
-    CoincidentPoints,
-    DegenerateGrid,
-    EmptySample,
-    OutsideDomain,
-    OutsideInterval,
-)
+from .errors import DomainError
 from .solver import critical_interval  # noqa: F401  re-exported: sphere_mc.critical_interval
 from .solver import endpoints, solve_both
 
@@ -183,7 +177,7 @@ def energy(c: CouplingMatrix, points: np.ndarray) -> float:
     bad = np.isneginf(logd2)
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise CoincidentPoints(f"particles {rows[k]} and {cols[k]} coincide")
+        raise DomainError(f"particles {rows[k]} and {cols[k]} coincide")
     return float(-np.sum(cij * logd2))
 
 
@@ -194,7 +188,7 @@ def analytic_partition_two(c12: float, beta: float) -> float:
     points; finite exactly for c12*beta > -1."""
     s = float(c12) * float(beta)
     if s <= -1.0:
-        raise OutsideDomain(f"c*beta = {s} is <= -1")
+        raise DomainError(f"c*beta = {s} is <= -1")
     return 2.0 ** (2.0 * s) / (s + 1.0)
 
 
@@ -205,7 +199,7 @@ def _interval(c: CouplingMatrix):
 
 def _check_inside(beta: float, lo: float, hi: float):
     if not (lo < beta < hi):
-        raise OutsideInterval(f"beta={beta} not strictly inside ({lo}, {hi})")
+        raise DomainError(f"beta={beta} not strictly inside ({lo}, {hi})")
 
 
 def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) -> MCEstimate:
@@ -250,17 +244,17 @@ def pole_order_fit(betas: Sequence[float], logz: Sequence[float], beta_crit: flo
     b = np.asarray(list(betas), dtype=float)
     y = np.asarray(list(logz), dtype=float)
     if b.shape != y.shape or b.ndim != 1:
-        raise DegenerateGrid("betas and logZ must be 1D of equal length")
+        raise DomainError("betas and logZ must be 1D of equal length")
     if b.size < 5:
-        raise DegenerateGrid(f"need >= 5 grid points, got {b.size}")
+        raise DomainError(f"need >= 5 grid points, got {b.size}")
     delta = b - beta_crit
     if np.any(delta == 0.0):
-        raise DegenerateGrid("grid touches beta_crit")
+        raise DomainError("grid touches beta_crit")
     if not (np.all(delta > 0) or np.all(delta < 0)):
-        raise DegenerateGrid("grid straddles beta_crit")
+        raise DomainError("grid straddles beta_crit")
     dist = np.abs(delta)
     if not np.all(np.diff(dist) < 0):
-        raise DegenerateGrid("grid must be sorted strictly toward beta_crit")
+        raise DomainError("grid must be sorted strictly toward beta_crit")
     x = -np.log(dist)
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
@@ -394,7 +388,7 @@ def collapse_observables(samples: np.ndarray, labels: Sequence[int]) -> Collapse
     same-class distance, and maximum pair distance."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 3 or samples.shape[0] == 0:
-        raise EmptySample("need a nonempty (M,N,3) sample array")
+        raise DomainError("need a nonempty (M,N,3) sample array")
     n = samples.shape[1]
     labels = np.asarray(list(labels))
     if labels.shape != (n,):

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import loggas.cli as cli
 import loggas.coupling as coupling
 import loggas.solver as solver
 import loggas.sphere_mc as sphere_mc
@@ -208,6 +212,24 @@ def test_exit_4_on_failed_onsager_conditions(tmp_path):
     assert run(["closed-form", "--input", bad]) == 4
 
 
+@pytest.mark.parametrize("system,argv,code,label", [
+    ('{"matrix": [[0, 1], [1, 0]]', ["critical"], 2, "input"),
+    ('{"random": {"model": "couplings", "n": 27, "seed": 0}}', ["critical"], 3, "size limit"),
+    ('{"matrix": [[0, 1], [1, 0]]}', ["mc-partition", "--beta-grid=-1.0:0.5:4"], 4, "domain"),
+], ids=["malformed", "oversized", "beta-outside"])
+def test_exit_contract_through_a_process(tmp_path, system, argv, code, label):
+    path = tmp_path / "system.json"
+    path.write_text(system)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "loggas.cli", argv[0], "--input", str(path),
+                           *argv[1:]], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(f"error ({label}): ")
+    assert proc.stdout == ""
+
+
 def test_mc_partition_appends_pole_fit(tmp_path):
     out = tmp_path / "toward.csv"
     code = run(["mc-partition", "--input", INPUTS / "pair_c1.json",
@@ -217,6 +239,31 @@ def test_mc_partition_appends_pole_fit(tmp_path):
     text = out.read_text()
     assert "# pole_fit_beta_crit=-1.0" in text
     assert "# pole_fit_kappa=" in text
+
+
+@pytest.mark.parametrize("grid,heavy", [
+    (" -0.1,-0.3,-0.5,-0.7,-0.9", 3),  # 2 beta <= -1 from beta = -0.5 on
+    (" -0.1,-0.2,-0.3,-0.4,-0.45", 0),
+], ids=["three-flagged", "none-flagged"])
+def test_mc_partition_marks_a_pole_fit_through_heavy_tailed_points(tmp_path, capsys,
+                                                                   grid, heavy):
+    # a flagged estimate has infinite variance, so a fit through it is marked
+    out = tmp_path / "toward.csv"
+    assert run(["mc-partition", "--input", INPUTS / "pair_c1.json", "--beta-grid", grid,
+                "--samples", 2000, "--seed", 1, "--out", out]) == 0
+    comments = [line.split("=")[0] for line in out.read_text().splitlines()
+                if line.startswith("#")]
+    fit_line = capsys.readouterr().out.splitlines()[-1]
+    assert fit_line.startswith("pole fit toward beta=-1: kappa ~ ")
+    if heavy:
+        assert comments == ["# pole_fit_beta_crit", "# pole_fit_kappa",
+                            "# pole_fit_heavy_tail_points"]
+        assert f"# pole_fit_heavy_tail_points={heavy}\n" in out.read_text()
+        assert fit_line.endswith(
+            f" ({heavy} of 5 points heavy-tailed: not an estimate of kappa)")
+    else:
+        assert comments == ["# pole_fit_beta_crit", "# pole_fit_kappa"]
+        assert "heavy-tailed" not in fit_line
 
 
 def test_mc_partition_rows_match_serial_estimates(tmp_path):
@@ -356,6 +403,31 @@ def test_exit_2_on_flag_the_command_does_not_read(tmp_path, command, flag, value
     with pytest.raises(SystemExit) as exc:
         run(argv + [flag, value])
     assert exc.value.code == 2
+
+
+# the function that does each command's expensive work
+_WORK = {
+    "critical": (cli, "critical_interval"),
+    "ensemble": (cli, "run_ensemble"),
+    "mc-partition": (sphere_mc, "estimate_partition"),
+    "mc-gibbs": (sphere_mc, "metropolis_chain"),
+}
+
+
+@pytest.mark.parametrize("command", list(_WORK))
+@pytest.mark.parametrize("out", ["directory", "missing-parent"])
+def test_exit_2_on_unwritable_out_before_any_work(tmp_path, monkeypatch, command, out):
+    module, name = _WORK[command]
+
+    def work(*args, **kwargs):
+        pytest.fail(f"{name} ran before --out was checked")
+
+    monkeypatch.setattr(module, name, work)
+    target = tmp_path / "target"
+    target.mkdir()
+    path = target if out == "directory" else target / "missing" / "out"
+    assert run([command, *_RUNNABLE[command], "--out", path]) == 2
+    assert list(target.iterdir()) == []
 
 
 def test_sk_check_reads_tol(tmp_path):

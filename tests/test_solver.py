@@ -24,7 +24,7 @@ from loggas import (
     solve_t_minus,
     solve_t_plus,
 )
-from loggas.errors import FamilyTooLarge, InstanceTooLarge
+from loggas.errors import SizeLimitError
 
 from conftest import (
     exact_coupling_matrices,
@@ -131,7 +131,7 @@ def test_instance_too_large(monkeypatch):
     monkeypatch.setattr(solver, "_MAX_N", 2)
     c = from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     for solve in (solve_t_plus, solve_t_minus, solve_both):
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(SizeLimitError, match="n=3 exceeds solver cap 2"):
             solve(c)
 
 
@@ -218,7 +218,7 @@ def test_oracle_n2_single_subset():
 
 def test_oracle_size_cap():
     rng = random.Random(1)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(SizeLimitError, match="oracle limited to n <= 16, got 17"):
         brute_force_oracle(random_float_matrix(rng, 17))
 
 
@@ -352,7 +352,7 @@ def test_family_too_large_from_collect_cap(monkeypatch):
     assert len(solve_t_plus(plasma).optimizers) == 16
     monkeypatch.setattr(solver, "_COLLECT_CAP", 10)
     for c in (plasma, float_view(plasma)):
-        with pytest.raises(FamilyTooLarge):
+        with pytest.raises(SizeLimitError, match="optimizer family exceeds internal cap"):
             solve_both(c)
 
 
@@ -418,7 +418,7 @@ def test_max_nest_chain_and_cap(monkeypatch):
     search = max_nest(family)
     assert search.kappa == 3  # {01} < {012} < {0123}; {23} conflicts with {012}
     monkeypatch.setattr(solver, "_FAMILY_CAP", 2)
-    with pytest.raises(FamilyTooLarge):
+    with pytest.raises(SizeLimitError, match="family of size 4 exceeds cap 2"):
         max_nest(family)
 
 

@@ -18,13 +18,7 @@ from loggas import (
     pole_order_fit,
 )
 import loggas.sphere_mc as sphere_mc
-from loggas.errors import (
-    CoincidentPoints,
-    DegenerateGrid,
-    EmptySample,
-    OutsideDomain,
-    OutsideInterval,
-)
+from loggas.errors import DomainError
 
 C1 = from_matrix([[0, 1], [1, 0]])
 
@@ -128,7 +122,7 @@ def test_energy_antipodal():
 
 def test_energy_coincident_raises():
     cfg = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(CoincidentPoints):
+    with pytest.raises(DomainError, match="particles 0 and 1 coincide"):
         energy(C1, cfg)
 
 
@@ -183,7 +177,7 @@ def test_analytic_partition_two_against_quadrature(c12, beta):
 
 
 def test_analytic_partition_two_domain():
-    with pytest.raises(OutsideDomain):
+    with pytest.raises(DomainError, match=r"c\*beta = -1\.0 is <= -1"):
         analytic_partition_two(1.0, -1.0)
 
 
@@ -198,7 +192,7 @@ def test_estimate_beta_zero_exact():
 
 
 def test_estimate_outside_interval():
-    with pytest.raises(OutsideInterval):
+    with pytest.raises(DomainError, match=r"beta=-1\.5 not strictly inside"):
         estimate_partition(C1, -1.5, 2000, seed=3)
 
 
@@ -307,13 +301,13 @@ def test_pole_fit_product_curve():
 
 
 def test_pole_fit_grid_validation():
-    with pytest.raises(DegenerateGrid):
+    with pytest.raises(DomainError, match="need >= 5 grid points, got 2"):
         pole_order_fit([-0.9, -0.99], [1.0, 2.0], -1.0)
-    with pytest.raises(DegenerateGrid):
+    with pytest.raises(DomainError, match="grid touches beta_crit"):
         pole_order_fit([-0.5, -0.6, -0.7, -0.8, -1.0], [1, 2, 3, 4, 5], -1.0)
-    with pytest.raises(DegenerateGrid):
+    with pytest.raises(DomainError, match="grid straddles beta_crit"):
         pole_order_fit([-0.5, -1.2, -0.7, -0.8, -0.9], [1, 2, 3, 4, 5], -1.0)
-    with pytest.raises(DegenerateGrid):
+    with pytest.raises(DomainError, match="grid must be sorted strictly toward beta_crit"):
         pole_order_fit([-0.9, -0.8, -0.7, -0.6, -0.5], [1, 2, 3, 4, 5], -1.0)
 
 
@@ -336,7 +330,7 @@ def test_chain_accepts_zero_delta_moves():
 
 
 def test_chain_requires_beta_inside_interval():
-    with pytest.raises(OutsideInterval):
+    with pytest.raises(DomainError, match=r"beta=-1\.2 not strictly inside"):
         metropolis_chain(C1, ChainParams(beta=-1.2, steps=1000, burn_in=100, seed=1))
 
 
@@ -545,7 +539,7 @@ def test_chain_escapes_coincident_start(monkeypatch):
     monkeypatch.setattr(sphere_mc, "_uniform_points", coincident_start)
     chain = metropolis_chain(plasma, ChainParams(beta=0.5, steps=2000, burn_in=0, seed=3))
     (start,) = starts
-    with pytest.raises(CoincidentPoints):
+    with pytest.raises(DomainError, match="coincide"):
         energy(plasma, start)
     # step 0 moves particle 0, and only particle 0
     assert not np.array_equal(chain.configurations[0, 0], start[0])
@@ -639,7 +633,7 @@ def test_collapse_single_class_has_no_opposite():
 
 
 def test_collapse_empty_sample():
-    with pytest.raises(EmptySample):
+    with pytest.raises(DomainError, match=r"need a nonempty \(M,N,3\) sample array"):
         collapse_observables(np.zeros((0, 2, 3)), [0, 1])
 
 
