@@ -19,7 +19,6 @@ from .coupling import (
 )
 from .solver import (
     CriticalReport,
-    Nest,
     OptResult,
     SubsetMask,
     brute_force_oracle,

@@ -4,6 +4,10 @@ Subcommands: critical, bounds, closed-form, arboricity, sk-check,
 mc-partition, mc-gibbs, ensemble.  Reports are JSON with a stable field
 order plus a human-readable text rendering; sweeps emit CSV.  Extended
 reals serialize as "inf"/"-inf", exact rationals as "p/q" strings.
+The solver and closed forms return bitmasks and particle indices; this
+module alone renders a subset, as a list of 1-based labels or as an
+equality chain p1=p3 of the limiting support, and ``critical`` renders
+each optimizer once.
 Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
 and --tol for critical and sk-check, --seed for the sampling commands;
 any other flag is an argparse error (exit 2).
@@ -72,8 +76,9 @@ def _tie_tol(args: argparse.Namespace) -> float:
     return args.tol
 
 
-def _mask_labels(mask) -> list:
-    return [i + 1 for i in mask.indices()]
+def _chain(indices) -> str:
+    """A subset as an equality chain of 1-based particle labels, p1=p3."""
+    return "=".join(f"p{i + 1}" for i in indices)
 
 
 def _asymptote(kappa: int, n: int, beta) -> Optional[str]:
@@ -83,28 +88,37 @@ def _asymptote(kappa: int, n: int, beta) -> Optional[str]:
 
 
 def _critical_report_dict(report: CriticalReport, mode: str) -> dict:
+    """The report document.  Each optimizer is rendered once, as its label
+    list and its equality chain; families, nests and supports look it up."""
+    plus, minus = report.plus, report.minus
+    nests_p, nests_m = report.nests_plus, report.nests_minus
+    labels, chains = {}, {}
+    for s in plus.optimizers + minus.optimizers:
+        indices = s.indices()
+        labels[s.bits], chains[s.bits] = [i + 1 for i in indices], _chain(indices)
     return {
         "mode": mode,
         "n": report.n,
-        "t_plus": format_real(report.t_plus),
-        "t_minus": format_real(report.t_minus),
+        "t_plus": format_real(plus.t_value),
+        "t_minus": format_real(minus.t_value),
         "beta_minus": format_real(report.beta_minus),
         "beta_plus": format_real(report.beta_plus),
-        "attained_plus": report.attained_plus,
-        "attained_minus": report.attained_minus,
-        "g_plus": [_mask_labels(s) for s in report.g_plus],
-        "g_minus": [_mask_labels(s) for s in report.g_minus],
-        "kappa_plus": report.kappa_plus,
-        "kappa_minus": report.kappa_minus,
-        "max_nests_plus": [[_mask_labels(s) for s in k.members] for k in report.max_nests_plus],
-        "max_nests_minus": [[_mask_labels(s) for s in k.members] for k in report.max_nests_minus],
-        "nests_truncated_plus": report.nests_truncated_plus,
-        "nests_truncated_minus": report.nests_truncated_minus,
-        "support_plus": list(report.support_plus),
-        "support_minus": list(report.support_minus),
-        "free_energy_asymptote_plus": _asymptote(report.kappa_plus, report.n, report.beta_plus),
-        "free_energy_asymptote_minus": _asymptote(report.kappa_minus, report.n, report.beta_minus),
-        "degenerate": report.degenerate,
+        "attained_plus": plus.attained,
+        "attained_minus": minus.attained,
+        "g_plus": [labels[s.bits] for s in plus.optimizers],
+        "g_minus": [labels[s.bits] for s in minus.optimizers],
+        "kappa_plus": nests_p.kappa,
+        "kappa_minus": nests_m.kappa,
+        "max_nests_plus": [[labels[s.bits] for s in nest] for nest in nests_p.nests],
+        "max_nests_minus": [[labels[s.bits] for s in nest] for nest in nests_m.nests],
+        "nests_truncated_plus": nests_p.truncated,
+        "nests_truncated_minus": nests_m.truncated,
+        # one coincidence pattern of the limiting Gibbs support per nest
+        "support_plus": [", ".join(chains[s.bits] for s in nest) for nest in nests_p.nests],
+        "support_minus": [", ".join(chains[s.bits] for s in nest) for nest in nests_m.nests],
+        "free_energy_asymptote_plus": _asymptote(nests_p.kappa, report.n, report.beta_plus),
+        "free_energy_asymptote_minus": _asymptote(nests_m.kappa, report.n, report.beta_minus),
+        "degenerate": not (plus.attained or minus.attained),
     }
 
 
@@ -169,7 +183,7 @@ def cmd_closed_form(args: argparse.Namespace) -> tuple:
             "model": "two_component",
             "beta_plus": format_real(crit.beta_plus),
             "kappa_plus": crit.kappa_plus,
-            "g_plus": crit.g_plus_description,
+            "g_plus": "all mixed pairs",
             "free_energy_prefactor": format_real(crit.free_energy_prefactor),
         }
         return doc, [
@@ -183,7 +197,7 @@ def cmd_closed_form(args: argparse.Namespace) -> tuple:
             "winning_side": crit.winning_side,
             "candidate_pos": format_real(crit.candidate_pos),
             "candidate_neg": format_real(crit.candidate_neg),
-            "support": list(crit.support_rendered),
+            "support": [_chain(indices) for indices in crit.collapsing],
         }
         return doc, [f"beta- = {doc['beta_minus']}   side: {doc['winning_side']}",
                      *(f"  support: {pattern}" for pattern in doc["support"])]
@@ -200,7 +214,7 @@ def cmd_arboricity(args: argparse.Namespace) -> tuple:
         "edges": len(system.graph.edges),
         "fractional": str(report.fractional),
         "arboricity": report.arboricity,
-        "witness": _mask_labels(report.witness),
+        "witness": [i + 1 for i in report.witness.indices()],
     }
     return doc, [
         f"fractional arboricity = {doc['fractional']}  ->  arboricity = {doc['arboricity']}",

@@ -5,7 +5,8 @@ attained exactly at mixed pairs, kappa+ = min(n1, n2), and the free energy
 diverges like z_small/(z1+z2) * log|beta - beta+|.  The negative-temperature
 point-vortex system with a strict 3/2 bound on the per-sign charge variation
 collapses one full sign class; beta- is the larger of two explicit
-candidates.
+candidates.  Results hold numbers and particle indices; the CLI renders
+them.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ _TIE_RTOL = 1e-12
 @dataclass(frozen=True)
 class TwoComponentCritical:
     beta_plus: Real
-    kappa_plus: int
-    g_plus_description: str
+    kappa_plus: int  # G+ is all mixed pairs
     free_energy_prefactor: Real
 
 
@@ -43,7 +43,7 @@ class OnsagerCritical:
     winning_side: str  # positive_collapse | negative_collapse | tie
     candidate_pos: Real  # -inf when fewer than two positive charges
     candidate_neg: Real
-    support_rendered: tuple
+    collapsing: tuple  # the index tuple of each sign class that collapses
 
 
 def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
@@ -66,7 +66,6 @@ def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
     return TwoComponentCritical(
         beta_plus=beta_plus,
         kappa_plus=min(n1, n2),
-        g_plus_description="all mixed pairs",
         free_energy_prefactor=prefactor,
     )
 
@@ -95,8 +94,8 @@ def technical_inequality(z: Real, a: int, b: int) -> str:
 
 
 def _split_signs(k: ChargeVector):
-    pos = [i for i, v in enumerate(k.values) if v > 0]
-    neg = [i for i, v in enumerate(k.values) if v < 0]
+    pos = tuple(i for i, v in enumerate(k.values) if v > 0)
+    neg = tuple(i for i, v in enumerate(k.values) if v < 0)
     return pos, neg
 
 
@@ -126,10 +125,6 @@ def _pair_sum(k: ChargeVector, idx) -> Real:
     return total
 
 
-def _chain(indices) -> str:
-    return "=".join(f"p{i + 1}" for i in indices)
-
-
 def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
     """beta- for a point-vortex system satisfying the variation conditions.
 
@@ -154,13 +149,13 @@ def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
             abs(fp - fn) <= _TIE_RTOL * max(abs(fp), abs(fn)):
         side = TIE
         beta = cand_pos if fp >= fn else cand_neg
-        rendered = (_chain(pos), _chain(neg))
+        collapsing = (pos, neg)
     elif fp > fn:
         side = POSITIVE_COLLAPSE
         beta = cand_pos
-        rendered = (_chain(pos),)
+        collapsing = (pos,)
     else:
         side = NEGATIVE_COLLAPSE
         beta = cand_neg
-        rendered = (_chain(neg),)
-    return OnsagerCritical(beta, side, cand_pos, cand_neg, rendered)
+        collapsing = (neg,)
+    return OnsagerCritical(beta, side, cand_pos, cand_neg, collapsing)

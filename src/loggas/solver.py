@@ -29,9 +29,11 @@ the fsum of the pairs of the first optimizer in (size, mask) order over
 
 kappa, the size of the largest pairwise-nested subfamily of an optimizer
 family, and the maximal nests themselves come from one depth-first search
-over the family's compatibility bitmask (``max_nest``).  Each nest is
-rendered once as a coincidence pattern of the limiting Gibbs support, one
-equality chain of particle labels per subset.
+over the family's compatibility bitmask (``max_nest``).  A nest is a plain
+tuple of ``SubsetMask``: the search only extends a nest by members
+compatible with all of it, so every nest it returns is pairwise nested.
+``critical_interval`` returns the solver's own results, the two
+``OptResult`` and the two ``NestSearch``; the CLI renders them.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ class SubsetMask:
             bits ^= b
         return tuple(out)
 
-    def label(self) -> str:
-        """1-based rendering, e.g. {1,3}."""
-        return "{" + ",".join(str(i + 1) for i in self.indices()) + "}"
-
     @classmethod
     def from_indices(cls, indices) -> "SubsetMask":
         bits = 0
@@ -105,46 +103,25 @@ class OptResult:
 
 
 @dataclass(frozen=True)
-class Nest:
-    """Pairwise nested subsets: any two are comparable or disjoint."""
-
-    members: tuple
-
-    def __post_init__(self):
-        for i, s in enumerate(self.members):
-            for t in self.members[i + 1:]:
-                if not _nested(s.bits, t.bits):
-                    raise ValueError(f"{s.label()} and {t.label()} are not nested")
-
-
-@dataclass(frozen=True)
 class NestSearch:
     kappa: int
-    nests: tuple
+    nests: tuple  # each a tuple of SubsetMask
     truncated: bool
 
 
 @dataclass(frozen=True)
 class CriticalReport:
+    """What ``critical_interval`` computed: the two optima, their endpoints
+    and the nest search on each side (empty on an unattained side)."""
+
     n: int
     exact: bool
-    t_plus: Real
-    t_minus: Real
-    beta_plus: Real
+    plus: OptResult
+    minus: OptResult
     beta_minus: Real
-    g_plus: tuple
-    g_minus: tuple
-    attained_plus: bool
-    attained_minus: bool
-    kappa_plus: int
-    kappa_minus: int
-    max_nests_plus: tuple
-    max_nests_minus: tuple
-    nests_truncated_plus: bool
-    nests_truncated_minus: bool
-    support_plus: tuple  # one coincidence pattern per maximal nest
-    support_minus: tuple
-    degenerate: bool
+    beta_plus: Real
+    nests_plus: NestSearch
+    nests_minus: NestSearch
 
 
 def _nested(x: int, y: int) -> bool:
@@ -290,20 +267,15 @@ def _fsum_ratio(w, mask: int) -> float:
     return math.fsum(w[i, j] for a, i in enumerate(idx) for j in idx[a + 1:]) / (len(idx) - 1)
 
 
-@dataclass(frozen=True)
-class _Scan:
-    min_ratio: Real
-    max_ratio: Real
-    min_masks: tuple
-    max_masks: tuple
-
-
-def _scan(c: CouplingMatrix, tie_tol: float) -> _Scan:
-    """Both extrema of the ratio and their families.
+def _scan(c: CouplingMatrix, tie_tol: float) -> tuple:
+    """(plus, minus): both extrema of the ratio and their families, shared
+    by the three public solvers.
 
     The per-size extrema a_k of the subset sums give each optimum as the
     best a_k/(k-1) over at most n-1 sizes.  Float mode always finds its
     first optimizer, whose fsum'd ratio is the reported value."""
+    if c.n > _MAX_N:
+        raise SizeLimitError(f"n={c.n} exceeds solver cap {_MAX_N}")
     exact = c.is_exact
     w, denom = _weights(c, exact)
     table = _SubsetSums(w)
@@ -322,17 +294,9 @@ def _scan(c: CouplingMatrix, tie_tol: float) -> _Scan:
     found = table.ties(sides)
     if not exact:
         ratios = [_fsum_ratio(w, masks[0]) if masks else r for masks, r in zip(found, ratios)]
-    families = [tuple(SubsetMask(m) for m in masks) for masks in found]
-    return _Scan(*ratios, *families)
-
-
-def _solve(c: CouplingMatrix, tie_tol: float):
-    """(plus, minus) results of one scan, shared by the three public solvers."""
-    if c.n > _MAX_N:
-        raise SizeLimitError(f"n={c.n} exceeds solver cap {_MAX_N}")
-    scan = _scan(c, tie_tol)
-    plus = OptResult(-scan.min_ratio, scan.min_masks, attained=scan.min_ratio < 0)
-    minus = OptResult(-scan.max_ratio, scan.max_masks, attained=scan.max_ratio > 0)
+    lo, hi = ratios
+    plus = OptResult(-lo, tuple(map(SubsetMask, found[0])), attained=lo < 0)
+    minus = OptResult(-hi, tuple(map(SubsetMask, found[1])), attained=hi > 0)
     return plus, minus
 
 
@@ -342,17 +306,17 @@ def _solve(c: CouplingMatrix, tie_tol: float):
 
 def solve_t_plus(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> OptResult:
     """T+ = -min_S ratio(S); optimizers are the negative-sum argmin sets."""
-    return _solve(c, tie_tol)[0]
+    return _scan(c, tie_tol)[0]
 
 
 def solve_t_minus(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> OptResult:
     """T- = -max_S ratio(S); optimizers are the positive-sum argmax sets."""
-    return _solve(c, tie_tol)[1]
+    return _scan(c, tie_tol)[1]
 
 
 def solve_both(c: CouplingMatrix, *, tie_tol: float = 1e-9):
     """(plus, minus) results from a single shared scan."""
-    return _solve(c, tie_tol)
+    return _scan(c, tie_tol)
 
 
 def endpoints(plus: OptResult, minus: OptResult) -> tuple:
@@ -414,57 +378,21 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
 
     search([], (1 << k) - 1)
 
-    nests = []
-    for combo in found:
-        members = sorted((fam[j] for j in combo),
-                         key=lambda s: (s.bits & -s.bits, s.size, s.bits))
-        nests.append(Nest(tuple(members)))
-    nests.sort(key=lambda nest: tuple(s.bits for s in nest.members))
+    nests = sorted((tuple(sorted((fam[j] for j in combo),
+                                 key=lambda s: (s.bits & -s.bits, s.size, s.bits)))
+                    for combo in found),
+                   key=lambda nest: [s.bits for s in nest])
     return NestSearch(best, tuple(nests), truncated)
 
 
-def _render_nest(nest: Nest) -> str:
-    """One coincidence pattern of the limiting Gibbs support: each subset of
-    the nest becomes an equality chain of 1-based particle labels."""
-    return ", ".join("=".join(f"p{i + 1}" for i in s.indices()) for s in nest.members)
-
-
 def critical_interval(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> CriticalReport:
-    """Full report: endpoints, optimizer families, nests and support."""
+    """Full report: endpoints, optimizer families and their maximum nests."""
     plus, minus = solve_both(c, tie_tol=tie_tol)
     beta_minus, beta_plus = endpoints(plus, minus)
-
-    def side(result: OptResult):
-        if not result.attained:
-            return 0, (), False, ()
-        search = max_nest(result.optimizers)
-        support = tuple(_render_nest(nest) for nest in search.nests)
-        return search.kappa, search.nests, search.truncated, support
-
-    kappa_p, nests_p, trunc_p, support_p = side(plus)
-    kappa_m, nests_m, trunc_m, support_m = side(minus)
-
-    return CriticalReport(
-        n=c.n,
-        exact=c.is_exact,
-        t_plus=plus.t_value,
-        t_minus=minus.t_value,
-        beta_plus=beta_plus,
-        beta_minus=beta_minus,
-        g_plus=plus.optimizers,
-        g_minus=minus.optimizers,
-        attained_plus=plus.attained,
-        attained_minus=minus.attained,
-        kappa_plus=kappa_p,
-        kappa_minus=kappa_m,
-        max_nests_plus=nests_p,
-        max_nests_minus=nests_m,
-        nests_truncated_plus=trunc_p,
-        nests_truncated_minus=trunc_m,
-        support_plus=support_p,
-        support_minus=support_m,
-        degenerate=not (plus.attained or minus.attained),
-    )
+    nests_plus, nests_minus = (max_nest(r.optimizers) if r.attained else NestSearch(0, (), False)
+                               for r in (plus, minus))
+    return CriticalReport(c.n, c.is_exact, plus, minus, beta_minus, beta_plus,
+                          nests_plus, nests_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,8 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     Standard error by 32 batch means.  The weight's second moment is
     E[w^2] = Z(2 beta), so the heavy-tail flag marks exactly the beta with
     2 beta outside (beta-, beta+): there the weights have infinite variance
-    and the reported stderr is only indicative."""
+    and the reported stderr is only indicative.  A mean or stderr that
+    overflows, or a mean that underflows to 0, is a DomainError."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     lo, hi = _interval(c)
@@ -231,6 +232,9 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     mean = float(np.mean(weights))
     batch_means = np.array([np.mean(chunk) for chunk in np.array_split(weights, _BATCHES)])
     stderr = float(np.std(batch_means, ddof=1) / math.sqrt(_BATCHES))
+    if not (0 < mean < math.inf and stderr < math.inf):
+        raise DomainError(f"beta={beta:g}: the weights overflow or vanish in float "
+                          f"(mean {mean:g}, stderr {stderr:g})")
     heavy = not (lo < 2.0 * beta < hi)
     return MCEstimate(mean, stderr, samples, heavy)
 

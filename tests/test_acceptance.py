@@ -107,8 +107,8 @@ def test_criterion_03_two_component_plasma():
         mixed = {SubsetMask.from_indices((i, n1 + j)).bits
                  for i in range(n1) for j in range(n2)}
         ok = ok and report.beta_plus == Fraction(1, z1 * z2)
-        ok = ok and report.kappa_plus == min(n1, n2)
-        ok = ok and {s.bits for s in report.g_plus} == mixed
+        ok = ok and report.nests_plus.kappa == min(n1, n2)
+        ok = ok and {s.bits for s in report.plus.optimizers} == mixed
     ok = ok and elapsed_n9 < 1.0
     _report(3, "two-component beta+ = 1/(z1 z2), kappa+ = min(n1,n2), G+ = mixed pairs",
             ok, f"N=9 solve {elapsed_n9*1e3:.1f} ms")
@@ -125,8 +125,8 @@ def test_criterion_04_onsager_equal_charge():
         if n == 10:
             elapsed_n10 = dt
         ok = ok and abs(float(report.beta_minus) - (-1.0 + 1.0 / n)) <= 1e-12
-        ok = ok and report.kappa_minus == 1
-        ok = ok and {s.bits for s in report.g_minus} == {(1 << n) - 1}
+        ok = ok and report.nests_minus.kappa == 1
+        ok = ok and {s.bits for s in report.minus.optimizers} == {(1 << n) - 1}
     ok = ok and elapsed_n10 < 5.0
     _report(4, "equal charges beta- = -1 + 1/N, kappa- = 1, total collapse",
             ok, f"N=10 solve {elapsed_n10*1e3:.1f} ms")
@@ -150,7 +150,7 @@ def test_criterion_05_onsager_corollary():
         ok = ok and abs(float(report.beta_minus) - float(crit.beta_minus)) <= 1e-10
         full_pos = SubsetMask.from_indices(range(n1)).bits
         full_neg = SubsetMask.from_indices(range(n1, n1 + n2)).bits
-        solver_sets = {s.bits for s in report.g_minus}
+        solver_sets = {s.bits for s in report.minus.optimizers}
         if crit.winning_side == POSITIVE_COLLAPSE:
             ok = ok and solver_sets == {full_pos}
         elif crit.winning_side == NEGATIVE_COLLAPSE:
@@ -307,8 +307,8 @@ def test_criterion_13_solver_oracle_equivalence():
         ok = ok and {s.bits for s in minus.optimizers} == {s.bits for s in oracle.g_minus}
         if ok and plus.attained:
             report = critical_interval(c)
-            ok = ok and report.kappa_plus == max_nest(oracle.g_plus).kappa
-            ok = ok and report.kappa_minus == max_nest(oracle.g_minus).kappa
+            ok = ok and report.nests_plus.kappa == max_nest(oracle.g_plus).kappa
+            ok = ok and report.nests_minus.kappa == max_nest(oracle.g_minus).kappa
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
     _report(13, "solver equals the brute-force oracle on 500 exact instances",

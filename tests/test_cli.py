@@ -154,7 +154,7 @@ def test_exit_2_on_asymmetric_matrix(tmp_path):
     assert run(["critical", "--input", bad]) == 2
 
 
-def test_readme_experiment_commands_parse():
+def test_readme_experiment_commands_parse(tmp_path):
     # the README's Experiments block is the one way to run each experiment
     block = (HERE.parent / "README.md").read_text().split("## Experiments", 1)[1].split("```")[1]
     lines = block.replace("\\\n", " ").splitlines()
@@ -163,6 +163,22 @@ def test_readme_experiment_commands_parse():
     for argv in commands:
         args = build_parser().parse_args(argv[1:])
         assert getattr(args, "input", None) is None or (HERE.parent / args.input).is_file()
+        argv = argv[1:]
+        for flag, root in (("--input", HERE.parent), ("--out", tmp_path)):
+            if flag in argv:
+                argv[argv.index(flag) + 1] = str(root / argv[argv.index(flag) + 1])
+        assert run(argv) == 0
+
+    # the figures the README's bullets quote
+    pole = (tmp_path / "pole.csv").read_text()
+    assert "# pole_fit_kappa=0.051" in pole
+    assert "# pole_fit_heavy_tail_points=5\n" in pole
+    with open(tmp_path / "collapse.csv", newline="") as fh:
+        medians = [float(row["q50"]) for row in csv.DictReader(fh)
+                   if row["obs_name"] == "max_pair_dist"]
+    assert [round(m, 3) for m in medians] == [1.884, 1.748, 1.387]
+    for name in ("couplings.json", "charges.json"):
+        assert json.loads((tmp_path / name).read_text())["bound_violations"] == 0
 
 
 def test_exit_2_on_missing_file():
@@ -204,6 +220,18 @@ def test_exit_4_when_grid_leaves_interval(tmp_path):
     code = run(["mc-partition", "--input", INPUTS / "pair_c1.json",
                 "--beta-grid", " -1.0:0.5:4", "--samples", 2000, "--out", out])
     assert code == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_4_when_the_weights_overflow(tmp_path):
+    # c = 300: Z(1) = 2^600/301 ~ 1.4e178 is a float but its batch-means
+    # variance is not, and from beta = 2 on the weights overflow
+    source = tmp_path / "steep.json"
+    source.write_text('{"matrix": [[0, 300], [300, 0]]}')
+    out = tmp_path / "sweep.csv"
+    assert run(["mc-partition", "--input", source, "--beta-grid", "1,2,3,4,5",
+                "--samples", 2000, "--out", out]) == 4
+    assert not out.exists()
 
 
 def test_exit_4_on_failed_onsager_conditions(tmp_path):

@@ -34,7 +34,6 @@ def test_two_component_closed_form(n1, n2, z1, z2, beta, kappa, prefactor):
     assert crit.beta_plus == beta
     assert crit.kappa_plus == kappa
     assert crit.free_energy_prefactor == prefactor
-    assert crit.g_plus_description == "all mixed pairs"
 
 
 def test_two_component_requires_neutrality():
@@ -49,12 +48,12 @@ def test_two_component_agrees_with_solver():
         crit = two_component_critical(spec)
         report = critical_interval(from_two_component(spec))
         assert report.beta_plus == crit.beta_plus
-        assert report.kappa_plus == crit.kappa_plus
+        assert report.nests_plus.kappa == crit.kappa_plus
         mixed = {
             SubsetMask.from_indices((i, n1 + j)).bits
             for i in range(n1) for j in range(n2)
         }
-        assert {s.bits for s in report.g_plus} == mixed
+        assert {s.bits for s in report.plus.optimizers} == mixed
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ def test_onsager_tie_case():
     assert crit.winning_side == TIE
     assert crit.candidate_pos == -1 and crit.candidate_neg == -1
     report = critical_interval(from_charges(ChargeVector((1, 1, -1, -1))))
-    assert report.kappa_minus == 2  # both sides collapse: disjoint pair nest
+    assert report.nests_minus.kappa == 2  # both sides collapse: disjoint pair nest
 
 
 def test_onsager_symmetric_six():
@@ -134,7 +133,7 @@ def test_onsager_positive_collapse():
     assert crit.winning_side == POSITIVE_COLLAPSE
     assert abs(crit.candidate_pos - (-2.0 / (3 * 1.44))) < 1e-12
     assert abs(crit.candidate_neg - (-2.0 / 3.0)) < 1e-12
-    assert crit.support_rendered == ("p1=p2=p3",)
+    assert crit.collapsing == ((0, 1, 2),)
     report = critical_interval(from_charges(k))
     assert abs(float(report.beta_minus) - float(crit.beta_minus)) < 1e-10
 
@@ -150,7 +149,7 @@ def test_onsager_single_positive_particle():
     crit = onsager_beta_minus(k)
     assert crit.winning_side == NEGATIVE_COLLAPSE
     assert crit.candidate_pos == -math.inf
-    assert crit.support_rendered == ("p2=p3",)
+    assert crit.collapsing == ((1, 2),)
 
 
 def _random_onsager_vector(rng):
@@ -175,7 +174,7 @@ def test_onsager_agreement_with_solver():
         n1 = sum(1 for v in k.values if v > 0)
         full_pos = SubsetMask.from_indices(range(n1)).bits
         full_neg = SubsetMask.from_indices(range(n1, k.n)).bits
-        solver_sets = {s.bits for s in report.g_minus}
+        solver_sets = {s.bits for s in report.minus.optimizers}
         if crit.winning_side == POSITIVE_COLLAPSE:
             assert solver_sets == {full_pos}
         elif crit.winning_side == NEGATIVE_COLLAPSE:
@@ -189,5 +188,5 @@ def test_equal_charge_remark_values():
         k = ChargeVector((math.sqrt(2.0 / (n - 1)),) * n)
         report = critical_interval(from_charges(k))
         assert abs(float(report.beta_minus) - (-1.0 + 1.0 / n)) < 1e-12
-        assert report.kappa_minus == 1
-        assert {s.bits for s in report.g_minus} == {(1 << n) - 1}
+        assert report.nests_minus.kappa == 1
+        assert {s.bits for s in report.minus.optimizers} == {(1 << n) - 1}

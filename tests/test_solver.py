@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import loggas.cli as cli
 import loggas.solver as solver
 from loggas import (
     ChargeVector,
@@ -36,6 +37,11 @@ from conftest import (
 
 def masks(*index_sets):
     return {SubsetMask.from_indices(s).bits for s in index_sets}
+
+
+def _support(report, side):
+    """The support patterns the CLI renders for one side of the report."""
+    return cli._critical_report_dict(report, "exact")[f"support_{side}"]
 
 
 def bits(family):
@@ -143,35 +149,35 @@ def test_interval_n2():
     report = critical_interval(from_matrix([[0, 1], [1, 0]]))
     assert report.beta_minus == -1
     assert report.beta_plus == math.inf
-    assert report.kappa_minus == 1 and report.kappa_plus == 0
+    assert report.nests_minus.kappa == 1 and report.nests_plus.kappa == 0
 
 
 def test_interval_two_component_2211():
     report = critical_interval(from_two_component(TwoComponentSpec(2, 2, Fraction(1), Fraction(1))))
     assert report.beta_plus == 1
-    assert report.kappa_plus == 2
-    assert len(report.max_nests_plus) == 2
-    nest_sets = {tuple(sorted(s.bits for s in k.members)) for k in report.max_nests_plus}
+    assert report.nests_plus.kappa == 2
+    assert len(report.nests_plus.nests) == 2
+    nest_sets = {tuple(sorted(s.bits for s in k)) for k in report.nests_plus.nests}
     assert nest_sets == {
         tuple(sorted(masks((0, 2), (1, 3)))),
         tuple(sorted(masks((0, 3), (1, 2)))),
     }
-    assert set(report.support_plus) == {"p1=p3, p2=p4", "p1=p4, p2=p3"}
+    assert set(_support(report, "plus")) == {"p1=p3, p2=p4", "p1=p4, p2=p3"}
 
 
 def test_interval_example_7_2():
     report = critical_interval(from_charges(ChargeVector((10, 10, 1))))
     assert report.beta_minus == Fraction(-1, 100)
-    assert report.kappa_minus == 1
-    assert report.support_minus == ("p1=p2",)
+    assert report.nests_minus.kappa == 1
+    assert _support(report, "minus") == ["p1=p2"]
 
 
 def test_interval_degenerate_zero_matrix():
     report = critical_interval(from_matrix([[0, 0], [0, 0]]))
-    assert report.degenerate
+    assert not (report.plus.attained or report.minus.attained)
     assert report.beta_minus == -math.inf and report.beta_plus == math.inf
-    assert report.kappa_plus == report.kappa_minus == 0
-    assert report.support_plus == ()
+    assert report.nests_plus.kappa == report.nests_minus.kappa == 0
+    assert _support(report, "plus") == []
 
 
 def test_interval_always_contains_zero():
@@ -402,7 +408,7 @@ def test_max_nest_overlapping():
 
 def test_max_nest_two_component_family():
     report = critical_interval(from_two_component(TwoComponentSpec(2, 2, 1, 1)))
-    search = max_nest(report.g_plus)
+    search = max_nest(report.plus.optimizers)
     assert search.kappa == 2
     assert len(search.nests) == 2
     assert not search.truncated
@@ -454,12 +460,12 @@ def test_max_nest_matches_subfamily_enumeration(bits):
     search = max_nest(family)
     assert search.kappa == kappa
     assert not search.truncated
-    assert {frozenset(s.bits for s in nest.members) for nest in search.nests} == expected
+    assert {frozenset(s.bits for s in nest) for nest in search.nests} == expected
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_NEST_CAP", 3)
         capped = max_nest(family)
-    reported = [frozenset(s.bits for s in nest.members) for nest in capped.nests]
+    reported = [frozenset(s.bits for s in nest) for nest in capped.nests]
     assert capped.kappa == kappa
     assert capped.truncated == (len(expected) > 3)
     assert len(reported) == min(3, len(expected)) == len(set(reported))
@@ -472,18 +478,22 @@ def test_kappa_bounded_by_n_minus_1():
         n = rng.randint(3, 8)
         c = random_exact_matrix(rng, n)
         report = critical_interval(c)
-        assert report.kappa_plus <= n - 1
-        assert report.kappa_minus <= n - 1
-        for nest in report.max_nests_plus:
-            assert len(nest.members) == report.kappa_plus
-        for nest in report.max_nests_minus:
-            assert len(nest.members) == report.kappa_minus
+        assert report.nests_plus.kappa <= n - 1
+        assert report.nests_minus.kappa <= n - 1
+        for nest in report.nests_plus.nests:
+            assert len(nest) == report.nests_plus.kappa
+        for nest in report.nests_minus.nests:
+            assert len(nest) == report.nests_minus.kappa
+        # max_nest's search guarantees nesting; nothing re-checks it at run time
+        for nest in report.nests_plus.nests + report.nests_minus.nests:
+            bits = [s.bits for s in nest]
+            assert all(x & y in (0, x, y) for x, y in itertools.combinations(bits, 2))
 
 
 def test_support_total_collapse_rendering():
     k = ChargeVector((1, 1, 1, 1))
     report = critical_interval(from_charges(k))
-    assert report.support_minus == ("p1=p2=p3=p4",)
+    assert _support(report, "minus") == ["p1=p2=p3=p4"]
 
 
 def test_subset_mask_requires_two_members():

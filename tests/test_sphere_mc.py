@@ -196,6 +196,16 @@ def test_estimate_outside_interval():
         estimate_partition(C1, -1.5, 2000, seed=3)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("beta,what", [(1.0, "stderr inf"), (2.0, "mean inf")])
+def test_estimate_refuses_weights_that_overflow(beta, what):
+    # c = 300: Z(1) = 2^600/301 ~ 1.4e178 is a float but its batch-means
+    # variance is not, and from beta = 2 on the weights overflow
+    c = from_matrix([[0, 300], [300, 0]])
+    with pytest.raises(DomainError, match=rf"beta={beta:g}: .*{what}"):
+        estimate_partition(c, beta, 2000, seed=0)
+
+
 def test_estimate_heavy_tail_flag():
     assert estimate_partition(C1, -0.5, 2000, seed=3).heavy_tail
     assert not estimate_partition(C1, -0.4, 2000, seed=3).heavy_tail
