@@ -19,21 +19,23 @@ written (an existing directory, a missing parent directory) before the
 handler does any work.  A handler returns ``(doc, lines)``: the JSON report
 body, or None for the two sweeps that write their own CSV, and the text
 lines to print.  ``main`` stamps ``schema_version`` and ``subcommand`` on the
-report, writes it and prints the lines.  Exit codes: 0 ok, and the
-``exit_code`` of the ``LogGasError`` raised (2 input, 3 size limit, 4
-domain); a failed allocation exits 3, an unreadable file or an unwritable
-value 2.
+report, writes it and prints the lines.  A report is written byte for byte
+as ``json.dumps(report, indent=2, allow_nan=False)`` would write it, by a
+writer that renders each shared list of scalars once (``_json_text``).
+Exit codes: 0 ok, and the ``exit_code`` of the ``LogGasError`` raised (2
+input, 3 size limit, 4 domain); a failed allocation exits 3, an unreadable
+file or an unwritable value 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -478,6 +480,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_scalar(value) -> str:
+    """One JSON scalar as ``json.dumps`` writes it, checked in its order.
+    No value is both a scalar and a list, tuple or dict, so ``_json_text``
+    testing for those first picks the same branch as json does."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, allow_nan=False)``, byte for byte.
+
+    The pieces go into one flat list, joined once.  A list of scalars is
+    rendered once per (object, depth): the critical report shares one label
+    list per optimizer among its families and nests, so its tens of
+    thousands of member lists cost a dictionary lookup each."""
+    parts, leaves = [], {}
+
+    def write(value, depth: int):
+        if isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+                return
+            key = (id(value), depth)
+            leaf = leaves.get(key)
+            if leaf is None:
+                inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+                if any(isinstance(x, (list, tuple, dict)) for x in value):
+                    sep, comma = "[" + inner, "," + inner
+                    for item in value:
+                        parts.append(sep)
+                        write(item, depth + 1)
+                        sep = comma
+                    parts.extend((outer, "]"))
+                    return
+                leaf = leaves[key] = \
+                    "[" + inner + ("," + inner).join(map(_json_scalar, value)) + outer + "]"
+            parts.append(leaf)
+        elif isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep, comma = "{" + inner, "," + inner
+            for key, item in value.items():
+                key = _json_scalar(key) if isinstance(key, str) else \
+                    encode_basestring_ascii(_json_scalar(key))
+                parts.extend((sep, key, ": "))
+                write(item, depth + 1)
+                sep = comma
+            parts.extend(("\n" + "  " * depth, "}"))
+        else:
+            parts.append(_json_scalar(value))
+
+    write(doc, 0)
+    return "".join(parts)
+
+
 def _check_out(path: Optional[str]):
     """Refuse an output path that is a directory or lies in a missing one,
     without creating anything."""
@@ -498,7 +570,7 @@ def main(argv=None) -> int:
             # every value is JSON-ready (format_real renders rationals and
             # infinities), so a stray NaN raises ValueError, not a bad literal
             report = {"schema_version": SCHEMA_VERSION, "subcommand": args.subcommand, **doc}
-            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+            text = _json_text(report) + "\n"
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         print(*lines, sep="\n")

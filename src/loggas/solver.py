@@ -29,9 +29,12 @@ the fsum of the pairs of the first optimizer in (size, mask) order over
 
 kappa, the size of the largest pairwise-nested subfamily of an optimizer
 family, and the maximal nests themselves come from one depth-first search
-over the family's compatibility bitmask (``max_nest``).  A nest is a plain
-tuple of ``SubsetMask``: the search only extends a nest by members
-compatible with all of it, so every nest it returns is pairwise nested.
+over the family's compatibility bitmask (``max_nest``).  A nest is a clique
+of the "nested" graph, so a greedy colouring bounds each branch (Tomita &
+Seki 2003): a nest holds at most one member of each class of pairwise
+crossing candidates.  Each nest is a plain tuple of ``SubsetMask``: the
+search only extends a nest by members compatible with all of it, so every
+nest it returns is pairwise nested.
 ``critical_interval`` returns the solver's own results, the two
 ``OptResult`` and the two ``NestSearch``; the CLI renders them.
 """
@@ -335,7 +338,13 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     ``_NEST_CAP`` in search order; one more sets the truncated flag, and a
     deeper nest clears the list and the flag.  Branches that cannot reach
     the best depth are pruned, and once the flag is set, so are those that
-    cannot beat it.  Families larger than ``_FAMILY_CAP`` are refused.
+    cannot beat it.  A branch's reach is bounded by its candidate count
+    and, when that does not prune, by the number of classes in a greedy
+    split of the candidates into pairwise-crossing members, of which a
+    nest holds at most one each.  Both bounds are valid, so the pruned
+    subtrees hold no nest that would count: kappa, the nests kept and the
+    flag are those of the unpruned search.  Families larger than
+    ``_FAMILY_CAP`` are refused.
     """
     fam = list(family)
     if not fam:
@@ -346,12 +355,31 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
         raise SizeLimitError(f"family of size {len(fam)} exceeds cap {_FAMILY_CAP}")
 
     fam.sort(key=lambda s: (-s.size, s.bits))
+    bits = [s.bits for s in fam]
     k = len(fam)
-    compat = [0] * k
+    compat = [0] * k  # compat[i]: the later members nested with member i
     for i in range(k):
         for j in range(i + 1, k):
-            if _nested(fam[i].bits, fam[j].bits):
+            if _nested(bits[i], bits[j]):
                 compat[i] |= 1 << j
+    # a class grows upward from its lowest member, so masking out the later
+    # members nested with each one suffices
+    crossing = [~(compat[i] | 1 << i) for i in range(k)]
+
+    def classes_reach(cand: int, need: int) -> bool:
+        """Whether a greedy split of cand into classes of pairwise-crossing
+        members needs at least ``need`` classes."""
+        classes = 0
+        while cand:
+            classes += 1
+            if classes >= need:
+                return True
+            q = cand
+            while q:
+                b = q & -q
+                cand ^= b
+                q &= crossing[b.bit_length() - 1]
+        return False
 
     best, found, truncated = 0, [], False
 
@@ -366,8 +394,8 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
             else:
                 truncated = True
         while cand:
-            reach = depth + cand.bit_count()
-            if reach < best or (truncated and reach == best):
+            need = best - depth + truncated  # members a nest must add to count
+            if cand.bit_count() < need or not classes_reach(cand, need):
                 return
             b = cand & -cand
             j = b.bit_length() - 1
@@ -378,11 +406,14 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
 
     search([], (1 << k) - 1)
 
-    nests = sorted((tuple(sorted((fam[j] for j in combo),
-                                 key=lambda s: (s.bits & -s.bits, s.size, s.bits)))
-                    for combo in found),
-                   key=lambda nest: [s.bits for s in nest])
-    return NestSearch(best, tuple(nests), truncated)
+    # a nest lists its members by lowest element, then size, then bits
+    order = sorted(range(k), key=lambda j: (bits[j] & -bits[j], bits[j].bit_count(), bits[j]))
+    rank = [0] * k
+    for r, j in enumerate(order):
+        rank[j] = r
+    members = sorted((sorted(combo, key=rank.__getitem__) for combo in found),
+                     key=lambda combo: [bits[j] for j in combo])
+    return NestSearch(best, tuple(tuple(fam[j] for j in combo) for combo in members), truncated)
 
 
 def critical_interval(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> CriticalReport:

@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import loggas.cli as cli
 import loggas.coupling as coupling
@@ -319,6 +322,55 @@ def test_report_schema_is_versioned(tmp_path):
     assert doc["schema_version"] == 1
     assert doc["beta_plus"] == "inf"
     assert doc["beta_minus"] == "-1"
+
+
+def test_plasma_report_is_written_as_indent_2_json(tmp_path):
+    # 720 nests whose member lists share one label list per optimizer
+    out = tmp_path / "report.json"
+    assert run(["critical", "--input", INPUTS / "plasma_6_6.json", "--out", out]) == 0
+    text = out.read_text()
+    assert len(json.loads(text)["max_nests_plus"]) == 720
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308, np.float64(0.1),
+                     "é☃\U0001f600", "\"\\\n\t\x00\x7f"]))
+# json.dumps writes int, float, bool and None keys as strings
+_KEYS = st.one_of(st.text(max_size=5), st.integers(), st.booleans(), st.none(),
+                  st.floats(allow_nan=False, allow_infinity=False))
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(_JSON_VALUES, st.lists(_SCALARS, max_size=4))
+def test_report_writer_matches_json_dumps(value, shared):
+    # one list object at several depths, inside the value and beside it
+    for doc in (value, [shared, {"a": shared, "b": [shared, value, shared]}, [], {}, (shared,)]):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_writer_refuses_non_finite_floats(bad):
+    for doc in (bad, [bad], {"k": [1, bad]}, {bad: 1}):
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_text(doc)
+
+
+def test_report_writer_refuses_numpy_integers():
+    for doc in (np.int64(3), [1, np.int64(3)], {"k": [np.int64(3)]}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(TypeError, match="int64"):
+            cli._json_text(doc)
 
 
 def test_float_mode_on_exact_input(tmp_path):

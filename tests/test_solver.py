@@ -472,6 +472,35 @@ def test_max_nest_matches_subfamily_enumeration(bits):
     assert set(reported) <= expected
 
 
+def _oracle_first_nests(family, cap: int) -> tuple:
+    """(kappa, nests, truncated) as a capped search in index order keeps
+    them: the family sorted by (-size, bits), the first ``cap`` maximum
+    pairwise-nested index combinations in lexicographic order, each listed
+    by (smallest member index, size, bits) and all sorted by their bits."""
+    fam = sorted(family, key=lambda s: (-s.size, s.bits))
+    for size in range(len(fam), 0, -1):
+        combos = [combo for combo in itertools.combinations(range(len(fam)), size)
+                  if all(fam[i].bits & fam[j].bits in (0, fam[i].bits, fam[j].bits)
+                         for i, j in itertools.combinations(combo, 2))]
+        if combos:
+            break
+    nests = [tuple(sorted((fam[j] for j in combo), key=lambda s: (min(s.indices()), s.size, s.bits)))
+             for combo in combos[:cap]]
+    nests.sort(key=lambda nest: [s.bits for s in nest])
+    return size, tuple(nests), len(combos) > cap
+
+
+@settings(max_examples=150)
+@given(st.sets(st.integers(0, 255).filter(lambda m: m.bit_count() >= 2), min_size=1, max_size=12))
+def test_truncated_max_nest_keeps_the_first_nests_in_search_order(bits):
+    family = [SubsetMask(m) for m in sorted(bits)]
+    for cap in (1, 2, 3, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_NEST_CAP", cap)
+            search = max_nest(family)
+        assert (search.kappa, search.nests, search.truncated) == _oracle_first_nests(family, cap)
+
+
 def test_kappa_bounded_by_n_minus_1():
     rng = random.Random(31)
     for _ in range(20):
