@@ -34,7 +34,6 @@ from .closed_forms import (
     TwoComponentCritical,
     onsager_beta_minus,
     onsager_conditions,
-    technical_inequality,
     two_component_critical,
 )
 from .graphs import (

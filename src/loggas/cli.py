@@ -16,12 +16,15 @@ everything else runs serially.
 
 ``main`` alone frames a run.  It refuses an ``--out`` path that cannot be
 written (an existing directory, a missing parent directory) before the
-handler does any work.  A handler returns ``(doc, lines)``: the JSON report
-body, or None for the two sweeps that write their own CSV, and the text
-lines to print.  ``main`` stamps ``schema_version`` and ``subcommand`` on the
-report, writes it and prints the lines.  A report is written byte for byte
-as ``json.dumps(report, indent=2, allow_nan=False)`` would write it, by a
-writer that renders each shared list of scalars once (``_json_text``).
+handler does any work.  A handler does no I/O; it returns ``(result, lines)``:
+the JSON report body as a dict, or a sweep's CSV text (``_csv_text``), and
+the text lines to print.  Once the handler has succeeded, ``main`` stamps
+``schema_version`` and ``subcommand`` on a report and renders it, writes the
+text to ``--out`` (the only file the package writes) and prints the lines.
+A report is written byte for byte as ``json.dumps(report, indent=2,
+allow_nan=False)`` would write it, by a writer that renders each shared list
+of scalars once (``_json_text``).  A sweep is ``csv.writer`` rows (CRLF line
+ends) followed by one ``# key=value`` line per pole-fit result.
 Exit codes: 0 ok, and the ``exit_code`` of the ``LogGasError`` raised (2
 input, 3 size limit, 4 domain); a failed allocation exits 3, an unreadable
 file or an unwritable value 2.
@@ -30,6 +33,8 @@ file or an unwritable value 2.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import os
 import sys
@@ -250,6 +255,17 @@ def _parse_beta_grid(text: str) -> tuple:
     return grid
 
 
+def _csv_text(header, rows, comments=()) -> str:
+    """A sweep as ``csv.writer`` writes it, header first, then one
+    ``# key=value`` line per (key, value) comment."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    buf.writelines(f"# {key}={value}\n" for key, value in comments)
+    return buf.getvalue()
+
+
 def cmd_mc_partition(args: argparse.Namespace) -> tuple:
     grid = _parse_beta_grid(args.beta_grid)
     system = load_system(args.input)
@@ -265,29 +281,30 @@ def cmd_mc_partition(args: argparse.Namespace) -> tuple:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(max_workers=min(4, cpus or 1, len(grid))) as pool:
         estimates = list(pool.map(estimate, range(len(grid))))
-    rows = list(zip(grid, estimates))
+    logz = [math.log(est.mean) for est in estimates]
+    rows = [[beta, y, est.stderr / est.mean, est.samples, "true" if est.heavy_tail else "false"]
+            for beta, y, est in zip(grid, logz, estimates)]
 
     # a flagged point's estimate has infinite variance, so a fit through it
-    # says nothing about the pole order; the count marks such a fit
+    # says nothing about the pole order; the count marks such a fit.
+    # pole_order_fit refuses a grid too short or not ordered toward endpoint
     heavy = sum(est.heavy_tail for est in estimates)
     metadata = {}
-    finite_endpoints = [e for e in (lo, hi) if math.isfinite(e)]
-    for endpoint in finite_endpoints:
-        if len(grid) >= 5 and abs(grid[-1] - endpoint) < abs(grid[0] - endpoint):
-            logz = [math.log(est.mean) for est in estimates]
-            try:
-                kappa = sphere_mc.pole_order_fit(grid, logz, endpoint)
-            except DomainError:
-                continue
-            metadata["pole_fit_beta_crit"] = endpoint
-            metadata["pole_fit_kappa"] = kappa
-            if heavy:
-                metadata["pole_fit_heavy_tail_points"] = heavy
-            break
+    for endpoint in (e for e in (lo, hi) if math.isfinite(e)):
+        try:
+            kappa = sphere_mc.pole_order_fit(grid, logz, endpoint)
+        except DomainError:
+            continue
+        metadata["pole_fit_beta_crit"] = endpoint
+        metadata["pole_fit_kappa"] = kappa
+        if heavy:
+            metadata["pole_fit_heavy_tail_points"] = heavy
+        break
 
-    sphere_mc.write_partition_csv(args.out, rows, metadata or None)
+    text = _csv_text(["beta", "logZ_mean", "logZ_stderr", "samples", "heavy_tail"], rows,
+                     metadata.items())
     lines = [f"wrote {len(rows)} rows to {args.out}"]
-    for beta, est in rows:
+    for beta, est in zip(grid, estimates):
         tail = " heavy-tail" if est.heavy_tail else ""
         lines.append(f"  beta={beta:g}: Z~{est.mean:.6g} +- {est.stderr:.2g}{tail}")
     if metadata:
@@ -295,7 +312,7 @@ def cmd_mc_partition(args: argparse.Namespace) -> tuple:
                 if heavy else "")
         lines.append(f"pole fit toward beta={metadata['pole_fit_beta_crit']:g}: "
                      f"kappa ~ {metadata['pole_fit_kappa']:.3f}{mark}")
-    return None, lines
+    return text, lines
 
 
 def _class_labels(system: SystemInput) -> list:
@@ -322,13 +339,19 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
         stats = sphere_mc.collapse_observables(chain.configurations, labels)
         results.append((chain, stats))
 
-    sweep = [(beta, stats) for beta, (_, stats) in zip(grid, results)]
-    rows = sphere_mc.write_collapse_csv(args.out, sweep)
-    lines = [f"wrote {rows} rows to {args.out}"]
+    # one row per observable the labels define
+    rows = [[beta, name, *quants]
+            for beta, (_, stats) in zip(grid, results)
+            for name, quants in (("min_opposite_dist", stats.min_opposite_quantiles),
+                                 ("min_same_dist", stats.min_same_quantiles),
+                                 ("max_pair_dist", stats.max_quantiles))
+            if quants is not None]
+    text = _csv_text(["beta", "obs_name", "q05", "q25", "q50", "q75", "q95"], rows)
+    lines = [f"wrote {len(rows)} rows to {args.out}"]
     for beta, (chain, stats) in zip(grid, results):
         lines.append(f"  beta={beta:g}: acceptance={chain.acceptance_rate:.2f} "
                      f"median max dist={stats.max_quantiles[2]:.3f}")
-    return None, lines
+    return text, lines
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +588,15 @@ def main(argv=None) -> int:
     args.out = args.out or _CSV_OUT.get(args.subcommand)
     try:
         _check_out(args.out)
-        doc, lines = _COMMANDS[args.subcommand][0](args)
-        if doc is not None and args.out:
-            # every value is JSON-ready (format_real renders rationals and
-            # infinities), so a stray NaN raises ValueError, not a bad literal
-            report = {"schema_version": SCHEMA_VERSION, "subcommand": args.subcommand, **doc}
-            text = _json_text(report) + "\n"
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        result, lines = _COMMANDS[args.subcommand][0](args)
+        if args.out:
+            if isinstance(result, dict):
+                # every value is JSON-ready (format_real renders rationals and
+                # infinities), so a stray NaN raises ValueError, not a bad literal
+                result = _json_text({"schema_version": SCHEMA_VERSION,
+                                     "subcommand": args.subcommand, **result}) + "\n"
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(result)
         print(*lines, sep="\n")
     except LogGasError as exc:
         print(f"error ({exc.label}): {exc}", file=sys.stderr)

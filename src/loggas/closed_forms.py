@@ -19,10 +19,6 @@ from .coupling import ChargeVector, TwoComponentSpec, neutrality_check
 from .errors import DomainError, InputError
 from .rational import Real
 
-INEQ1 = "ineq1"
-INEQ2 = "ineq2"
-BOTH = "both"
-
 POSITIVE_COLLAPSE = "positive_collapse"
 NEGATIVE_COLLAPSE = "negative_collapse"
 TIE = "tie"
@@ -68,29 +64,6 @@ def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
         kappa_plus=min(n1, n2),
         free_energy_prefactor=prefactor,
     )
-
-
-def technical_inequality(z: Real, a: int, b: int) -> str:
-    """Which of |z*a - b| >= z - (a+b-1) and a+b >= z+1 holds.
-
-    a and b must be odd integers of the form 2k-1 with k >= 0, not both -1;
-    z >= 1.  At least one inequality always holds."""
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise InputError("a and b must be integers")
-    if a % 2 == 0 or b % 2 == 0 or a < -1 or b < -1 or (a == -1 and b == -1):
-        raise InputError(f"(a,b)=({a},{b}) is not an admissible odd pair")
-    if not z >= 1:
-        raise ValueError(f"z must be >= 1, got {z}")
-
-    first = abs(z * a - b) >= z - (a + b - 1)
-    second = a + b >= z + 1
-    if first and second:
-        return BOTH
-    if first:
-        return INEQ1
-    if second:
-        return INEQ2
-    raise AssertionError(f"neither inequality holds for z={z}, a={a}, b={b}")
 
 
 def _split_signs(k: ChargeVector):

@@ -27,11 +27,13 @@ N = 4 and 8), so it is the only step.
 All randomness comes from numpy's Philox counter-based generator with
 explicit seeds.  Chordal distances are plain Euclidean norms in R^3; no
 stereographic chart is used anywhere.
+
+This module does no I/O: it returns estimates, chains and quantiles, and
+``cli`` turns a sweep of them into CSV text and writes the file.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -423,42 +425,3 @@ def collapse_observables(samples: np.ndarray, labels: Sequence[int]) -> Collapse
     return CollapseStats(quantiles(min_opposite) if k > 0 else None,
                          quantiles(min_same) if k < i.size else None,
                          quantiles(max_dist))
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-def write_partition_csv(path, rows, metadata: Optional[dict] = None):
-    """Partition sweep: beta, logZ_mean, logZ_stderr, samples, heavy_tail.
-
-    Optional metadata (e.g. a pole-order fit) goes into trailing comment
-    lines."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "logZ_mean", "logZ_stderr", "samples", "heavy_tail"])
-        for beta, est in rows:
-            logz = math.log(est.mean) if est.mean > 0 else math.nan
-            logz_err = est.stderr / est.mean if est.mean > 0 else math.nan
-            writer.writerow([beta, logz, logz_err, est.samples,
-                             "true" if est.heavy_tail else "false"])
-        if metadata:
-            for key, value in metadata.items():
-                fh.write(f"# {key}={value}\n")
-
-
-def write_collapse_csv(path, sweep) -> int:
-    """Collapse sweep from (beta, CollapseStats) pairs: beta, obs_name, q05,
-    q25, q50, q75, q95, one row per observable the labels define.  Returns
-    the number of rows written."""
-    rows = [[beta, name, *quants]
-            for beta, stats in sweep
-            for name, quants in (("min_opposite_dist", stats.min_opposite_quantiles),
-                                 ("min_same_dist", stats.min_same_quantiles),
-                                 ("max_pair_dist", stats.max_quantiles))
-            if quants is not None]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "obs_name", "q05", "q25", "q50", "q75", "q95"])
-        writer.writerows(rows)
-    return len(rows)

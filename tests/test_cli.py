@@ -272,6 +272,39 @@ def test_mc_partition_appends_pole_fit(tmp_path):
     assert "# pole_fit_kappa=" in text
 
 
+def test_pole_fit_sweep_bytes(tmp_path):
+    # csv.writer ends the header and rows in CRLF; the fit's comment lines
+    # follow in order, each ending in LF (mc_partition.csv has no fit)
+    out = tmp_path / "toward.csv"
+    assert run(["mc-partition", "--input", INPUTS / "pair_c1.json",
+                "--beta-grid", " -0.1,-0.3,-0.5,-0.7,-0.9", "--samples", 2000,
+                "--seed", 5, "--out", out]) == 0
+    assert out.read_bytes() == (
+        b"beta,logZ_mean,logZ_stderr,samples,heavy_tail\r\n"
+        b"-0.1,-0.032949176010033325,0.0022361973468715893,2000,false\r\n"
+        b"-0.3,-0.05060267633010981,0.013199285923733964,2000,false\r\n"
+        b"-0.5,0.023494326029513485,0.029098652803557612,2000,true\r\n"
+        b"-0.7,0.21208179470132582,0.045565237081127585,2000,true\r\n"
+        b"-0.9,0.7711146837964747,0.23569532757152126,2000,true\r\n"
+        b"# pole_fit_beta_crit=-1.0\n"
+        b"# pole_fit_kappa=0.38526185754962655\n"
+        b"# pole_fit_heavy_tail_points=3\n")
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["mc-partition", "--input", INPUTS / "pair_c1.json", "--beta-grid", " -0.4:0.8:4",
+      "--samples", 2000, "--seed", 9], "partition_sweep.csv"),
+    (["mc-gibbs", "--input", INPUTS / "mixed_charges.json", "--beta-grid", "0.5",
+      "--steps", 600, "--burn-in", 200], "collapse_sweep.csv"),
+], ids=["mc-partition", "mc-gibbs"])
+def test_sweeps_write_their_default_csv(tmp_path, monkeypatch, argv, default):
+    explicit = tmp_path / "explicit.csv"
+    assert run(argv + ["--out", explicit]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert (tmp_path / default).read_bytes() == explicit.read_bytes()
+
+
 @pytest.mark.parametrize("grid,heavy", [
     (" -0.1,-0.3,-0.5,-0.7,-0.9", 3),  # 2 beta <= -1 from beta = -0.5 on
     (" -0.1,-0.2,-0.3,-0.4,-0.45", 0),

@@ -13,10 +13,9 @@ from loggas import (
     from_two_component,
     onsager_beta_minus,
     onsager_conditions,
-    technical_inequality,
     two_component_critical,
 )
-from loggas.closed_forms import BOTH, INEQ1, INEQ2, NEGATIVE_COLLAPSE, POSITIVE_COLLAPSE, TIE
+from loggas.closed_forms import NEGATIVE_COLLAPSE, POSITIVE_COLLAPSE, TIE
 from loggas.errors import DomainError, InputError
 
 
@@ -54,38 +53,6 @@ def test_two_component_agrees_with_solver():
             for i in range(n1) for j in range(n2)
         }
         assert {s.bits for s in report.plus.optimizers} == mixed
-
-
-# ---------------------------------------------------------------------------
-# Technical inequality (totality over the admissible grid)
-# ---------------------------------------------------------------------------
-
-def test_technical_inequality_examples():
-    assert technical_inequality(1, 1, 1) in (INEQ1, BOTH)  # |0| >= 0 boundary
-    assert technical_inequality(2, 1, 3) in (INEQ2, BOTH)  # 4 >= 3
-    assert technical_inequality(1.5, -1, 1) == INEQ1  # |-2.5| >= 2.5, 0 < 2.5
-
-
-def test_technical_inequality_parity_errors():
-    with pytest.raises(InputError, match=r"\(a,b\)=\(2,1\) is not an admissible odd pair"):
-        technical_inequality(1, 2, 1)
-    with pytest.raises(InputError, match=r"\(a,b\)=\(-1,-1\) is not an admissible odd pair"):
-        technical_inequality(1, -1, -1)
-    with pytest.raises(InputError, match=r"\(a,b\)=\(-3,1\) is not an admissible odd pair"):
-        technical_inequality(1, -3, 1)
-    with pytest.raises(ValueError):
-        technical_inequality(0.5, 1, 1)
-
-
-def test_technical_inequality_totality_grid():
-    zs = [Fraction(10 + j, 10) for j in range(0, 41)]  # 1, 1.1, ..., 5
-    odd = list(range(-1, 22, 2))
-    for z in zs:
-        for a in odd:
-            for b in odd:
-                if a == -1 and b == -1:
-                    continue
-                assert technical_inequality(z, a, b) in (INEQ1, INEQ2, BOTH)
 
 
 # ---------------------------------------------------------------------------
