@@ -179,7 +179,7 @@ def test_readme_experiment_commands_parse(tmp_path):
     with open(tmp_path / "collapse.csv", newline="") as fh:
         medians = [float(row["q50"]) for row in csv.DictReader(fh)
                    if row["obs_name"] == "max_pair_dist"]
-    assert [round(m, 3) for m in medians] == [1.884, 1.748, 1.387]
+    assert [round(m, 3) for m in medians] == [1.889, 1.747, 1.399]
     for name in ("couplings.json", "charges.json"):
         assert json.loads((tmp_path / name).read_text())["bound_violations"] == 0
 

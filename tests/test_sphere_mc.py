@@ -417,10 +417,10 @@ def test_chain_energies_match_energy_oracle(model):
 
 def _reference_chain(c, params):
     """Independent numpy reference for metropolis_chain: the same Philox calls
-    in the same order (the (N,3) start normals, then per step
-    standard_normal(3) and random()), the same proposal, norm
-    (x*x + y*y) + z*z, acceptance rule and burn-in tuning.  Each step
-    recomputes particle i's energy from the points.  Returns the
+    in the same order (the (N,3) start normals, then per block of
+    _DRAW_BLOCK steps standard_normal((m, 3)) and random(m)), the same
+    proposal, norm (x*x + y*y) + z*z, acceptance rule and burn-in tuning.
+    Each step recomputes particle i's energy from the points.  Returns the
     configurations, the post-burn-in acceptance rate and the frozen step."""
     rng = sphere_mc._philox(params.seed)
     raw = rng.standard_normal((c.n, 3))
@@ -428,11 +428,14 @@ def _reference_chain(c, params):
     step = params.step_size
     configs, tune, accepted = [], 0, 0
     for t in range(params.steps):
+        if t % sphere_mc._DRAW_BLOCK == 0:
+            m = min(sphere_mc._DRAW_BLOCK, params.steps - t)
+            normals, uniforms = rng.standard_normal((m, 3)), rng.random(m)
         i = t % c.n
-        proposal = pts[i] + step * rng.standard_normal(3)
+        proposal = pts[i] + step * normals[t % sphere_mc._DRAW_BLOCK]
+        u = uniforms[t % sphere_mc._DRAW_BLOCK]
         x, y, z = proposal
         norm = math.sqrt((x * x + y * y) + z * z)
-        u = rng.random()
         accept = False
         if norm > 0.0:
             proposal = proposal / norm
@@ -462,16 +465,7 @@ def _reference_chain(c, params):
     return np.array(configs), accepted / (params.steps - params.burn_in), step
 
 
-@pytest.mark.parametrize("model", ["pair", "plasma_4_4", "sparse_float", "plasma_13_13"])
-def test_chain_matches_reference_step_for_step(model):
-    if model == "pair":
-        c, beta = C1, 0.5
-    elif model == "sparse_float":
-        c, beta = _sparse_float_matrix(), 0.5
-    else:
-        k = 4 if model == "plasma_4_4" else 13  # 13 + 13 = 26, the solver's cap
-        c, beta = from_charges(ChargeVector((1,) * k + (-1,) * k)), 0.5
-    params = ChainParams(beta=beta, steps=3000, burn_in=1000, thin=7, seed=23)
+def _assert_chain_matches_reference(c, params):
     chain = metropolis_chain(c, params)
     configs, rate, step = _reference_chain(c, params)
     assert chain.configurations.shape == configs.shape
@@ -481,19 +475,63 @@ def test_chain_matches_reference_step_for_step(model):
     assert 0.0 < rate < 1.0
 
 
+@pytest.mark.parametrize("model", ["pair", "plasma_4_4", "sparse_float", "plasma_13_13"])
+def test_chain_matches_reference_step_for_step(model):
+    if model == "pair":
+        c, beta = C1, 0.5
+    elif model == "sparse_float":
+        c, beta = _sparse_float_matrix(), 0.5
+    else:
+        k = 4 if model == "plasma_4_4" else 13  # 13 + 13 = 26, the solver's cap
+        c, beta = from_charges(ChargeVector((1,) * k + (-1,) * k)), 0.5
+    _assert_chain_matches_reference(c, ChainParams(beta=beta, steps=3000, burn_in=1000,
+                                                   thin=7, seed=23))
+
+
+def test_chain_matches_reference_across_draw_blocks():
+    # three blocks, the last one short; burn-in ends inside the first block
+    # and thin 7 does not divide the block, so emissions straddle both seams
+    block = sphere_mc._DRAW_BLOCK
+    c = from_charges(ChargeVector((1, 1, -1, -1)))
+    params = ChainParams(beta=0.6, steps=2 * block + 123, burn_in=block // 2 + 3, thin=7, seed=29)
+    assert block % params.thin != 0 and params.burn_in % block != 0
+    _assert_chain_matches_reference(c, params)
+
+
+def test_chain_memory_is_block_sized(monkeypatch):
+    # a chain of 50 blocks draws one block at a time: the (m, 3) normals and
+    # m uniforms as lists take about 200 bytes a step, so drawing the whole
+    # chain at once would hold 1.3 MB here.  tracemalloc slows a step about
+    # 40 times, so the block is cut to 128 steps for this test.
+    monkeypatch.setattr(sphere_mc, "_DRAW_BLOCK", 128)
+    params = ChainParams(beta=0.5, steps=50 * 128, burn_in=100, thin=1000, seed=4)
+    metropolis_chain(C1, ChainParams(beta=0.5, steps=300, burn_in=100, seed=3))
+    tracemalloc.start()
+    try:
+        chain = metropolis_chain(C1, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.configurations.shape == (7, 2, 3)
+    assert peak < chain.configurations.nbytes + 250_000
+
+
 class _StubChainGenerator:
-    """A generator for a chain: the given standard normals in order, and
-    uniforms of 0, so only the rejection rules can refuse a move."""
+    """A generator for a chain: the given standard normals in order, one
+    (m, 3) block per call, and uniforms of 0, so only the rejection rules
+    can refuse a move."""
 
     def __init__(self, *normals):
-        self.normals = [np.array(g, dtype=float) for g in normals]
+        self.normals = [tuple(map(float, g)) for g in normals]
 
     def standard_normal(self, shape):
-        assert shape == 3
-        return self.normals.pop(0)
+        m, three = shape
+        assert three == 3 and m <= len(self.normals)
+        block, self.normals = self.normals[:m], self.normals[m:]
+        return np.array(block)
 
-    def random(self):
-        return 0.0
+    def random(self, m):
+        return np.zeros(m)
 
 
 _PAIR_START = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -556,6 +594,24 @@ def test_chain_escapes_coincident_start(monkeypatch):
     assert np.array_equal(chain.configurations[0, 1:], start[1:])
     assert np.all(np.isfinite(chain.energies))
     _assert_energies_match_oracle(plasma, chain)
+
+
+def test_chain_allocates_its_outputs_before_any_draw(monkeypatch):
+    # an unaffordable chain fails before it samples: the stand-in for np.empty
+    # refuses the outputs without allocating them, and the stub generator
+    # has no normals to give
+    empty = np.empty
+
+    def refuse_outputs(shape, *args, **kwargs):
+        if np.prod(shape) >= 10**12:
+            raise MemoryError("Unable to allocate 44.4 TiB")
+        return empty(shape, *args, **kwargs)
+
+    rng = _StubChainGenerator()
+    monkeypatch.setattr(sphere_mc, "_philox", lambda seed: rng)
+    monkeypatch.setattr(np, "empty", refuse_outputs)
+    with pytest.raises(MemoryError):
+        metropolis_chain(C1, ChainParams(beta=0.5, steps=10**12, burn_in=0))
 
 
 def _root_m_ks(sample, cdf):
