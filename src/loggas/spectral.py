@@ -8,9 +8,15 @@ bounds beta+ >= 1/max k_i^2 and beta- <= -1/(sum k_i^2 - min k_i^2).
 
 The spectrum comes from a self-contained Brent-Luk round-robin Jacobi
 solver (eigenvectors are kept for residual checks); no external eigensolver
-is involved on this path.  The eigenvalues are floats, so the eigenvalue
-bounds hold only up to roundoff: on C = kk' - I with k = (1,1,-1,-1), whose
-exact beta+ is 1, the float bound -1/lambda_min may land an ulp above 1.
+is involved on this path.  A and the eigenvector matrix V are stacked in one
+array [A; V], and each round applies all its rotations as whole-matrix
+broadcasts over a partner gather (index p swapped with its pair q).  That
+computes cs*x + (-sn)*y where a per-pair rotation computes cs*x - sn*y, the
+same IEEE double, so the layout changes no bit of the result.
+
+The eigenvalues are floats, so the eigenvalue bounds hold only up to
+roundoff: on C = kk' - I with k = (1,1,-1,-1), whose exact beta+ is 1, the
+float bound -1/lambda_min may land an ulp above 1.
 """
 
 from __future__ import annotations
@@ -83,11 +89,6 @@ def _round_robin(n: int) -> list:
     return rounds
 
 
-def _rotate(x: np.ndarray, y: np.ndarray, cs, sn) -> tuple:
-    """Plane rotation of the pair (x, y) by cosine cs and sine sn."""
-    return cs * x - sn * y, sn * x + cs * y
-
-
 def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     """Full spectrum of the coupling matrix by Brent-Luk round-robin Jacobi.
 
@@ -96,6 +97,16 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     and columns, so a round computes all its angles at once and applies
     them as whole-array operations.  Sweeps continue until the off-diagonal
     Frobenius norm falls below 1e-12 * ||C||_F (cap: 100 sweeps).
+
+    A and V live in one (2n, n) array w = [A; V].  Each round has a partner
+    index array (partner[p] = q, partner[q] = p; an idle index of odd n is
+    its own partner) and per-index coefficients cf (cs at p and q, else 1)
+    and sf (-sn at p, +sn at q, else 0).  The columns of A and V become
+    cf * w + sf * w[:, partner], then the rows of A likewise.  Per element
+    that is cs*x + (-sn)*y and cs*y + sn*x; in IEEE arithmetic these equal
+    cs*x - sn*y and sn*x + cs*y exactly, and an idle index gets x*1 + x*0 =
+    x, so the bits match a per-pair gather/scatter rotation of the same
+    schedule.
 
     The sweeps run on C / 2^e, where 2^e is the power of two that brings
     max|C| into [1/2, 1), so that ||C||_F neither overflows (entries near
@@ -106,19 +117,23 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     if c.n > MAX_PARTICLES:
         raise SizeLimitError(f"eigensolver limited to n <= {MAX_PARTICLES}")
     exponent = math.frexp(float(np.max(np.abs(c.entries))))[1]
-    a = np.ldexp(c.entries, -exponent)
     n = c.n
-    v = np.eye(n)
+    w = np.concatenate((np.ldexp(c.entries, -exponent), np.eye(n)))
+    a, v = w[:n], w[n:]  # views: A on top, V below
     norm_c = float(np.linalg.norm(a))
     target = _OFFDIAG_RTOL * norm_c
-    rounds = _round_robin(n)
+    rounds = []
+    for p, q in _round_robin(n):
+        partner = np.arange(n)  # an idle index (odd n) is its own partner
+        partner[p], partner[q] = q, p
+        rounds.append((p, q, partner))
 
     sweeps = 0
     while _offdiag_norm(a) > target and norm_c > 0.0:
         if sweeps >= _SWEEP_CAP:
             raise InputError(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
         sweeps += 1
-        for p, q in rounds:
+        for p, q, partner in rounds:
             apq = a[p, q]
             live = apq != 0.0  # a zero pair gets the identity rotation
             theta = (a[q, q] - a[p, p]) / (2.0 * np.where(live, apq, 1.0))
@@ -126,11 +141,20 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
             t = np.where(live, t, 0.0)
             cs = 1.0 / np.sqrt(t * t + 1.0)
             sn = t * cs
-            # rotate columns p,q of A, then rows (A stays symmetric)
-            a[:, p], a[:, q] = _rotate(a[:, p], a[:, q], cs, sn)
-            a[p, :], a[q, :] = _rotate(a[p, :], a[q, :], cs[:, None], sn[:, None])
+            # fresh arrays: this round's idle index (odd n) gets 1 and 0
+            cf, sf = np.ones(n), np.zeros(n)
+            cf[p] = cf[q] = cs
+            sf[p], sf[q] = -sn, sn
+            # columns of A and V at once, then rows of A (A stays symmetric)
+            tmp = w[:, partner]
+            tmp *= sf
+            w *= cf
+            w += tmp
+            tmp = a[partner]
+            tmp *= sf[:, None]
+            a *= cf[:, None]
+            a += tmp
             a[p, q] = a[q, p] = 0.0
-            v[:, p], v[:, q] = _rotate(v[:, p], v[:, q], cs, sn)
 
     eigenvalues = np.ldexp(np.diag(a), exponent)
     order = np.argsort(eigenvalues, kind="stable")

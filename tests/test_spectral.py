@@ -79,6 +79,73 @@ def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
     assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _per_pair_eigs(c):
+    """Reference Jacobi: the same schedule, angles and stopping rule as
+    symmetric_eigs, but each round gathers columns p and q (then rows p and
+    q) of A, rotates them as cs*x - sn*y and sn*x + cs*y, and scatters them
+    back, then does the same for the columns of a separate V."""
+
+    def rotate(x, y, cs, sn):
+        return cs * x - sn * y, sn * x + cs * y
+
+    exponent = math.frexp(float(np.max(np.abs(c.entries))))[1]
+    a = np.ldexp(c.entries, -exponent)
+    v = np.eye(c.n)
+    norm_c = float(np.linalg.norm(a))
+    sweeps = 0
+    while np.linalg.norm(a - np.diag(np.diag(a))) > 1e-12 * norm_c and norm_c > 0.0:
+        sweeps += 1
+        for p, q in _round_robin(c.n):
+            apq = a[p, q]
+            live = apq != 0.0
+            theta = (a[q, q] - a[p, p]) / (2.0 * np.where(live, apq, 1.0))
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t = np.where(live, t, 0.0)
+            cs = 1.0 / np.sqrt(t * t + 1.0)
+            sn = t * cs
+            a[:, p], a[:, q] = rotate(a[:, p], a[:, q], cs, sn)
+            a[p, :], a[q, :] = rotate(a[p, :], a[q, :], cs[:, None], sn[:, None])
+            a[p, q] = a[q, p] = 0.0
+            v[:, p], v[:, q] = rotate(v[:, p], v[:, q], cs, sn)
+    eigenvalues = np.ldexp(np.diag(a), exponent)
+    order = np.argsort(eigenvalues, kind="stable")
+    vectors = v[:, order]
+    residual = float(np.max(np.abs(c.entries @ vectors - vectors * eigenvalues[order])))
+    return eigenvalues[order], vectors, residual, sweeps
+
+
+def _four_kinds(n):
+    """Float, charge, 0/1 graph and small-integer couplings of size n."""
+    rng = np.random.default_rng(1000 + n)
+    g = rng.standard_normal((n, n))
+    gaussian = (g + g.T) / 2
+    np.fill_diagonal(gaussian, 0.0)
+    charges = rng.choice([-1.0, 1.0], n) * rng.uniform(0.2, 2.0, n)
+    upper = np.triu(rng.integers(0, 2, (n, n)), 1)
+    edges = tuple(zip(*np.nonzero(upper)))
+    ints = np.triu(rng.integers(-3, 4, (n, n)), 1).astype(float)
+    return [
+        CouplingMatrix(n, gaussian),
+        from_charges(ChargeVector(tuple(charges.tolist()))),
+        from_graph(GraphSpec(n, tuple((int(i), int(j)) for i, j in edges))),
+        CouplingMatrix(n, ints + ints.T),
+    ]
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 97])
+def test_partner_gather_matches_per_pair_rotations_bit_for_bit(n):
+    # odd n leave a different index idle in each round; it must get the
+    # identity there, not the previous round's coefficients
+    for c in _four_kinds(n):
+        spec = symmetric_eigs(c)
+        eigenvalues, vectors, residual, sweeps = _per_pair_eigs(c)
+        assert np.array_equal(np.signbit(spec.eigenvalues), np.signbit(eigenvalues))
+        assert np.array_equal(spec.eigenvalues, eigenvalues)
+        assert np.array_equal(spec.eigenvectors, vectors)
+        assert np.array_equal(np.signbit(spec.eigenvectors), np.signbit(vectors))
+        assert spec.residual == residual and spec.sweeps == sweeps
+
+
 def test_block_diagonal_input_keeps_blocks_apart():
     # cross-block pairs are zero, so their rotations are skipped and every
     # eigenvector stays supported on one block
