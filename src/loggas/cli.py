@@ -23,11 +23,12 @@ the text lines to print.  Once the handler has succeeded, ``main`` stamps
 text to ``--out`` (the only file the package writes) and prints the lines.
 A report is written byte for byte as ``json.dumps(report, indent=2,
 allow_nan=False)`` would write it, by a writer that renders each shared list
-of scalars once (``_json_text``).  A sweep is ``csv.writer`` rows (CRLF line
-ends) followed by one ``# key=value`` line per pole-fit result.
+of scalars once (``_json_text``) and each scalar with json's own encoder.
+A sweep is ``csv.writer`` rows (CRLF line ends) followed by one
+``# key=value`` line per pole-fit result.
 Exit codes: 0 ok, and the ``exit_code`` of the ``LogGasError`` raised (2
 input, 3 size limit, 4 domain); a failed allocation exits 3, an unreadable
-file or an unwritable value 2.
+file, an unwritable value or an exact value beyond the float range 2.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -503,25 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_scalar(value) -> str:
-    """One JSON scalar as ``json.dumps`` writes it, checked in its order.
-    No value is both a scalar and a list, tuple or dict, so ``_json_text``
-    testing for those first picks the same branch as json does."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# one JSON scalar as json.dumps writes it; _json_text tests for lists, tuples
+# and dicts first, and no scalar is one of those, so it branches as json does
+_json_scalar = json.JSONEncoder(allow_nan=False).encode
 
 
 def _json_text(doc) -> str:
@@ -560,8 +545,7 @@ def _json_text(doc) -> str:
             inner = "\n" + "  " * (depth + 1)
             sep, comma = "{" + inner, "," + inner
             for key, item in value.items():
-                key = _json_scalar(key) if isinstance(key, str) else \
-                    encode_basestring_ascii(_json_scalar(key))
+                key = _json_scalar(key if isinstance(key, str) else _json_scalar(key))
                 parts.extend((sep, key, ": "))
                 write(item, depth + 1)
                 sep = comma
@@ -604,7 +588,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error (size limit): {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error (input): {exc}", file=sys.stderr)
         return 2
     return 0

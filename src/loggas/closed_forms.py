@@ -53,16 +53,12 @@ def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
     n1, z1 = (spec.n2, spec.z2) if swapped else (spec.n1, spec.z1)
     n2, z2 = (spec.n1, spec.z1) if swapped else (spec.n2, spec.z2)
 
-    if spec.is_exact:
-        beta_plus = Fraction(1) / (Fraction(z1) * Fraction(z2))
-        prefactor = Fraction(z2) / (Fraction(z1) + Fraction(z2))
-    else:
-        beta_plus = 1.0 / (float(z1) * float(z2))
-        prefactor = float(z2) / (float(z1) + float(z2))
+    num = Fraction if spec.is_exact else float
+    z1, z2 = num(z1), num(z2)
     return TwoComponentCritical(
-        beta_plus=beta_plus,
+        beta_plus=1 / (z1 * z2),
         kappa_plus=min(n1, n2),
-        free_energy_prefactor=prefactor,
+        free_energy_prefactor=z2 / (z1 + z2),
     )
 
 
@@ -89,12 +85,13 @@ def onsager_conditions(k: ChargeVector) -> bool:
 
 
 def _pair_sum(k: ChargeVector, idx) -> Real:
-    exact = k.is_exact
-    total = Fraction(0) if exact else 0.0
+    """sum_{i<j in idx} k_i k_j, each product cast to the mode's type and
+    added left to right (Python 3.12's sum() would compensate floats)."""
+    num = Fraction if k.is_exact else float
+    total = num(0)
     for a, i in enumerate(idx):
         for j in idx[a + 1:]:
-            prod = k.values[i] * k.values[j]
-            total += Fraction(prod) if exact else float(prod)
+            total += num(k.values[i] * k.values[j])
     return total
 
 

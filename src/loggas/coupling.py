@@ -75,7 +75,7 @@ class ChargeVector:
         return all_exact(self.values)
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(k) for k in self.values], dtype=float)
+        return np.array(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,12 @@ class GraphSpec:
 def from_matrix(raw) -> CouplingMatrix:
     """Validate a square array of couplings.
 
-    Symmetry is checked (within 1e-12 relative), never repaired by averaging;
-    the stored matrix mirrors the upper triangle.  Integer/Fraction/"p/q"
-    entries produce an exact rational grid alongside the floats.
+    Symmetry is checked, never repaired by averaging: when every entry is
+    exactly rational, c(i,j) and c(j,i) must be equal, otherwise their floats
+    must agree within 1e-12 * max(1, |c(i,j)|).  Integer/Fraction/"p/q"
+    entries produce an exact rational grid alongside the floats; a float
+    input is stored as its upper triangle mirrored by index, so a -0.0
+    coupling keeps its sign.
     """
     arrays = (list, tuple, np.ndarray)
     if not (isinstance(raw, arrays) and all(isinstance(r, arrays) for r in raw)):
@@ -154,47 +157,40 @@ def from_matrix(raw) -> CouplingMatrix:
         raise InputError("matrix is not square")
 
     parsed = [[parse_number(v) for v in r] for r in rows]
+    exact_mode = all(all_exact(r) for r in parsed)
+    num, rtol = (Fraction, 0) if exact_mode else (float, SYMMETRY_RTOL)
     for i in range(n):
         if parsed[i][i] != 0:
             raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
         for j in range(i + 1, n):
-            a, b = float(parsed[i][j]), float(parsed[j][i])
-            if abs(a - b) > SYMMETRY_RTOL * max(1.0, abs(a)):
+            a, b = num(parsed[i][j]), num(parsed[j][i])
+            if abs(a - b) > rtol * max(1, abs(a)):
                 raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
 
-    exact_mode = all(all_exact(r) for r in parsed)
-    floats = np.zeros((n, n), dtype=float)
-    exact = [[Fraction(0)] * n for _ in range(n)] if exact_mode else None
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = parsed[i][j]
-            floats[i, j] = floats[j, i] = float(v)
-            if exact is not None:
-                exact[i][j] = exact[j][i] = Fraction(v)
-    if exact is not None:
-        exact = tuple(tuple(r) for r in exact)
-    return CouplingMatrix(n, floats, exact)
+    if exact_mode:  # exactly symmetric with a zero diagonal already
+        return _exact_matrix(tuple(tuple(r) for r in parsed))
+    floats = np.array(parsed, dtype=float)
+    lower = np.tril_indices(n, -1)
+    floats[lower] = floats.T[lower]
+    np.fill_diagonal(floats, 0.0)
+    return CouplingMatrix(n, floats)
+
+
+def _exact_matrix(exact: tuple) -> CouplingMatrix:
+    """A Fraction grid with its floats; float(Fraction) is correctly rounded."""
+    return CouplingMatrix(len(exact), np.array(exact, dtype=float), exact)
 
 
 def from_charges(k: ChargeVector) -> CouplingMatrix:
     """Coupling c(i,j) = k_i * k_j off the diagonal."""
-    n = k.n
+    if k.is_exact:
+        kq = [Fraction(v) for v in k.values]
+        return _exact_matrix(tuple(tuple(a * b if i != j else Fraction(0) for j, b in enumerate(kq))
+                                   for i, a in enumerate(kq)))
     kf = k.as_floats()
     floats = np.outer(kf, kf)
     np.fill_diagonal(floats, 0.0)
-    exact = None
-    if k.is_exact:
-        kq = [Fraction(v) for v in k.values]
-        exact = tuple(
-            tuple(kq[i] * kq[j] if i != j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-        # keep floats bit-identical to the exact products
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    floats[i, j] = float(exact[i][j])
-    return CouplingMatrix(n, floats, exact)
+    return CouplingMatrix(k.n, floats)
 
 
 def from_two_component(spec: TwoComponentSpec) -> CouplingMatrix:
@@ -205,12 +201,10 @@ def from_two_component(spec: TwoComponentSpec) -> CouplingMatrix:
 
 def from_graph(g: GraphSpec) -> CouplingMatrix:
     """Adjacency matrix as couplings: 1 on edges, 0 elsewhere (exact)."""
-    floats = np.zeros((g.n, g.n), dtype=float)
     exact = [[Fraction(0)] * g.n for _ in range(g.n)]
     for i, j in g.edges:
-        floats[i, j] = floats[j, i] = 1.0
         exact[i][j] = exact[j][i] = Fraction(1)
-    return CouplingMatrix(g.n, floats, tuple(tuple(r) for r in exact))
+    return _exact_matrix(tuple(tuple(r) for r in exact))
 
 
 def _philox(seed: int) -> np.random.Generator:

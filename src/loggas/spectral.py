@@ -178,11 +178,6 @@ def charge_bounds(k: ChargeVector) -> BoundReport:
 
     Applicable when the corresponding endpoint is finite (the caller checks
     finiteness via the solver)."""
-    squares = [v * v for v in k.values]
-    if k.is_exact:
-        top = max(squares)
-        spread = sum(squares, Fraction(0)) - min(squares)
-        return BoundReport(Fraction(1) / top, -Fraction(1) / spread)
-    top = max(float(s) for s in squares)
-    spread = sum(float(s) for s in squares) - min(float(s) for s in squares)
-    return BoundReport(1.0 / top, -1.0 / spread)
+    num = Fraction if k.is_exact else float
+    squares = [num(v * v) for v in k.values]
+    return BoundReport(1 / max(squares), -1 / (sum(squares) - min(squares)))

@@ -157,6 +157,22 @@ def test_exit_2_on_asymmetric_matrix(tmp_path):
     assert run(["critical", "--input", bad]) == 2
 
 
+@pytest.mark.parametrize("system,command", [
+    ('{"matrix": [[0, "1e400"], ["1e400", 0]]}', "critical"),
+    ('{"charges": ["1e200", "-1e200"]}', "bounds"),
+    ('{"two_component": {"n1": 1, "n2": 1, "z1": "1e400", "z2": "1e400"}}', "closed-form"),
+    ('{"random": {"model": "couplings", "n": 4, "variance": "1e400", "seed": 0}}', "critical"),
+    ('{"charges": ["1e-200", "1e-200", "-1e-200"]}', "closed-form"),
+], ids=["matrix", "charge-product", "two-component", "variance", "onsager-candidate"])
+def test_exit_2_on_exact_value_beyond_float_range(tmp_path, capsys, system, command):
+    source = tmp_path / "huge.json"
+    source.write_text(system)
+    out = tmp_path / "report.json"
+    assert run([command, "--input", source, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error (input): ")
+    assert not out.exists()
+
+
 def test_readme_experiment_commands_parse(tmp_path):
     # the README's Experiments block is the one way to run each experiment
     block = (HERE.parent / "README.md").read_text().split("## Experiments", 1)[1].split("```")[1]

@@ -35,6 +35,26 @@ def test_two_component_closed_form(n1, n2, z1, z2, beta, kappa, prefactor):
     assert crit.free_energy_prefactor == prefactor
 
 
+def test_two_component_python_ints_stay_exact():
+    crit = two_component_critical(TwoComponentSpec(8, 8, 1, 1))
+    assert type(crit.beta_plus) is Fraction and crit.beta_plus == 1
+    assert type(crit.free_energy_prefactor) is Fraction
+    assert crit.free_energy_prefactor == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n1,n2,z1,z2", [
+    (2, 3, Fraction(3), 2.0),
+    (1, 3, 1.0, Fraction(1, 3)),
+])
+def test_two_component_mixed_input_is_float(n1, n2, z1, z2):
+    # the larger magnitude comes first, then both are cast to float
+    big, small = (z1, z2) if z1 >= z2 else (z2, z1)
+    crit = two_component_critical(TwoComponentSpec(n1, n2, z1, z2))
+    assert type(crit.beta_plus) is float
+    assert crit.beta_plus == 1.0 / (float(big) * float(small))
+    assert crit.free_energy_prefactor == float(small) / (float(big) + float(small))
+
+
 def test_two_component_requires_neutrality():
     with pytest.raises(InputError, match=r"n1\*z1 = 4\.0 != n2\*z2 = 2\.0"):
         two_component_critical(TwoComponentSpec(2, 2, Fraction(2), Fraction(1)))
@@ -103,6 +123,25 @@ def test_onsager_positive_collapse():
     assert crit.collapsing == ((0, 1, 2),)
     report = critical_interval(from_charges(k))
     assert abs(float(report.beta_minus) - float(crit.beta_minus)) < 1e-10
+
+
+def test_onsager_mixed_charges_match_the_float_loop():
+    # each product is formed in the input's types, then cast to float and
+    # added left to right
+    k = ChargeVector((Fraction(91, 90), Fraction(94, 93), 1.2,
+                      Fraction(-31, 30), Fraction(-373, 330), -1.0))
+    crit = onsager_beta_minus(k)
+
+    def candidate(idx):
+        total = 0.0
+        for a, i in enumerate(idx):
+            for j in idx[a + 1:]:
+                total += float(k.values[i] * k.values[j])
+        return (1 - len(idx)) / total
+
+    assert type(crit.candidate_pos) is float
+    assert crit.candidate_pos == candidate((0, 1, 2))
+    assert crit.candidate_neg == candidate((3, 4, 5))
 
 
 def test_onsager_conditions_fail_raises():

@@ -32,6 +32,9 @@ def test_from_matrix_identity():
 def test_from_matrix_rejects_asymmetric():
     with pytest.raises(InputError, match=r"entries \(0,1\) and \(1,0\) differ"):
         from_matrix([[0, 1], [2, 0]])
+    # rational input is compared exactly, not to 1e-12
+    with pytest.raises(InputError, match=r"entries \(0,1\) and \(1,0\) differ"):
+        from_matrix([[0, 1000000000000001, -1], [1000000000000000, 0, 1], [-1, 1, 0]])
 
 
 def test_from_matrix_rejects_nonzero_diagonal():
@@ -215,3 +218,63 @@ def test_from_matrix_float_array_stays_float():
 def test_from_matrix_rejects_bool_array():
     with pytest.raises(InputError, match="expected a number, got False"):
         from_matrix(np.array([[False, True], [True, False]]))
+
+
+def _reference_floats(upper):
+    """Entry by entry: float(Fraction) of an exact entry, the upper triangle
+    mirrored, +0.0 on the diagonal."""
+    n = len(upper)
+    ref = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = upper[i][j]
+            ref[i, j] = ref[j, i] = float(v) if isinstance(v, float) else float(Fraction(v))
+    return ref
+
+
+def _reference_exact(upper):
+    n = len(upper)
+    return tuple(tuple(Fraction(upper[min(i, j)][max(i, j)]) if i != j else Fraction(0)
+                       for j in range(n)) for i in range(n))
+
+
+def _assert_same_bits(entries, ref):
+    assert np.array_equal(entries, ref)
+    assert np.array_equal(np.signbit(entries), np.signbit(ref))
+
+
+@pytest.mark.parametrize("rows,exact", [
+    ([[0, "1/3", "-2/7"], ["1/3", 0, "1/10"], ["-2/7", "1/10", 0]], True),
+    ([[0, "1/3", 0.1], ["1/3", 0, -7], [0.1, -7, 0]], False),
+    ([[-0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [1.5, -0.0, 0.0]], False),
+    ([[0, 0.1, 0.3], [0.10000000000000002, 0, -0.7], [0.3, -0.7000000000000001, 0]], False),
+], ids=["rational", "mixed", "negative-zero", "within-tolerance"])
+def test_from_matrix_floats_are_correctly_rounded(rows, exact):
+    c = from_matrix(rows)
+    _assert_same_bits(c.entries, _reference_floats(rows))
+    assert c.exact_entries == (_reference_exact(rows) if exact else None)
+
+
+@pytest.mark.parametrize("values", [
+    (Fraction(1, 3), Fraction(2, 7), Fraction(-3, 10), Fraction(-1, 3), 5),
+    (Fraction(1, 3), 0.1, Fraction(-3, 10), -7),
+    (Fraction("1e-200"), Fraction("-1e-200"), 3),
+    (0.1, 1 / 3, -0.7, -2.5, 1e-200, -1e-200),
+], ids=["rational", "mixed", "underflow", "float"])
+def test_from_charges_floats_are_correctly_rounded(values):
+    k = ChargeVector(values)
+    c = from_charges(k)
+    if k.is_exact:  # the exact product, rounded once
+        upper = [[Fraction(a) * Fraction(b) for b in values] for a in values]
+    else:  # float products, as np.outer forms them
+        upper = [[float(a) * float(b) for b in values] for a in values]
+    _assert_same_bits(c.entries, _reference_floats(upper))
+    assert c.exact_entries == (_reference_exact(upper) if k.is_exact else None)
+
+
+def test_from_graph_floats_are_correctly_rounded():
+    g = GraphSpec(5, ((0, 1), (1, 2), (0, 4), (3, 4)))
+    upper = [[1 if (i, j) in g.edges else 0 for j in range(5)] for i in range(5)]
+    c = from_graph(g)
+    _assert_same_bits(c.entries, _reference_floats(upper))
+    assert c.exact_entries == _reference_exact(upper)

@@ -247,6 +247,19 @@ def test_charge_bounds_examples():
     n2 = charge_bounds(ChargeVector((2.0, 2.0)))
     assert abs(n2.beta_minus_upper - (-1.0 / 4.0)) < 1e-12  # tight at N=2
 
+    # Python ints give Fractions, not 1 / int floats
+    ints = charge_bounds(ChargeVector((3, 3, -2, -2, -2)))
+    assert type(ints.beta_plus_lower) is Fraction and ints.beta_plus_lower == Fraction(1, 9)
+    assert type(ints.beta_minus_upper) is Fraction and ints.beta_minus_upper == Fraction(-1, 26)
+
+    # mixed input: each square formed in the input's types, then cast to float
+    mixed = (Fraction(1, 3), 0.7, Fraction(-2, 7), -1.1)
+    squares = [float(v * v) for v in mixed]
+    report = charge_bounds(ChargeVector(mixed))
+    assert type(report.beta_plus_lower) is float
+    assert report.beta_plus_lower == 1.0 / max(squares)
+    assert report.beta_minus_upper == -1.0 / (sum(squares) - min(squares))
+
 
 def test_bound_validity_against_solver():
     rng = random.Random(41)
