@@ -66,6 +66,10 @@ SCHEMA_VERSION = 1
 
 
 def _float_view(c: CouplingMatrix) -> CouplingMatrix:
+    """A float-only copy of ``c``, refused when every float of a nonzero
+    exact grid underflows to 0.0 (it would be solved as the zero matrix)."""
+    if c.is_exact and not c.entries.any() and any(map(any, c.exact_entries)):
+        raise InputError("the couplings underflow the float range: each is 0.0 as a float")
     return CouplingMatrix(c.n, np.array(c.entries, dtype=float), None)
 
 
@@ -271,9 +275,7 @@ def cmd_mc_partition(args: argparse.Namespace) -> tuple:
     grid = _parse_beta_grid(args.beta_grid)
     system = load_system(args.input)
     c = _float_view(system.coupling)
-    lo, hi = sphere_mc._interval(c)
-    for beta in grid:
-        sphere_mc._check_inside(beta, lo, hi)
+    lo, hi = sphere_mc._interval(c, grid)
 
     def estimate(index):
         return sphere_mc.estimate_partition(c, grid[index], args.samples, args.seed + index)
@@ -317,10 +319,9 @@ def cmd_mc_partition(args: argparse.Namespace) -> tuple:
 
 
 def _class_labels(system: SystemInput) -> list:
-    if system.two_component is not None:
-        return [0] * system.two_component.n1 + [1] * system.two_component.n2
+    """0/1 by charge sign (a two-component input has charges too), else 0."""
     if system.charges is not None:
-        return [0 if float(v) > 0 else 1 for v in system.charges.values]
+        return [0 if v > 0 else 1 for v in system.charges.values]
     return [0] * system.coupling.n
 
 
@@ -367,9 +368,10 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
     """Sample random instances, solve, and check the deterministic bounds.
 
     gaussian_couplings records the eigenvalue bounds of the coupling matrix;
-    gaussian_charges records the closed-form charge bounds.  Violations
-    (beyond 1e-9 relative slack) are counted and must be zero.  Returns the
-    report fields in report order: model, n, trials, bound_violations,
+    gaussian_charges records the closed-form charge bounds.  The first bound
+    violated (beyond 1e-9 relative slack) raises RuntimeError, so a report
+    has 0 in ``bound_violations`` and in each row's ``violations``.  Returns
+    the report fields in report order: model, n, trials, bound_violations,
     summary, rows."""
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
@@ -388,23 +390,22 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
         trial_seed = seed + index
         if model == "gaussian_couplings":
             c = sample_gaussian_couplings(n, variance, trial_seed)
-            plus, minus = solve_both(c)
             spectrum = symmetric_eigs(c)
             bound_plus = -spectrum.lambda_min
             bound_minus = spectrum.lambda_max  # -T- <= lambda_max
         else:
             k = sample_gaussian_charges(n, trial_seed)
             c = from_charges(k)
-            plus, minus = solve_both(c)
-            kf = k.as_floats()
-            bound_plus = float(np.max(kf**2))
-            bound_minus = float(np.sum(kf**2) - np.min(kf**2))
+            squares = k.as_floats() ** 2
+            bound_plus = float(np.max(squares))
+            bound_minus = float(np.sum(squares) - np.min(squares))
+        plus, minus = solve_both(c)
         t_plus, t_minus = float(plus.t_value), float(minus.t_value)
-        violations = 0
-        if plus.attained and t_plus > bound_plus + _BOUND_SLACK * max(1.0, abs(bound_plus)):
-            violations += 1
-        if minus.attained and -t_minus > bound_minus + _BOUND_SLACK * max(1.0, abs(bound_minus)):
-            violations += 1
+        for side, result, t, bound in (("T+", plus, t_plus, bound_plus),
+                                       ("-T-", minus, -t_minus, bound_minus)):
+            if result.attained and t > bound + _BOUND_SLACK * max(1.0, abs(bound)):
+                raise RuntimeError(f"trial {index}: {side} = {t!r} exceeds its "
+                                   f"deterministic bound {bound!r}")
         return {
             "trial": index,
             "seed": trial_seed,
@@ -412,22 +413,18 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
             "t_minus": t_minus,
             "bound_t_plus": bound_plus,
             "bound_neg_t_minus": bound_minus,
-            "violations": violations,
+            "violations": 0,
         }
 
     rows = [trial(index) for index in range(trials)]
-    t_plus_values = np.array([r["t_plus"] for r in rows])
-    t_minus_values = np.array([r["t_minus"] for r in rows])
     levels = sphere_mc.QUANTILE_LEVELS
-    summary = {
-        "t_plus_quantiles": [float(q) for q in np.percentile(t_plus_values, levels)],
-        "t_minus_quantiles": [float(q) for q in np.percentile(t_minus_values, levels)],
-        "quantile_levels": list(levels),
-    }
-    total = int(sum(r["violations"] for r in rows))
-    if total != 0:
-        raise RuntimeError(f"deterministic bounds violated on {total} trials")
-    return {"model": model, "n": n, "trials": trials, "bound_violations": total,
+
+    def quantiles(key: str) -> list:
+        return [float(q) for q in np.percentile([r[key] for r in rows], levels)]
+
+    summary = {"t_plus_quantiles": quantiles("t_plus"), "t_minus_quantiles": quantiles("t_minus"),
+               "quantile_levels": list(levels)}
+    return {"model": model, "n": n, "trials": trials, "bound_violations": 0,
             "summary": summary, "rows": rows}
 
 

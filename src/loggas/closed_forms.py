@@ -111,10 +111,15 @@ def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
             return -math.inf
         return (1 - len(idx)) / _pair_sum(k, idx)
 
+    def as_float(cand, side: str) -> float:
+        try:
+            return float(cand)
+        except OverflowError:
+            raise InputError(f"the {side} Onsager candidate is beyond the float range") from None
+
     cand_pos = candidate(pos)
     cand_neg = candidate(neg)
-
-    fp, fn = float(cand_pos), float(cand_neg)
+    fp, fn = as_float(cand_pos, "positive-side"), as_float(cand_neg, "negative-side")
     if math.isfinite(fp) and math.isfinite(fn) and \
             abs(fp - fn) <= _TIE_RTOL * max(abs(fp), abs(fn)):
         side = TIE

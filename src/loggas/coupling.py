@@ -158,27 +158,43 @@ def from_matrix(raw) -> CouplingMatrix:
 
     parsed = [[parse_number(v) for v in r] for r in rows]
     exact_mode = all(all_exact(r) for r in parsed)
-    num, rtol = (Fraction, 0) if exact_mode else (float, SYMMETRY_RTOL)
+    # mixed or float input is checked on its one float cast
+    floats = None if exact_mode else _float_grid(parsed)
+    grid, rtol = (parsed, 0) if exact_mode else (floats.tolist(), SYMMETRY_RTOL)
     for i in range(n):
         if parsed[i][i] != 0:
             raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
         for j in range(i + 1, n):
-            a, b = num(parsed[i][j]), num(parsed[j][i])
+            a, b = grid[i][j], grid[j][i]
             if abs(a - b) > rtol * max(1, abs(a)):
                 raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
 
     if exact_mode:  # exactly symmetric with a zero diagonal already
         return _exact_matrix(tuple(tuple(r) for r in parsed))
-    floats = np.array(parsed, dtype=float)
     lower = np.tril_indices(n, -1)
     floats[lower] = floats.T[lower]
     np.fill_diagonal(floats, 0.0)
     return CouplingMatrix(n, floats)
 
 
+def _float_grid(grid) -> np.ndarray:
+    """``np.array(grid, dtype=float)``; an entry whose float is out of range
+    is an InputError naming the first such entry, 0-based and row-major."""
+    try:
+        return np.array(grid, dtype=float)
+    except OverflowError:
+        for i, row in enumerate(grid):
+            for j, v in enumerate(row):
+                try:
+                    float(v)
+                except OverflowError:
+                    raise InputError(f"coupling ({i},{j}) is beyond the float range") from None
+        raise
+
+
 def _exact_matrix(exact: tuple) -> CouplingMatrix:
     """A Fraction grid with its floats; float(Fraction) is correctly rounded."""
-    return CouplingMatrix(len(exact), np.array(exact, dtype=float), exact)
+    return CouplingMatrix(len(exact), _float_grid(exact), exact)
 
 
 def from_charges(k: ChargeVector) -> CouplingMatrix:
@@ -327,7 +343,11 @@ def parse_system(obj: dict) -> SystemInput:
     n, seed = _integer(robj["n"], "random.n"), _integer(robj["seed"], "random.seed")
     _check_count(n, "random")
     if model == "couplings":
-        variance = float(parse_number(robj.get("variance", 1.0)))
+        try:
+            variance = float(parse_number(robj.get("variance", 1.0)))
+        except OverflowError:
+            raise InputError(f"random.variance {robj['variance']} is beyond the float "
+                             "range") from None
         return SystemInput(sample_gaussian_couplings(n, variance, seed))
     if "variance" in robj:
         raise InputError("random charges are standard normal; 'variance' not allowed")

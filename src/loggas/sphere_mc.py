@@ -16,14 +16,16 @@ The partition estimator and ``collapse_observables`` work in blocks of
 ``_BLOCK_FLOATS // (3 * max(pairs, N))`` configurations, so each (3, block,
 pairs) temporary holds about 2^17 floats (1 MB) whatever N is.
 
-A chain builds an (N,N) table of log d^2 over its coupled pairs once, then
-steps in plain Python floats: it draws its randomness in blocks of
-``_DRAW_BLOCK`` steps (two generator calls per block), so a step costs one
-loop over the moved particle's partners, not a dozen numpy calls on
-3-vectors and short rows.  Every chain first solves its interval, so
-N <= 26 (the solver's cap); over that whole range the float step beats a
-numpy step on 3-vectors and rows (measured about 2x at N = 26 and 3-4x at
-N = 4 and 8), so it is the only step.
+A chain draws its start, again while a coupled pair coincides (probability
+zero, as ``_uniform_points`` redraws a zero row), so its (N,N) table of
+log d^2 over coupled pairs, built once, never holds -inf.  It steps in plain
+Python floats: it draws its randomness in blocks of ``_DRAW_BLOCK`` steps
+(two generator calls per block), so a step costs one loop over the moved
+particle's partners, not a dozen numpy calls on 3-vectors and short rows.
+Every chain first solves its interval, so N <= 26 (the solver's cap); over
+that whole range the float step beats a numpy step on 3-vectors and rows
+(measured about 2x at N = 26 and 3-4x at N = 4 and 8), so it is the only
+step.
 
 All randomness comes from numpy's Philox counter-based generator with
 explicit seeds.  Chordal distances are plain Euclidean norms in R^3; no
@@ -199,14 +201,14 @@ def analytic_partition_two(c12: float, beta: float) -> float:
     return 2.0 ** (2.0 * s) / (s + 1.0)
 
 
-def _interval(c: CouplingMatrix):
-    beta_minus, beta_plus = endpoints(*solve_both(c))
-    return float(beta_minus), float(beta_plus)
-
-
-def _check_inside(beta: float, lo: float, hi: float):
-    if not (lo < beta < hi):
-        raise DomainError(f"beta={beta} not strictly inside ({lo}, {hi})")
+def _interval(c: CouplingMatrix, betas: Sequence[float]):
+    """(beta-, beta+) of ``c`` as floats, from one ``solve_both``; a
+    DomainError for the first of ``betas``, in order, not strictly inside."""
+    lo, hi = (float(b) for b in endpoints(*solve_both(c)))
+    for beta in betas:
+        if not (lo < beta < hi):
+            raise DomainError(f"beta={beta} not strictly inside ({lo}, {hi})")
+    return lo, hi
 
 
 def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) -> MCEstimate:
@@ -219,22 +221,18 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     overflows, or a mean that underflows to 0, is a DomainError."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    lo, hi = _interval(c)
-    _check_inside(beta, lo, hi)
+    lo, hi = _interval(c, [beta])
 
     rows, cols, cij = _coupled_pairs(c)
     rng = _philox(seed)
     # 364 configurations on the 8+8 plasma, 21,845 on a pair
     block = _block(rows.size, c.n)
     weights = np.empty(samples, dtype=float)
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
-        w = weights[done:done + b]
-        np.matmul(_log_d2(_uniform_points(rng, b, c.n), rows, cols), cij, out=w)
+    for start in range(0, samples, block):
+        w = weights[start:start + block]
+        np.matmul(_log_d2(_uniform_points(rng, w.size, c.n), rows, cols), cij, out=w)
         w *= beta
         np.exp(w, out=w)
-        done += b
 
     mean = float(np.mean(weights))
     batch_means = np.array([np.mean(chunk) for chunk in np.array_split(weights, _BATCHES)])
@@ -280,12 +278,13 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     Particles are updated in a fixed cyclic order.  Acceptance is reported
     over post-burn-in steps.
 
-    Draws: the (N,3) start normals first, then per block of m =
-    min(_DRAW_BLOCK, steps - t) steps one ``standard_normal((m, 3))`` and
-    one ``random(m)`` call.  Step t uses normal row t and uniform t of its
-    block, whether or not its proposal is rejected, so a seed gives the
-    same chain on every run.  The outputs are allocated before the first
-    draw, so an unaffordable ``steps`` fails before any sampling.
+    Draws: the (N,3) start normals, again while a coupled pair coincides,
+    then per block of m = min(_DRAW_BLOCK, steps - t) steps one
+    ``standard_normal((m, 3))`` and one ``random(m)`` call.  Step t uses
+    normal row t and uniform t of its block, whether or not its proposal is
+    rejected, so a seed gives the same chain on every run.  The outputs are
+    allocated before the first draw, so an unaffordable ``steps`` fails
+    before any sampling.
 
     The step is plain Python float arithmetic: the points are a list of
     (x, y, z) tuples, the log d^2 table over coupled pairs a list of lists,
@@ -297,11 +296,11 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     interval solve caps n at 26, and at n <= 26 a loop over at most 25
     partners costs less than numpy calls on 3-vectors and short rows, so
     there is no numpy step.  A proposal of norm 0 is rejected, and so is
-    one that lands on a coupled partner.  While a coupled pair coincides
-    (log d^2 = -inf, possible only at the start and with probability zero),
-    any valid move of either particle is accepted unconditionally."""
-    lo, hi = _interval(c)
-    _check_inside(params.beta, lo, hi)
+    one that lands on a coupled partner (d^2 = 0).  Invariant: the log d^2
+    table never holds -inf.  The start redraw sets it up and that rejection
+    keeps it (a new move must keep it too), so one acceptance rule serves
+    every step and the energy, summed once at the start, is a running sum."""
+    _interval(c, [params.beta])
 
     steps, burn_in, thin, beta = params.steps, params.burn_in, params.thin, params.beta
     n = c.n
@@ -313,20 +312,20 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     energy_rows = memoryview(energies)
 
     rng = _philox(params.seed)
-    x = _uniform_points(rng, 1, n)[:, 0]
     rows, cols, cij = _coupled_pairs(c)
+    while True:
+        x = _uniform_points(rng, 1, n)[:, 0]
+        start_logd2 = _log_d2(x, rows, cols)
+        if not np.isneginf(start_logd2).any():
+            break
     table = np.zeros((n, n))
-    table[rows, cols] = table[cols, rows] = _log_d2(x, rows, cols)
+    table[rows, cols] = table[cols, rows] = start_logd2
     table = table.tolist()
     pts = list(zip(*x.tolist()))
     flat = array("d", x.T.ravel())  # pts as one buffer: an emission is one copy
     partners = [[(j, w) for j, w in enumerate(row) if w != 0.0] for row in c.entries.tolist()]
 
-    def total():
-        logd2 = np.array(table)[rows, cols]
-        return math.inf if np.any(np.isneginf(logd2)) else float(-np.sum(cij * logd2))
-
-    total_energy = total()
+    total_energy = float(-np.sum(cij * start_logd2))
     step = params.step_size
     accepted_tune = 0
     accepted_main = 0
@@ -365,18 +364,14 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
                     e_new -= w * logd2
                     e_old -= w * row[j]
                 else:
-                    escape = not math.isfinite(e_old) and -math.inf in row
-                    if escape:
-                        accept = True
-                    else:
-                        log_alpha = -beta * (e_new - e_old)
-                        accept = log_alpha >= 0.0 or u < math.exp(log_alpha)
+                    log_alpha = -beta * (e_new - e_old)
+                    accept = log_alpha >= 0.0 or u < math.exp(log_alpha)
                     if accept:
                         pts[i] = (px, py, pz)
                         flat[3 * i:3 * i + 3] = array("d", pts[i])
                         for (j, _), logd2 in zip(partners[i], new_row):
                             row[j] = table[j][i] = logd2
-                        total_energy = total() if escape else total_energy + (e_new - e_old)
+                        total_energy += e_new - e_old
 
             if t < burn_in:
                 if accept:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -157,20 +158,58 @@ def test_exit_2_on_asymmetric_matrix(tmp_path):
     assert run(["critical", "--input", bad]) == 2
 
 
-@pytest.mark.parametrize("system,command", [
-    ('{"matrix": [[0, "1e400"], ["1e400", 0]]}', "critical"),
-    ('{"charges": ["1e200", "-1e200"]}', "bounds"),
-    ('{"two_component": {"n1": 1, "n2": 1, "z1": "1e400", "z2": "1e400"}}', "closed-form"),
-    ('{"random": {"model": "couplings", "n": 4, "variance": "1e400", "seed": 0}}', "critical"),
-    ('{"charges": ["1e-200", "1e-200", "-1e-200"]}', "closed-form"),
-], ids=["matrix", "charge-product", "two-component", "variance", "onsager-candidate"])
-def test_exit_2_on_exact_value_beyond_float_range(tmp_path, capsys, system, command):
+_BEYOND = "3" + "0" * 400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize("system,command,message", [
+    ('{"matrix": [[0, "1e400"], ["1e400", 0]]}', "critical", "coupling (0,1)"),
+    ('{"charges": ["1e200", "-1e200"]}', "bounds", "coupling (0,1)"),
+    ('{"two_component": {"n1": 1, "n2": 1, "z1": "1e400", "z2": "1e400"}}', "closed-form",
+     "coupling (0,1)"),
+    ('{"random": {"model": "couplings", "n": 4, "variance": "1e400", "seed": 0}}', "critical",
+     "random.variance 1e400"),
+    ('{"charges": ["1e-200", "1e-200", "-1e-200"]}', "closed-form",
+     "the positive-side Onsager candidate"),
+    (f'{{"matrix": [[0, 1.5, {_BEYOND}], [1.5, 0, 1], [{_BEYOND}, 1, 0]]}}', "critical",
+     "coupling (0,2)"),
+], ids=["matrix", "charge-product", "two-component", "variance", "onsager-candidate",
+        "mixed-matrix"])
+def test_exit_2_on_exact_value_beyond_float_range(tmp_path, capsys, system, command, message):
     source = tmp_path / "huge.json"
     source.write_text(system)
     out = tmp_path / "report.json"
     assert run([command, "--input", source, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("error (input): ")
+    assert capsys.readouterr().err == f"error (input): {message} is beyond the float range\n"
     assert not out.exists()
+
+
+_UNDERFLOW = '{"charges": ["1e-200", "1e-200", "-1e-200"]}'  # couplings of 1e-400
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "--mode", "float"],
+    ["sk-check", "--mode", "float"],
+    ["bounds"],
+    ["mc-partition", "--beta-grid", "0.5", "--samples", 1000],
+    ["mc-gibbs", "--beta-grid", "0.5", "--steps", 200, "--burn-in", 100],
+], ids=lambda argv: argv[0])
+def test_exit_2_when_exact_couplings_underflow_in_float(tmp_path, capsys, argv):
+    source = tmp_path / "tiny.json"
+    source.write_text(_UNDERFLOW)
+    out = tmp_path / "out"
+    assert run([*argv, "--input", source, "--out", out]) == 2
+    assert "underflow the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_critical_keeps_underflowing_couplings(tmp_path):
+    source = tmp_path / "tiny.json"
+    source.write_text(_UNDERFLOW)
+    out = tmp_path / "report.json"
+    assert run(["critical", "--input", source, "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["mode"] == "exact"
+    assert (report["beta_minus"], report["beta_plus"]) == ("-1" + "0" * 400, "1" + "0" * 400)
 
 
 def test_readme_experiment_commands_parse(tmp_path):
@@ -234,11 +273,33 @@ def test_exit_2_on_ensemble_below_two_particles():
     assert run(["ensemble", "--model", "gaussian_couplings", "--n", 0, "--trials", 1]) == 2
 
 
-def test_exit_4_when_grid_leaves_interval(tmp_path):
+def test_exit_4_when_grid_leaves_interval(tmp_path, capsys, monkeypatch):
+    # pair_c1 has the interval (-1, inf); the first point of one grid and
+    # only the last of the other are outside, and every point is checked
+    # before any sampling
+    def no_sampling(*args):
+        raise AssertionError("sampled before the grid was checked")
+
+    monkeypatch.setattr(sphere_mc, "estimate_partition", no_sampling)
     out = tmp_path / "sweep.csv"
-    code = run(["mc-partition", "--input", INPUTS / "pair_c1.json",
-                "--beta-grid", " -1.0:0.5:4", "--samples", 2000, "--out", out])
-    assert code == 4
+    for grid, outside in ((" -1.0:0.5:4", "-1.0"), (" -0.2,-0.5,-1.2", "-1.2")):
+        code = run(["mc-partition", "--input", INPUTS / "pair_c1.json",
+                    "--beta-grid", grid, "--samples", 2000, "--out", out])
+        assert code == 4
+        assert f"beta={outside} not strictly inside (-1.0, inf)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["gaussian_couplings", "gaussian_charges"])
+def test_ensemble_raises_at_the_first_violated_bound(monkeypatch, model):
+    # T+ ten times too large breaks its bound at n = 6, seed 1, for both models
+    def inflated(c):
+        plus, minus = solver.solve_both(c)
+        return dataclasses.replace(plus, t_value=10 * plus.t_value), minus
+
+    monkeypatch.setattr(cli, "solve_both", inflated)
+    with pytest.raises(RuntimeError, match=r"^trial 0: T\+ = .* exceeds its deterministic bound"):
+        cli.run_ensemble(model, 6, 3, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

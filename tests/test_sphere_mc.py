@@ -571,27 +571,29 @@ def test_chain_proposal_norm_is_plain_float_arithmetic(monkeypatch):
     assert chain.configurations[0, 0].tolist() == [x / norm, y / norm, z / norm]
 
 
-def test_chain_escapes_coincident_start(monkeypatch):
-    # particles 0 and 2 carry opposite charges and start at the same point:
-    # log d^2 = -inf, and at beta > 0 no finite move would pass Metropolis
+def test_chain_redraws_a_coincident_start(monkeypatch):
+    # particles 0 and 2 carry opposite charges and the first start puts them
+    # at one point (log d^2 = -inf); the chain draws a second start and runs
+    # from that one
     plasma = from_charges(ChargeVector((1, 1, -1, -1)))
     uniform_points = sphere_mc._uniform_points
     starts = []
 
-    def coincident_start(rng, b, n):
+    def coincident_first(rng, b, n):
         x = uniform_points(rng, b, n)
-        x[..., 2] = x[..., 0]
+        if not starts:
+            x[..., 2] = x[..., 0]
         starts.append(x[:, 0].T.copy())
         return x
 
-    monkeypatch.setattr(sphere_mc, "_uniform_points", coincident_start)
+    monkeypatch.setattr(sphere_mc, "_uniform_points", coincident_first)
     chain = metropolis_chain(plasma, ChainParams(beta=0.5, steps=2000, burn_in=0, seed=3))
-    (start,) = starts
+    assert len(starts) == 2
+    first, second = starts
     with pytest.raises(DomainError, match="coincide"):
-        energy(plasma, start)
+        energy(plasma, first)
     # step 0 moves particle 0, and only particle 0
-    assert not np.array_equal(chain.configurations[0, 0], start[0])
-    assert np.array_equal(chain.configurations[0, 1:], start[1:])
+    assert np.array_equal(chain.configurations[0, 1:], second[1:])
     assert np.all(np.isfinite(chain.energies))
     _assert_energies_match_oracle(plasma, chain)
 
