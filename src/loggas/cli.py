@@ -58,7 +58,7 @@ from .coupling import (
 from .errors import DomainError, InputError, LogGasError, SizeLimitError
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
-from .rational import format_real, parse_number
+from .rational import format_real, parse_number, tolerance
 from .solver import CriticalReport, critical_interval, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
@@ -369,10 +369,10 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
 
     gaussian_couplings records the eigenvalue bounds of the coupling matrix;
     gaussian_charges records the closed-form charge bounds.  The first bound
-    violated (beyond 1e-9 relative slack) raises RuntimeError, so a report
-    has 0 in ``bound_violations`` and in each row's ``violations``.  Returns
-    the report fields in report order: model, n, trials, bound_violations,
-    summary, rows."""
+    violated beyond ``tolerance(1e-9, bound, max |c|)`` raises RuntimeError,
+    so a report has 0 in ``bound_violations`` and in each row's
+    ``violations``.  Returns the report fields in report order: model, n,
+    trials, bound_violations, summary, rows."""
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
     if n > 20:
@@ -401,9 +401,10 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
             bound_minus = float(np.sum(squares) - np.min(squares))
         plus, minus = solve_both(c)
         t_plus, t_minus = float(plus.t_value), float(minus.t_value)
+        scale = c.scale
         for side, result, t, bound in (("T+", plus, t_plus, bound_plus),
                                        ("-T-", minus, -t_minus, bound_minus)):
-            if result.attained and t > bound + _BOUND_SLACK * max(1.0, abs(bound)):
+            if result.attained and t > bound + tolerance(_BOUND_SLACK, bound, scale):
                 raise RuntimeError(f"trial {index}: {side} = {t!r} exceeds its "
                                    f"deterministic bound {bound!r}")
         return {

@@ -101,7 +101,8 @@ def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
     The two candidates are (1-N_s)/sum_{i<j in s} k_i k_j over the positive
     and the negative index classes; beta- is their maximum and the winning
     class collapses totally.  A side with a single particle cannot collapse
-    and contributes -inf."""
+    and contributes -inf.  Exact charges compare the candidates exactly;
+    float charges tie within a relative 1e-12 (``_TIE_RTOL``)."""
     if not onsager_conditions(k):
         raise DomainError("charge vector fails the 3/2-variation conditions")
     pos, neg = _split_signs(k)
@@ -120,17 +121,15 @@ def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
     cand_pos = candidate(pos)
     cand_neg = candidate(neg)
     fp, fn = as_float(cand_pos, "positive-side"), as_float(cand_neg, "negative-side")
-    if math.isfinite(fp) and math.isfinite(fn) and \
-            abs(fp - fn) <= _TIE_RTOL * max(abs(fp), abs(fn)):
-        side = TIE
-        beta = cand_pos if fp >= fn else cand_neg
-        collapsing = (pos, neg)
-    elif fp > fn:
-        side = POSITIVE_COLLAPSE
-        beta = cand_pos
-        collapsing = (pos,)
+    if k.is_exact:
+        tie = cand_pos == cand_neg
     else:
-        side = NEGATIVE_COLLAPSE
-        beta = cand_neg
-        collapsing = (neg,)
-    return OnsagerCritical(beta, side, cand_pos, cand_neg, collapsing)
+        tie = math.isfinite(fp) and math.isfinite(fn) and \
+            abs(fp - fn) <= _TIE_RTOL * max(abs(fp), abs(fn))
+    if tie:
+        side, collapsing = TIE, (pos, neg)
+    elif cand_pos > cand_neg:
+        side, collapsing = POSITIVE_COLLAPSE, (pos,)
+    else:
+        side, collapsing = NEGATIVE_COLLAPSE, (neg,)
+    return OnsagerCritical(max(cand_pos, cand_neg), side, cand_pos, cand_neg, collapsing)

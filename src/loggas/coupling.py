@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, SizeLimitError
-from .rational import Real, all_exact, is_exact, parse_number
+from .rational import Real, all_exact, is_exact, parse_number, tolerance
 
 SYMMETRY_RTOL = 1e-12
 NEUTRALITY_RTOL = 1e-12
@@ -51,6 +51,11 @@ class CouplingMatrix:
     @property
     def is_exact(self) -> bool:
         return self.exact_entries is not None
+
+    @property
+    def scale(self) -> float:
+        """The largest |c_ij| of the float grid, the scale of ``tolerance``."""
+        return float(np.abs(self.entries).max())
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,8 @@ def from_matrix(raw) -> CouplingMatrix:
 
     Symmetry is checked, never repaired by averaging: when every entry is
     exactly rational, c(i,j) and c(j,i) must be equal, otherwise their floats
-    must agree within 1e-12 * max(1, |c(i,j)|).  Integer/Fraction/"p/q"
+    must agree within ``tolerance(1e-12, c(i,j), s)``, s the largest |c| of
+    the float grid: 1e-12 * max(min(1, s), |c(i,j)|).  Integer/Fraction/"p/q"
     entries produce an exact rational grid alongside the floats; a float
     input is stored as its upper triangle mirrored by index, so a -0.0
     coupling keeps its sign.
@@ -160,13 +166,14 @@ def from_matrix(raw) -> CouplingMatrix:
     exact_mode = all(all_exact(r) for r in parsed)
     # mixed or float input is checked on its one float cast
     floats = None if exact_mode else _float_grid(parsed)
-    grid, rtol = (parsed, 0) if exact_mode else (floats.tolist(), SYMMETRY_RTOL)
+    grid, rtol, scale = ((parsed, 0, 0.0) if exact_mode else
+                         (floats.tolist(), SYMMETRY_RTOL, float(np.abs(floats).max())))
     for i in range(n):
         if parsed[i][i] != 0:
             raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
         for j in range(i + 1, n):
             a, b = grid[i][j], grid[j][i]
-            if abs(a - b) > rtol * max(1, abs(a)):
+            if abs(a - b) > tolerance(rtol, a, scale):
                 raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
 
     if exact_mode:  # exactly symmetric with a zero diagonal already

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .coupling import CouplingMatrix, GraphSpec, from_graph
 from .errors import InputError, SizeLimitError
+from .rational import tolerance
 from .solver import SubsetMask, all_subset_sums, solve_t_minus
 
 _ORACLE_MAX_N = 10
@@ -123,12 +124,12 @@ def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
     exactly the subsets attaining the ratio maximum.  The 1/2 factor matches
     the quadratic form of the ratio identity; without it the identity fails
     on hand examples.  In float mode ``tol`` is both the solver's tie
-    tolerance and the tolerance of these comparisons."""
+    tolerance and the rtol of these comparisons, under the solver's rule
+    ``rational.tolerance``; exact mode compares exactly."""
     if c.n > _SK_MAX_N:
         raise SizeLimitError(f"check limited to n <= {_SK_MAX_N}")
     result = solve_t_minus(c, tie_tol=tol)
     t_minus = result.t_value
-    exact = c.is_exact
     sums = all_subset_sums(c)
 
     # -1/2 chi'C chi = -a ; objective = -a - T- * |S|
@@ -141,10 +142,10 @@ def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
     best = min(objective(m) for m in sums)
     top = max(ratio(m) for m in sums)
 
+    rtol, scale = (0 if c.is_exact else tol), c.scale
+
     def close(x, y):
-        if exact:
-            return x == y
-        return abs(x - y) <= tol * max(1.0, abs(y))
+        return abs(x - y) <= tolerance(rtol, y, scale)
 
     minimizers = {m for m in sums if close(objective(m), best)}
     argmax_masks = {m for m in sums if close(ratio(m), top)}

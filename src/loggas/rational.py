@@ -50,6 +50,19 @@ def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
 
 
+def tolerance(rtol: float, value, scale: float):
+    """How far a float may sit from ``value`` and still count as equal to it.
+
+    ``rtol`` relative to |value|, with the floor min(1, scale), where
+    ``scale`` is the largest |c_ij| of the float grid.  Once max |c| >= 1
+    the floor is 1; below that the rule is rtol * max(scale, |value|), which
+    scales with the couplings, so small grids tie no more than large ones.
+    The one float tolerance of the package: the tie scan, sk-check, the
+    symmetry check and the ensemble bound all call it.  rtol 0 is equality,
+    on Fractions too."""
+    return rtol * max(min(1.0, scale), abs(value))
+
+
 def format_real(x: Real) -> object:
     """JSON-friendly rendering: Fractions as "p/q" strings, infinities as
     "inf"/"-inf", finite floats as-is."""

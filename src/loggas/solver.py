@@ -23,9 +23,12 @@ rational input pass a float-only copy.  Exact mode scales the entries to
 integers over their common denominator.  The sums are int64 when the
 absolute entries sum below 2^62 and Python ints (dtype=object) otherwise,
 and sizes are compared as exact fractions, so ties are exact.  Float mode
-finds ties with the keyword-only ``tie_tol`` rule; its reported optimum is
-the fsum of the pairs of the first optimizer in (size, mask) order over
-|S|-1, so it does not depend on the summation order.
+ties a ratio to the optimum r within ``rational.tolerance(tie_tol, r, s)``,
+s the largest |c_ij|, that is tie_tol * max(min(1, s), |r|); below scale 1
+the rule scales with C, so a small grid ties no more subsets than the same
+grid scaled up (``tie_tol`` is keyword-only).  Its reported optimum is the
+fsum of the pairs of the first optimizer in (size, mask) order over |S|-1,
+so it does not depend on the summation order.
 
 kappa, the size of the largest pairwise-nested subfamily of an optimizer
 family, and the maximal nests themselves come from one depth-first search
@@ -51,7 +54,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import SizeLimitError
-from .rational import Real
+from .rational import Real, tolerance
 
 _BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
 _MAX_N = 26  # largest instance the 2^n scan accepts
@@ -176,7 +179,7 @@ def _pair_sums(w) -> np.ndarray:
 
 def _near(vals, k, target, tol):
     """Which size-k subset sums attain ``target``: integer equality in exact
-    mode (tol None), the tie_tol rule on the ratio in float mode."""
+    mode (tol None), within ``tol`` on the ratio in float mode."""
     if tol is None:
         return vals == target
     return np.abs(vals / (k - 1) - target) <= tol
@@ -282,6 +285,7 @@ def _scan(c: CouplingMatrix, tie_tol: float) -> tuple:
     exact = c.is_exact
     w, denom = _weights(c, exact)
     table = _SubsetSums(w)
+    scale = c.scale
     sides, ratios = [], []
     for ext, ufunc, pick in zip(table.extrema(), (np.minimum, np.maximum), (min, max)):
         a = table.by_size(ext, ufunc)  # a[k]: extremum of the size-k sums
@@ -290,7 +294,7 @@ def _scan(c: CouplingMatrix, tie_tol: float) -> tuple:
         if exact:
             tol, wins = None, [(k, a[k]) for k in q if q[k] == r != 0]
         else:
-            tol = tie_tol * max(1.0, abs(r))
+            tol = tolerance(tie_tol, r, scale)
             wins = [(k, r) for k in q if abs(q[k] - r) <= tol]
         sides.append((ext, wins, tol))
         ratios.append(r / denom if exact else r)
@@ -462,22 +466,15 @@ def brute_force_oracle(c: CouplingMatrix, tie_tol: float = 1e-9) -> OracleResult
     if c.n > 16:
         raise SizeLimitError(f"oracle limited to n <= 16, got {c.n}")
     ratios = {mask: a / (mask.bit_count() - 1) for mask, a in all_subset_sums(c).items()}
+    scale = max(abs(v) for row in c.entries.tolist() for v in row)
 
     rmin = min(ratios.values())
     rmax = max(ratios.values())
 
     def ties(target):
-        out = []
-        for mask, r in ratios.items():
-            zero_sum = r == 0
-            if zero_sum:
-                continue
-            if c.is_exact:
-                if r == target:
-                    out.append(mask)
-            elif abs(r - target) <= tie_tol * max(1.0, abs(target)):
-                out.append(mask)
-        key = lambda m: (m.bit_count(), m)
-        return tuple(SubsetMask(m) for m in sorted(out, key=key))
+        # the float tie rule, spelled out here apart from the kernel's copy
+        tol = 0 if c.is_exact else tie_tol * max(min(1.0, scale), abs(target))
+        out = [mask for mask, r in ratios.items() if r != 0 and abs(r - target) <= tol]
+        return tuple(SubsetMask(m) for m in sorted(out, key=lambda m: (m.bit_count(), m)))
 
     return OracleResult(-rmin, -rmax, ties(rmin), ties(rmax))

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -212,6 +213,40 @@ def test_exact_critical_keeps_underflowing_couplings(tmp_path):
     assert (report["beta_minus"], report["beta_plus"]) == ("-1" + "0" * 400, "1" + "0" * 400)
 
 
+def test_float_ties_scale_with_the_couplings(tmp_path):
+    # |c| ~ 1e-12: float mode agrees with exact mode on the charges x 1e6
+    tiny, whole = tmp_path / "tiny.json", tmp_path / "whole.json"
+    tiny.write_text('{"charges": [3e-6, -1e-6, -2e-6]}')
+    whole.write_text('{"charges": [3, -1, -2]}')
+    out, exact_out = tmp_path / "report.json", tmp_path / "exact.json"
+    assert run(["critical", "--mode", "float", "--input", tiny, "--out", out]) == 0
+    assert run(["critical", "--input", whole, "--out", exact_out]) == 0
+    report, exact = json.loads(out.read_text()), json.loads(exact_out.read_text())
+    assert report["g_plus"] == exact["g_plus"] == [[1, 3]]
+    assert report["g_minus"] == exact["g_minus"] == [[2, 3]]
+    for side in ("plus", "minus"):
+        assert report[f"kappa_{side}"] == exact[f"kappa_{side}"] == 1
+        assert report[f"beta_{side}"] == pytest.approx(float(Fraction(exact[f"beta_{side}"])) * 1e12,
+                                                       rel=1e-12)
+    assert (report["beta_minus"], report["beta_plus"]) == pytest.approx((-5e11, 1e12 / 6))
+    assert run(["sk-check", "--mode", "float", "--input", tiny, "--out", out]) == 0
+    assert json.loads(out.read_text())["holds"] is True
+
+
+def test_float_ties_below_an_underflowing_coupling(tmp_path):
+    # c12 = -1e-400 underflows to 0.0; c34 = -1e-200 alone wins G+ in both modes.
+    # G- still ties all four cross pairs in float mode: their ratios are
+    # +-1e-300, within 1e-9 * 1e-200 of each other; exact mode splits them
+    source = tmp_path / "small.json"
+    source.write_text('{"charges": ["1e-200", "-1e-200", "1e-100", "-1e-100"]}')
+    float_out, exact_out = tmp_path / "float.json", tmp_path / "exact.json"
+    assert run(["critical", "--mode", "float", "--input", source, "--out", float_out]) == 0
+    assert run(["critical", "--input", source, "--out", exact_out]) == 0
+    got, exact = json.loads(float_out.read_text()), json.loads(exact_out.read_text())
+    assert got["g_plus"] == exact["g_plus"] == [[3, 4]]
+    assert got["beta_plus"] == pytest.approx(float(Fraction(exact["beta_plus"])), rel=1e-12)
+
+
 def test_readme_experiment_commands_parse(tmp_path):
     # the README's Experiments block is the one way to run each experiment
     block = (HERE.parent / "README.md").read_text().split("## Experiments", 1)[1].split("```")[1]
@@ -290,8 +325,12 @@ def test_exit_4_when_grid_leaves_interval(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("model", ["gaussian_couplings", "gaussian_charges"])
-def test_ensemble_raises_at_the_first_violated_bound(monkeypatch, model):
+@pytest.mark.parametrize("model, variance", [
+    ("gaussian_couplings", None),
+    ("gaussian_charges", None),
+    ("gaussian_couplings", 1e-30),  # T ~ 1e-14: a slack of 1e-9 would hide it
+], ids=["gaussian_couplings", "gaussian_charges", "gaussian_couplings_tiny"])
+def test_ensemble_raises_at_the_first_violated_bound(monkeypatch, model, variance):
     # T+ ten times too large breaks its bound at n = 6, seed 1, for both models
     def inflated(c):
         plus, minus = solver.solve_both(c)
@@ -299,7 +338,7 @@ def test_ensemble_raises_at_the_first_violated_bound(monkeypatch, model):
 
     monkeypatch.setattr(cli, "solve_both", inflated)
     with pytest.raises(RuntimeError, match=r"^trial 0: T\+ = .* exceeds its deterministic bound"):
-        cli.run_ensemble(model, 6, 3, 1)
+        cli.run_ensemble(model, 6, 3, 1, variance=variance)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

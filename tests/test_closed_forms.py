@@ -114,6 +114,20 @@ def test_onsager_symmetric_six():
     assert crit.beta_minus == Fraction(-2, 3)
 
 
+def test_onsager_exact_near_tie_is_no_tie():
+    # the candidates -2/3 and -2/3.00000000000003 differ by 1e-14 relative;
+    # exact charges compare them exactly, as exact critical does (G- = [{4,5,6}])
+    k = ChargeVector((1, 1, 1, -1, -1, Fraction("-1000000000000015/1000000000000000")))
+    crit = onsager_beta_minus(k)
+    assert crit.winning_side == NEGATIVE_COLLAPSE
+    assert crit.collapsing == ((3, 4, 5),)
+    assert crit.beta_minus == crit.candidate_neg > crit.candidate_pos
+    report = critical_interval(from_charges(k))
+    assert report.beta_minus == crit.beta_minus
+    assert [s.indices() for s in report.minus.optimizers] == [(3, 4, 5)]
+    assert report.nests_minus.kappa == 1
+
+
 def test_onsager_positive_collapse():
     k = ChargeVector((1.2, 1.2, 1.2, -1.0, -1.0, -1.0))
     crit = onsager_beta_minus(k)

@@ -35,6 +35,9 @@ def test_from_matrix_rejects_asymmetric():
     # rational input is compared exactly, not to 1e-12
     with pytest.raises(InputError, match=r"entries \(0,1\) and \(1,0\) differ"):
         from_matrix([[0, 1000000000000001, -1], [1000000000000000, 0, 1], [-1, 1, 0]])
+    # float input below scale 1 is compared relative to its largest coupling
+    with pytest.raises(InputError, match=r"entries \(0,1\) and \(1,0\) differ"):
+        from_matrix([[0, 1e-15, 2e-15], [3e-15, 0, -1e-15], [2e-15, -1e-15, 0]])
 
 
 def test_from_matrix_rejects_nonzero_diagonal():

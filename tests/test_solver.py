@@ -253,6 +253,32 @@ def test_scaling_covariance(c, t):
     assert bits(scaled_minus.optimizers) == bits(minus.optimizers)
 
 
+@st.composite
+def float_coupling_values(draw):
+    """(n, upper-triangle floats): Gaussian or integer-valued couplings."""
+    n = draw(st.integers(3, 7))
+    m = n * (n - 1) // 2
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return n, [rng.gauss(0.0, 1.0) for _ in range(m)]
+    return n, [float(v) for v in draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))]
+
+
+@settings(max_examples=100)
+@given(float_coupling_values(), st.integers(-60, 60))
+def test_float_ties_scale_with_the_couplings(values, k):
+    # C -> 2^k C is exact in floats: T+- scale by exactly 2^k, and the
+    # families, kappa and nests stay, at any scale
+    n, upper = values
+    base = critical_interval(from_matrix(symmetric_from_upper(n, upper)))
+    scaled = critical_interval(from_matrix(symmetric_from_upper(n, [v * 2.0**k for v in upper])))
+    for got, want in ((scaled.plus, base.plus), (scaled.minus, base.minus)):
+        assert got.t_value == 2.0**k * want.t_value
+        assert got.attained == want.attained
+        assert got.optimizers == want.optimizers
+    assert (scaled.nests_plus, scaled.nests_minus) == (base.nests_plus, base.nests_minus)
+
+
 @given(exact_coupling_matrices(max_n=5))
 def test_negation_duality(c):
     plus, minus = solve_both(c)
