@@ -48,6 +48,7 @@ import numpy as np
 
 from . import closed_forms, sphere_mc
 from .coupling import (
+    UNDERFLOW,
     CouplingMatrix,
     SystemInput,
     from_charges,
@@ -58,7 +59,7 @@ from .coupling import (
 from .errors import DomainError, InputError, LogGasError, SizeLimitError
 from .graphs import arboricity as run_arboricity
 from .graphs import sk_ground_state_check
-from .rational import format_real, parse_number, tolerance
+from .rational import TIE_TOL, format_real, parse_number, tolerance
 from .solver import CriticalReport, critical_interval, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
@@ -69,7 +70,7 @@ def _float_view(c: CouplingMatrix) -> CouplingMatrix:
     """A float-only copy of ``c``, refused when every float of a nonzero
     exact grid underflows to 0.0 (it would be solved as the zero matrix)."""
     if c.is_exact and not c.entries.any() and any(map(any, c.exact_entries)):
-        raise InputError("the couplings underflow the float range: each is 0.0 as a float")
+        raise InputError(UNDERFLOW)
     return CouplingMatrix(c.n, np.array(c.entries, dtype=float), None)
 
 
@@ -234,9 +235,9 @@ def cmd_arboricity(args: argparse.Namespace) -> tuple:
 
 
 def cmd_sk_check(args: argparse.Namespace) -> tuple:
-    tol = _tie_tol(args)
+    tie_tol = _tie_tol(args)
     c = _solver_matrix(load_system(args.input), args.mode)
-    holds = sk_ground_state_check(c, tol=tol)
+    holds = sk_ground_state_check(c, tie_tol=tie_tol)
     doc = {"n": c.n, "mode": "exact" if c.is_exact else "float", "holds": holds}
     return doc, [f"ground-state identity holds: {holds}"]
 
@@ -369,10 +370,10 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
 
     gaussian_couplings records the eigenvalue bounds of the coupling matrix;
     gaussian_charges records the closed-form charge bounds.  The first bound
-    violated beyond ``tolerance(1e-9, bound, max |c|)`` raises RuntimeError,
-    so a report has 0 in ``bound_violations`` and in each row's
-    ``violations``.  Returns the report fields in report order: model, n,
-    trials, bound_violations, summary, rows."""
+    violated beyond ``tolerance(_BOUND_SLACK, bound, max |c|)`` raises
+    RuntimeError, so a report has 0 in ``bound_violations`` and in each
+    row's ``violations``.  Returns the report fields in report order: model,
+    n, trials, bound_violations, summary, rows."""
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
     if n > 20:
@@ -448,7 +449,7 @@ _FLAGS = {
     "--input": dict(required=True, help="input JSON file"),
     "--out": dict(default=None, help="output file (JSON report or CSV)"),
     "--mode": dict(choices=["exact", "float", "auto"], default="auto"),
-    "--tol": dict(type=float, default=1e-9, help="float-mode tie tolerance"),
+    "--tol": dict(type=float, default=TIE_TOL, help="float-mode tie tolerance"),
     "--seed": dict(type=int, default=0),
     "--samples": dict(type=int, default=100_000),
     "--beta-grid": dict(required=True, help="a:b:steps or comma list"),

@@ -17,13 +17,11 @@ from fractions import Fraction
 
 from .coupling import ChargeVector, TwoComponentSpec, neutrality_check
 from .errors import DomainError, InputError
-from .rational import Real
+from .rational import TIE_TOL, Real, tolerance
 
 POSITIVE_COLLAPSE = "positive_collapse"
 NEGATIVE_COLLAPSE = "negative_collapse"
 TIE = "tie"
-
-_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,20 +43,16 @@ class OnsagerCritical:
 def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
     """Critical data of the neutral two-component plasma.
 
-    Species are relabeled internally so the first carries the larger charge
-    magnitude; under neutrality that species is the smaller one, and
-    kappa+ = min(n1, n2)."""
+    Under neutrality the species of larger charge magnitude is the smaller
+    one, so kappa+ = min(n1, n2) and the prefactor is min(z1, z2)/(z1 + z2).
+    Neither depends on the species order: IEEE + and * commute."""
     neutrality_check(spec)
-    swapped = spec.z2 > spec.z1
-    n1, z1 = (spec.n2, spec.z2) if swapped else (spec.n1, spec.z1)
-    n2, z2 = (spec.n1, spec.z1) if swapped else (spec.n2, spec.z2)
-
     num = Fraction if spec.is_exact else float
-    z1, z2 = num(z1), num(z2)
+    z1, z2 = num(spec.z1), num(spec.z2)
     return TwoComponentCritical(
         beta_plus=1 / (z1 * z2),
-        kappa_plus=min(n1, n2),
-        free_energy_prefactor=z2 / (z1 + z2),
+        kappa_plus=min(spec.n1, spec.n2),
+        free_energy_prefactor=min(z1, z2) / (z1 + z2),
     )
 
 
@@ -101,31 +95,35 @@ def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
     The two candidates are (1-N_s)/sum_{i<j in s} k_i k_j over the positive
     and the negative index classes; beta- is their maximum and the winning
     class collapses totally.  A side with a single particle cannot collapse
-    and contributes -inf.  Exact charges compare the candidates exactly;
-    float charges tie within a relative 1e-12 (``_TIE_RTOL``)."""
+    and contributes -inf.  Exact charges compare the candidates exactly.
+    Float charges tie by the solver's rule: the classes' ratios r = -1/cand
+    tie when |r_pos - r_neg| <= tolerance(TIE_TOL, max r, s), s the product
+    of the two largest |k_i| (the largest |c_ij|).  A candidate whose float
+    is out of range is an InputError, and so is a float pair sum that
+    underflows to 0 or overflows."""
     if not onsager_conditions(k):
         raise DomainError("charge vector fails the 3/2-variation conditions")
     pos, neg = _split_signs(k)
 
-    def candidate(idx):
+    def candidate(idx, side: str):
         if len(idx) < 2:
             return -math.inf
-        return (1 - len(idx)) / _pair_sum(k, idx)
-
-    def as_float(cand, side: str) -> float:
         try:
-            return float(cand)
-        except OverflowError:
-            raise InputError(f"the {side} Onsager candidate is beyond the float range") from None
+            cand = (1 - len(idx)) / _pair_sum(k, idx)
+            if cand != 0 and math.isfinite(cand):
+                return cand
+        except (ZeroDivisionError, OverflowError):
+            pass
+        raise InputError(f"the {side} Onsager candidate is beyond the float range")
 
-    cand_pos = candidate(pos)
-    cand_neg = candidate(neg)
-    fp, fn = as_float(cand_pos, "positive-side"), as_float(cand_neg, "negative-side")
+    cand_pos, cand_neg = candidate(pos, "positive-side"), candidate(neg, "negative-side")
     if k.is_exact:
         tie = cand_pos == cand_neg
     else:
-        tie = math.isfinite(fp) and math.isfinite(fn) and \
-            abs(fp - fn) <= _TIE_RTOL * max(abs(fp), abs(fn))
+        r_pos, r_neg = -1 / cand_pos, -1 / cand_neg
+        a, b = sorted(map(abs, k.as_floats().tolist()))[-2:]
+        tie = math.isfinite(cand_pos) and math.isfinite(cand_neg) and \
+            abs(r_pos - r_neg) <= tolerance(TIE_TOL, max(r_pos, r_neg), a * b)
     if tie:
         side, collapsing = TIE, (pos, neg)
     elif cand_pos > cand_neg:

@@ -23,6 +23,7 @@ from .rational import Real, all_exact, is_exact, parse_number, tolerance
 SYMMETRY_RTOL = 1e-12
 NEUTRALITY_RTOL = 1e-12
 MAX_PARTICLES = 2048  # the eigensolver's cap, the largest n any consumer accepts
+UNDERFLOW = "the couplings underflow the float range: each is 0.0 as a float"
 
 
 def _check_count(n: int, context: str):
@@ -205,14 +206,25 @@ def _exact_matrix(exact: tuple) -> CouplingMatrix:
 
 
 def from_charges(k: ChargeVector) -> CouplingMatrix:
-    """Coupling c(i,j) = k_i * k_j off the diagonal."""
+    """Coupling c(i,j) = k_i * k_j off the diagonal.
+
+    Float products out of range are refused as exact ones are: the first
+    infinite coupling in row-major order is named, and a grid whose
+    products all underflow to 0.0 is refused with ``UNDERFLOW``."""
     if k.is_exact:
         kq = [Fraction(v) for v in k.values]
         return _exact_matrix(tuple(tuple(a * b if i != j else Fraction(0) for j, b in enumerate(kq))
                                    for i, a in enumerate(kq)))
     kf = k.as_floats()
-    floats = np.outer(kf, kf)
+    with np.errstate(over="ignore", under="ignore"):
+        floats = np.outer(kf, kf)
     np.fill_diagonal(floats, 0.0)
+    infinite = np.argwhere(np.isinf(floats))
+    if infinite.size:
+        i, j = infinite[0]
+        raise InputError(f"coupling ({i},{j}) is beyond the float range")
+    if not floats.any():
+        raise InputError(UNDERFLOW)
     return CouplingMatrix(k.n, floats)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .coupling import CouplingMatrix, GraphSpec, from_graph
 from .errors import InputError, SizeLimitError
-from .rational import tolerance
+from .rational import TIE_TOL, tolerance
 from .solver import SubsetMask, all_subset_sums, solve_t_minus
 
 _ORACLE_MAX_N = 10
@@ -115,7 +115,7 @@ def forest_partition_oracle(g: GraphSpec) -> int:
     return t
 
 
-def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
+def sk_ground_state_check(c: CouplingMatrix, tie_tol: float = TIE_TOL) -> bool:
     """Ground-state identity between the ratio optimum and a 0/1-spin
     Hamiltonian with external field -T-.
 
@@ -123,12 +123,12 @@ def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
     -1/2 chi' C chi - T- * sum(chi) equals -T-, and that the minimizers are
     exactly the subsets attaining the ratio maximum.  The 1/2 factor matches
     the quadratic form of the ratio identity; without it the identity fails
-    on hand examples.  In float mode ``tol`` is both the solver's tie
+    on hand examples.  In float mode ``tie_tol`` is both the solver's tie
     tolerance and the rtol of these comparisons, under the solver's rule
     ``rational.tolerance``; exact mode compares exactly."""
     if c.n > _SK_MAX_N:
         raise SizeLimitError(f"check limited to n <= {_SK_MAX_N}")
-    result = solve_t_minus(c, tie_tol=tol)
+    result = solve_t_minus(c, tie_tol=tie_tol)
     t_minus = result.t_value
     sums = all_subset_sums(c)
 
@@ -142,7 +142,7 @@ def sk_ground_state_check(c: CouplingMatrix, tol: float = 1e-9) -> bool:
     best = min(objective(m) for m in sums)
     top = max(ratio(m) for m in sums)
 
-    rtol, scale = (0 if c.is_exact else tol), c.scale
+    rtol, scale = (0 if c.is_exact else tie_tol), c.scale
 
     def close(x, y):
         return abs(x - y) <= tolerance(rtol, y, scale)

@@ -17,6 +17,8 @@ from .errors import InputError
 
 Real = Union[Fraction, float]
 
+TIE_TOL = 1e-9  # the default rtol of every float tie: solver, sk-check, closed-form, --tol
+
 
 def parse_number(value) -> Real:
     """Parse a JSON-ish scalar into a Real.
@@ -57,9 +59,9 @@ def tolerance(rtol: float, value, scale: float):
     ``scale`` is the largest |c_ij| of the float grid.  Once max |c| >= 1
     the floor is 1; below that the rule is rtol * max(scale, |value|), which
     scales with the couplings, so small grids tie no more than large ones.
-    The one float tolerance of the package: the tie scan, sk-check, the
-    symmetry check and the ensemble bound all call it.  rtol 0 is equality,
-    on Fractions too."""
+    The one float tolerance of the package: the tie scan, sk-check,
+    closed-form's Onsager tie, the symmetry check and the ensemble bound
+    all call it.  rtol 0 is equality, on Fractions too."""
     return rtol * max(min(1.0, scale), abs(value))
 
 

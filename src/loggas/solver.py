@@ -54,7 +54,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import SizeLimitError
-from .rational import Real, tolerance
+from .rational import TIE_TOL, Real, tolerance
 
 _BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
 _MAX_N = 26  # largest instance the 2^n scan accepts
@@ -311,17 +311,17 @@ def _scan(c: CouplingMatrix, tie_tol: float) -> tuple:
 # Public operations
 # ---------------------------------------------------------------------------
 
-def solve_t_plus(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> OptResult:
+def solve_t_plus(c: CouplingMatrix, *, tie_tol: float = TIE_TOL) -> OptResult:
     """T+ = -min_S ratio(S); optimizers are the negative-sum argmin sets."""
     return _scan(c, tie_tol)[0]
 
 
-def solve_t_minus(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> OptResult:
+def solve_t_minus(c: CouplingMatrix, *, tie_tol: float = TIE_TOL) -> OptResult:
     """T- = -max_S ratio(S); optimizers are the positive-sum argmax sets."""
     return _scan(c, tie_tol)[1]
 
 
-def solve_both(c: CouplingMatrix, *, tie_tol: float = 1e-9):
+def solve_both(c: CouplingMatrix, *, tie_tol: float = TIE_TOL):
     """(plus, minus) results from a single shared scan."""
     return _scan(c, tie_tol)
 
@@ -420,7 +420,7 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     return NestSearch(best, tuple(tuple(fam[j] for j in combo) for combo in members), truncated)
 
 
-def critical_interval(c: CouplingMatrix, *, tie_tol: float = 1e-9) -> CriticalReport:
+def critical_interval(c: CouplingMatrix, *, tie_tol: float = TIE_TOL) -> CriticalReport:
     """Full report: endpoints, optimizer families and their maximum nests."""
     plus, minus = solve_both(c, tie_tol=tie_tol)
     beta_minus, beta_plus = endpoints(plus, minus)
@@ -460,7 +460,7 @@ def all_subset_sums(c: CouplingMatrix) -> dict:
     return sums
 
 
-def brute_force_oracle(c: CouplingMatrix, tie_tol: float = 1e-9) -> OracleResult:
+def brute_force_oracle(c: CouplingMatrix, tie_tol: float = TIE_TOL) -> OracleResult:
     """Reference solver: plain loop over all masks, no pruning, no
     incremental sums.  Kept deliberately simple; n <= 16."""
     if c.n > 16:

@@ -217,8 +217,11 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     Standard error by 32 batch means.  The weight's second moment is
     E[w^2] = Z(2 beta), so the heavy-tail flag marks exactly the beta with
     2 beta outside (beta-, beta+): there the weights have infinite variance
-    and the reported stderr is only indicative.  A mean or stderr that
-    overflows, or a mean that underflows to 0, is a DomainError."""
+    and the reported stderr is only indicative.  The moments are taken of
+    the weights scaled by a power of two, so every Z that fits in a float
+    is estimated; a mean or stderr that overflows even so (Z itself is
+    beyond the float range), or a mean that underflows to 0, is a
+    DomainError."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     lo, hi = _interval(c, [beta])
@@ -228,15 +231,20 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     # 364 configurations on the 8+8 plasma, 21,845 on a pair
     block = _block(rows.size, c.n)
     weights = np.empty(samples, dtype=float)
-    for start in range(0, samples, block):
-        w = weights[start:start + block]
-        np.matmul(_log_d2(_uniform_points(rng, w.size, c.n), rows, cols), cij, out=w)
-        w *= beta
-        np.exp(w, out=w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, samples, block):
+            w = weights[start:start + block]
+            np.matmul(_log_d2(_uniform_points(rng, w.size, c.n), rows, cols), cij, out=w)
+            w *= beta
+            np.exp(w, out=w)
 
-    mean = float(np.mean(weights))
-    batch_means = np.array([np.mean(chunk) for chunk in np.array_split(weights, _BATCHES)])
-    stderr = float(np.std(batch_means, ddof=1) / math.sqrt(_BATCHES))
+        # the moments of w / 2^e, e the binary exponent of the largest weight,
+        # scaled back by 2^e: a power of two rounds only a subnormal result
+        e = math.frexp(float(weights.max()))[1]
+        np.ldexp(weights, -e, out=weights)
+        batch_means = np.array([np.mean(chunk) for chunk in np.array_split(weights, _BATCHES)])
+        mean = float(np.ldexp(np.mean(weights), e))
+        stderr = float(np.ldexp(np.std(batch_means, ddof=1) / math.sqrt(_BATCHES), e))
     if not (0 < mean < math.inf and stderr < math.inf):
         raise DomainError(f"beta={beta:g}: the weights overflow or vanish in float "
                           f"(mean {mean:g}, stderr {stderr:g})")

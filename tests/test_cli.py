@@ -203,6 +203,60 @@ def test_exit_2_when_exact_couplings_underflow_in_float(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_FLOAT_OUT_OF_RANGE = {
+    # every product overflows; the first infinite coupling is named
+    "overflow": ('{"charges": [1e200, 1e200, 1e200, -1e200, -1e200]}',
+                 "error (input): coupling (0,1) is beyond the float range"),
+    # every product underflows to 0.0
+    "underflow": ('{"charges": [1e-200, 1e-200, 1e-200, -1e-200, -1e-200]}',
+                  "error (input): the couplings underflow the float range: each is 0.0 as a float"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical"],
+    ["sk-check"],
+    ["bounds"],
+    ["closed-form"],
+    ["mc-partition", "--beta-grid", "0.5", "--samples", 1000],
+    ["mc-gibbs", "--beta-grid", "0.5", "--steps", 200, "--burn-in", 100],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("case", sorted(_FLOAT_OUT_OF_RANGE))
+def test_exit_2_on_float_charges_beyond_float_range(tmp_path, capsys, argv, case):
+    system, message = _FLOAT_OUT_OF_RANGE[case]
+    source = tmp_path / "charges.json"
+    source.write_text(system)
+    out = tmp_path / "out"
+    assert run([*argv, "--input", source, "--out", out]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_exit_2_when_an_onsager_pair_sum_underflows(tmp_path, capsys):
+    # the positive class's one product, 1e-400, is 0.0 as a float
+    source = tmp_path / "charges.json"
+    source.write_text('{"charges": [1e-200, 1e-200, -1.0, -1.2]}')
+    out = tmp_path / "out"
+    assert run(["closed-form", "--input", source, "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        "error (input): the positive-side Onsager candidate is beyond the float range\n"
+    assert not out.exists()
+
+
+def test_closed_form_ties_float_charges_as_critical_does(tmp_path, capsys):
+    # the class ratios 1.5 and 1.50000000005 differ by 3.3e-11 relative, within --tol
+    source = tmp_path / "near_tie.json"
+    source.write_text('{"charges": [1, 1, 1, -1, -1, -1.0000000001]}')
+    closed, report = tmp_path / "closed.json", tmp_path / "critical.json"
+    assert run(["closed-form", "--input", source, "--out", closed]) == 0
+    assert "side: tie" in capsys.readouterr().out
+    doc = json.loads(closed.read_text())
+    assert doc["winning_side"] == "tie"
+    assert doc["support"] == ["p1=p2=p3", "p4=p5=p6"]
+    assert run(["critical", "--input", source, "--out", report]) == 0
+    assert json.loads(report.read_text())["g_minus"] == [[1, 2, 3], [4, 5, 6]]
+
+
 def test_exact_critical_keeps_underflowing_couplings(tmp_path):
     source = tmp_path / "tiny.json"
     source.write_text(_UNDERFLOW)

@@ -17,6 +17,7 @@ from loggas import (
 )
 from loggas.closed_forms import NEGATIVE_COLLAPSE, POSITIVE_COLLAPSE, TIE
 from loggas.errors import DomainError, InputError
+from loggas.rational import TIE_TOL, tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,42 @@ def test_onsager_agreement_with_solver():
             assert solver_sets == {full_neg}
         else:
             assert solver_sets == {full_pos, full_neg}
+
+
+def _pair_ratio(values) -> float:
+    pairs = [a * b for i, a in enumerate(values) for b in values[i + 1:]]
+    return math.fsum(pairs) / (len(values) - 1)
+
+
+@pytest.mark.parametrize("gap", [0.1, 10.0, -0.1, -10.0])
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
+def test_onsager_near_ties_agree_with_solver(gap, scale):
+    # the negative class is rescaled so that its ratio sits gap x
+    # tolerance(TIE_TOL, r, s) from the positive one's: a tie within the
+    # rule, two classes apart beyond it, as critical_interval's G- says
+    rng = random.Random(67)
+    checked = 0
+    while checked < 10:
+        k = _random_onsager_vector(rng)
+        if not onsager_conditions(k):
+            continue
+        checked += 1
+        pos = [v * scale for v in k.values if v > 0]
+        neg = [v * scale for v in k.values if v < 0]
+        r_pos = _pair_ratio(pos)
+        s = sorted(map(abs, pos + neg))[-2:]
+        target = r_pos + gap * tolerance(TIE_TOL, r_pos, s[0] * s[1])
+        neg = [v * math.sqrt(target / _pair_ratio(neg)) for v in neg]
+        k = ChargeVector(tuple(pos + neg))
+        crit = onsager_beta_minus(k)
+        expected = TIE if abs(gap) < 1 else NEGATIVE_COLLAPSE if gap > 0 else POSITIVE_COLLAPSE
+        assert crit.winning_side == expected
+        full_pos = SubsetMask.from_indices(range(len(pos))).bits
+        full_neg = SubsetMask.from_indices(range(len(pos), k.n)).bits
+        classes = {TIE: {full_pos, full_neg}, POSITIVE_COLLAPSE: {full_pos},
+                   NEGATIVE_COLLAPSE: {full_neg}}[expected]
+        report = critical_interval(from_charges(k))
+        assert {s.bits for s in report.minus.optimizers} == classes
 
 
 def test_equal_charge_remark_values():

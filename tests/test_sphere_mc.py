@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -197,13 +198,25 @@ def test_estimate_outside_interval():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("beta,what", [(1.0, "stderr inf"), (2.0, "mean inf")])
+@pytest.mark.parametrize("beta,what", [(2.0, "mean inf")])
 def test_estimate_refuses_weights_that_overflow(beta, what):
-    # c = 300: Z(1) = 2^600/301 ~ 1.4e178 is a float but its batch-means
-    # variance is not, and from beta = 2 on the weights overflow
+    # c = 300: from beta = 2 on the weights overflow
     c = from_matrix([[0, 300], [300, 0]])
     with pytest.raises(DomainError, match=rf"beta={beta:g}: .*{what}"):
         estimate_partition(c, beta, 2000, seed=0)
+
+
+def test_estimate_scales_weights_near_the_float_limit():
+    # c = 300: Z(1) = 2^600/301 ~ 1.4e178 is a float, the squares of the
+    # weights are not; Z(2) is beyond the float range and is refused quietly
+    c = from_matrix([[0, 300], [300, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_partition(c, 1.0, 2000, seed=0)
+        with pytest.raises(DomainError, match=r"beta=2: .*mean inf"):
+            estimate_partition(c, 2.0, 2000, seed=0)
+    assert math.isfinite(est.stderr) and not est.heavy_tail
+    assert abs(est.mean - analytic_partition_two(300, 1.0)) <= 4 * est.stderr
 
 
 def test_estimate_heavy_tail_flag():
