@@ -51,6 +51,7 @@ from .coupling import (
     UNDERFLOW,
     CouplingMatrix,
     SystemInput,
+    check_pair_sum,
     from_charges,
     load_system,
     sample_gaussian_charges,
@@ -68,9 +69,11 @@ SCHEMA_VERSION = 1
 
 def _float_view(c: CouplingMatrix) -> CouplingMatrix:
     """A float-only copy of ``c``, refused when every float of a nonzero
-    exact grid underflows to 0.0 (it would be solved as the zero matrix)."""
+    exact grid underflows to 0.0 (it would be solved as the zero matrix) or
+    when its pair sum is beyond the float range (``check_pair_sum``)."""
     if c.is_exact and not c.entries.any() and any(map(any, c.exact_entries)):
         raise InputError(UNDERFLOW)
+    check_pair_sum(c.entries)
     return CouplingMatrix(c.n, np.array(c.entries, dtype=float), None)
 
 

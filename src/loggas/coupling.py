@@ -26,6 +26,19 @@ MAX_PARTICLES = 2048  # the eigensolver's cap, the largest n any consumer accept
 UNDERFLOW = "the couplings underflow the float range: each is 0.0 as a float"
 
 
+def check_pair_sum(floats: np.ndarray):
+    """Refuse a symmetric float grid whose sum of |c_ij| over pairs i < j is
+    beyond the float range.  Every subset sum the solver forms and every
+    eigenvalue is bounded by that sum, so a grid that passes has none that
+    overflows."""
+    with np.errstate(over="ignore"):
+        # half the sum over the whole grid, so a pair sum that fits is not
+        # refused because its double does not
+        total = np.sum(np.ldexp(np.abs(floats), -1))
+    if np.isinf(total):
+        raise InputError("the sum of |c_ij| over pairs i < j is beyond the float range")
+
+
 def _check_count(n: int, context: str):
     """Refuse a particle count past MAX_PARTICLES before anything n x n exists."""
     if n > MAX_PARTICLES:
@@ -150,7 +163,7 @@ def from_matrix(raw) -> CouplingMatrix:
     the float grid: 1e-12 * max(min(1, s), |c(i,j)|).  Integer/Fraction/"p/q"
     entries produce an exact rational grid alongside the floats; a float
     input is stored as its upper triangle mirrored by index, so a -0.0
-    coupling keeps its sign.
+    coupling keeps its sign, and its pair sum is checked by ``check_pair_sum``.
     """
     arrays = (list, tuple, np.ndarray)
     if not (isinstance(raw, arrays) and all(isinstance(r, arrays) for r in raw)):
@@ -182,6 +195,7 @@ def from_matrix(raw) -> CouplingMatrix:
     lower = np.tril_indices(n, -1)
     floats[lower] = floats.T[lower]
     np.fill_diagonal(floats, 0.0)
+    check_pair_sum(floats)
     return CouplingMatrix(n, floats)
 
 
@@ -209,8 +223,10 @@ def from_charges(k: ChargeVector) -> CouplingMatrix:
     """Coupling c(i,j) = k_i * k_j off the diagonal.
 
     Float products out of range are refused as exact ones are: the first
-    infinite coupling in row-major order is named, and a grid whose
-    products all underflow to 0.0 is refused with ``UNDERFLOW``."""
+    infinite coupling in row-major order is named, a grid whose products
+    all underflow to 0.0 is refused with ``UNDERFLOW``, and one whose
+    products are finite but sum beyond the float range by
+    ``check_pair_sum``."""
     if k.is_exact:
         kq = [Fraction(v) for v in k.values]
         return _exact_matrix(tuple(tuple(a * b if i != j else Fraction(0) for j, b in enumerate(kq))
@@ -225,6 +241,7 @@ def from_charges(k: ChargeVector) -> CouplingMatrix:
         raise InputError(f"coupling ({i},{j}) is beyond the float range")
     if not floats.any():
         raise InputError(UNDERFLOW)
+    check_pair_sum(floats)
     return CouplingMatrix(k.n, floats)
 
 

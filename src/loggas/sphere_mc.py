@@ -12,6 +12,11 @@ over coordinate-major points: x[k, ..., p] is coordinate k of particle p,
 so each coordinate of a pair difference is one contiguous row and the
 squares are summed with two array additions, not a reduction over an axis
 of length 3.  ``_uniform_points`` draws configurations in that layout.
+The partition estimator samples configurations modulo rotation, as
+``_rotation_classes`` lays them out: particle 0 at the pole, particle 1 on
+a meridian at a uniform height, particles 2..N-1 uniform.  The weight
+depends only on pair distances, so its law is unchanged, and a sample
+costs N-2 free points and one uniform instead of N free points.
 The partition estimator and ``collapse_observables`` work in blocks of
 ``_BLOCK_FLOATS // (3 * max(pairs, N))`` configurations, so each (3, block,
 pairs) temporary holds about 2^17 floats (1 MB) whatever N is.
@@ -137,6 +142,26 @@ def _uniform_points(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
     return x
 
 
+def _rotation_classes(rng: np.random.Generator, u: np.ndarray, n: int) -> np.ndarray:
+    """One configuration of n points per rotation class, coordinate-major
+    (3, u.size, n): particle 0 at the pole (0, 0, 1), particle 1 on the
+    meridian y = 0 at height z = 2u - 1, particles 2..n-1 from
+    ``_uniform_points``.
+
+    A function of the pair distances has the same law on these as on n
+    uniform points: a rotation takes particle 0 to the pole and then
+    particle 1 onto the meridian, and the height of a uniform point is
+    uniform on [-1, 1] (Archimedes)."""
+    z = 2.0 * u - 1.0
+    x = np.empty((3, u.size, n))
+    x[:, :, 0] = ((0.0,), (0.0,), (1.0,))
+    x[0, :, 1] = np.sqrt((1.0 - z) * (1.0 + z))
+    x[1, :, 1] = 0.0
+    x[2, :, 1] = z
+    x[:, :, 2:] = _uniform_points(rng, u.size, n - 2)
+    return x
+
+
 def _block(pairs: int, n: int) -> int:
     """Configurations per block, so that each coordinate-major (3, block,
     pairs) temporary holds about _BLOCK_FLOATS floats (1 MB) whatever n is."""
@@ -212,7 +237,14 @@ def _interval(c: CouplingMatrix, betas: Sequence[float]):
 
 
 def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) -> MCEstimate:
-    """Plain Monte Carlo average of prod d^(2 c beta) over uniform draws.
+    """Plain Monte Carlo average of prod d^(2 c beta) over uniform draws,
+    one configuration per rotation class (``_rotation_classes``).
+
+    Draws: one ``random(samples)`` call for particle 1's heights, then per
+    block of b configurations one ``standard_normal((b, N-2, 3))`` call for
+    particles 2..N-1; the heights sit in the weights array until their
+    block's weights overwrite them.  A sample costs N-2 free points and one
+    uniform, and the weights have the same law as on N free points.
 
     Standard error by 32 batch means.  The weight's second moment is
     E[w^2] = Z(2 beta), so the heavy-tail flag marks exactly the beta with
@@ -231,10 +263,11 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     # 364 configurations on the 8+8 plasma, 21,845 on a pair
     block = _block(rows.size, c.n)
     weights = np.empty(samples, dtype=float)
+    rng.random(samples, out=weights)  # particle 1's heights, overwritten block by block
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, samples, block):
             w = weights[start:start + block]
-            np.matmul(_log_d2(_uniform_points(rng, w.size, c.n), rows, cols), cij, out=w)
+            np.matmul(_log_d2(_rotation_classes(rng, w, c.n), rows, cols), cij, out=w)
             w *= beta
             np.exp(w, out=w)
 

@@ -203,6 +203,27 @@ def test_exit_2_when_exact_couplings_underflow_in_float(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["critical", "--mode", "float"],
+    ["sk-check", "--mode", "float"],
+    ["bounds"],
+    ["mc-partition", "--beta-grid", "0.5", "--samples", 1000],
+    ["mc-gibbs", "--beta-grid", "0.5", "--steps", 200, "--burn-in", 100],
+], ids=lambda argv: argv[0])
+@pytest.mark.filterwarnings("error")
+def test_exit_2_when_exact_couplings_sum_beyond_float_range(tmp_path, capsys, argv):
+    # exact products of at most 1.21e308: each float is finite, their sum is
+    # not; exact mode solves them as before
+    source = tmp_path / "steep.json"
+    source.write_text('{"charges": ["1.1e154", "1.1e154", "1.1e154", "-1e154", "-1e154", "-1e154"]}')
+    out = tmp_path / "out"
+    assert run([*argv, "--input", source, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error (input): the sum of |c_ij| over pairs i < j is beyond the float range\n")
+    assert not out.exists()
+    assert run(["critical", "--input", source, "--out", out]) == 0
+
+
 _FLOAT_OUT_OF_RANGE = {
     # every product overflows; the first infinite coupling is named
     "overflow": ('{"charges": [1e200, 1e200, 1e200, -1e200, -1e200]}',
@@ -210,6 +231,9 @@ _FLOAT_OUT_OF_RANGE = {
     # every product underflows to 0.0
     "underflow": ('{"charges": [1e-200, 1e-200, 1e-200, -1e-200, -1e-200]}',
                   "error (input): the couplings underflow the float range: each is 0.0 as a float"),
+    # every product is finite (at most 1.21e308), their sum is not
+    "pair-sum": ('{"charges": [1.1e154, 1.1e154, 1.1e154, -1e154, -1e154, -1e154]}',
+                 "error (input): the sum of |c_ij| over pairs i < j is beyond the float range"),
 }
 
 
@@ -222,6 +246,7 @@ _FLOAT_OUT_OF_RANGE = {
     ["mc-gibbs", "--beta-grid", "0.5", "--steps", 200, "--burn-in", 100],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("case", sorted(_FLOAT_OUT_OF_RANGE))
+@pytest.mark.filterwarnings("error")
 def test_exit_2_on_float_charges_beyond_float_range(tmp_path, capsys, argv, case):
     system, message = _FLOAT_OUT_OF_RANGE[case]
     source = tmp_path / "charges.json"
@@ -318,7 +343,9 @@ def test_readme_experiment_commands_parse(tmp_path):
 
     # the figures the README's bullets quote
     pole = (tmp_path / "pole.csv").read_text()
-    assert "# pole_fit_kappa=0.051" in pole
+    assert round(float(pole.split("# pole_fit_kappa=")[1].split("\n")[0]), 3) == 0.048
+    last = [line for line in pole.splitlines() if line.startswith("-0.99999,")]
+    assert round(math.exp(float(last[0].split(",")[1])), 1) == 5.2
     assert "# pole_fit_heavy_tail_points=5\n" in pole
     with open(tmp_path / "collapse.csv", newline="") as fh:
         medians = [float(row["q50"]) for row in csv.DictReader(fh)
@@ -451,13 +478,13 @@ def test_pole_fit_sweep_bytes(tmp_path):
                 "--seed", 5, "--out", out]) == 0
     assert out.read_bytes() == (
         b"beta,logZ_mean,logZ_stderr,samples,heavy_tail\r\n"
-        b"-0.1,-0.032949176010033325,0.0022361973468715893,2000,false\r\n"
-        b"-0.3,-0.05060267633010981,0.013199285923733964,2000,false\r\n"
-        b"-0.5,0.023494326029513485,0.029098652803557612,2000,true\r\n"
-        b"-0.7,0.21208179470132582,0.045565237081127585,2000,true\r\n"
-        b"-0.9,0.7711146837964747,0.23569532757152126,2000,true\r\n"
+        b"-0.1,-0.029041300889698134,0.0026814747120939278,2000,false\r\n"
+        b"-0.3,-0.03391795302565114,0.012579404732041262,2000,false\r\n"
+        b"-0.5,0.000739783703370893,0.028460740764792773,2000,true\r\n"
+        b"-0.7,0.24004053508251663,0.15452766793915523,2000,true\r\n"
+        b"-0.9,0.6073694899063546,0.12784130375280472,2000,true\r\n"
         b"# pole_fit_beta_crit=-1.0\n"
-        b"# pole_fit_kappa=0.38526185754962655\n"
+        b"# pole_fit_kappa=0.31112825133078426\n"
         b"# pole_fit_heavy_tail_points=3\n")
 
 

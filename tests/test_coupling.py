@@ -63,6 +63,17 @@ def test_float_entries_do_not_promote():
     assert c.entries[0, 1] == 1.5
 
 
+def test_float_grids_whose_pair_sum_overflows_are_refused():
+    # each coupling is finite; the sum of |c_ij| over pairs i < j is not
+    with pytest.raises(InputError, match=r"sum of \|c_ij\| over pairs i < j is beyond"):
+        from_matrix([[0.0, 1e308, -1e308], [1e308, 0.0, 1e308], [-1e308, 1e308, 0.0]])
+    with pytest.raises(InputError, match=r"sum of \|c_ij\| over pairs i < j is beyond"):
+        from_charges(ChargeVector((1.1e154,) * 3 + (-1e154,) * 3))
+    # one pair of 1e308 sums to a float, although the whole grid's sum does not
+    assert from_matrix([[0.0, 1e308], [1e308, 0.0]]).entries[0, 1] == 1e308
+    assert from_charges(ChargeVector((1e154, -1e154))).entries[0, 1] == -1e308
+
+
 def test_from_charges_signs():
     c = from_charges(ChargeVector((1, 1, -1, -1)))
     assert c.exact_entries[0][1] == 1

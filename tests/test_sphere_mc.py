@@ -238,14 +238,46 @@ def test_estimate_matches_analytic_n2():
     assert abs(est.mean - 1.0) <= 3 * est.stderr
 
 
+@pytest.mark.parametrize("c12", [1.0, -0.4])
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_estimate_matches_analytic_pair_inside_three_particles(pair, c12):
+    # one coupled pair among three particles: Z is the pair's, whichever of
+    # the pole, the meridian and the free particle its ends sit on; at
+    # beta = 1, 2 c beta > -1 so the weights have finite variance
+    m = np.zeros((3, 3))
+    m[pair] = m[pair[::-1]] = c12
+    est = estimate_partition(from_matrix(m.tolist()), 1.0, 200_000, seed=sum(pair))
+    assert not est.heavy_tail
+    assert abs(est.mean - analytic_partition_two(c12, 1.0)) <= 4 * est.stderr
+
+
+def test_rotation_classes_put_particle_one_at_a_uniform_height():
+    rng = sphere_mc._philox(6)
+    x = sphere_mc._rotation_classes(rng, rng.random(20_000), 4)
+    assert np.all(x[:, :, 0].T == (0.0, 0.0, 1.0))
+    assert np.all(x[1, :, 1] == 0.0) and np.all(x[0, :, 1] >= 0.0)
+    assert np.max(np.abs(np.sqrt(np.sum(x * x, axis=0)) - 1.0)) <= 1e-12
+    # 1.95 is the Kolmogorov critical value at level 0.001
+    assert _root_m_ks(x[2, :, 1], lambda z: (z + 1.0) / 2.0) < 1.95
+
+
 def _row_major_estimate(c, beta, samples, seed):
     """(mean, stderr) of the plain-MC estimate from one row-major draw of all
-    samples, normalized by np.linalg.norm, weights by _log_d2_row_major."""
+    samples modulo rotation: particle 0 at the pole, particle 1 on the
+    meridian y = 0 at height 2u - 1 (u from one random(samples) call), the
+    rest from one standard_normal((samples, N-2, 3)) call normalized by
+    np.linalg.norm; weights by _log_d2_row_major."""
     i, j = np.triu_indices(c.n, k=1)
     coupled = c.entries[i, j] != 0.0
     i, j, cij = i[coupled], j[coupled], c.entries[i, j][coupled]
-    raw = sphere_mc._philox(seed).standard_normal((samples, c.n, 3))
-    pts = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    rng = sphere_mc._philox(seed)
+    height = 2.0 * rng.random(samples) - 1.0
+    raw = rng.standard_normal((samples, c.n - 2, 3))
+    pts = np.zeros((samples, c.n, 3))
+    pts[:, 0, 2] = 1.0
+    pts[:, 1, 0] = np.sqrt((1.0 - height) * (1.0 + height))
+    pts[:, 1, 2] = height
+    pts[:, 2:] = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     w = np.concatenate([np.exp(beta * (_log_d2_row_major(chunk, i, j) @ cij))
                         for chunk in np.array_split(pts, 20)])
     batch_means = [np.mean(chunk) for chunk in np.array_split(w, 32)]
