@@ -8,18 +8,20 @@ observables.
 
 ``energy``, the partition estimator, the chain start and the collapse
 observables share one pair helper, ``_d2`` (``_log_d2`` takes its log),
-over coordinate-major points: x[k, ..., p] is coordinate k of particle p,
-so each coordinate of a pair difference is one contiguous row and the
-squares are summed with two array additions, not a reduction over an axis
-of length 3.  ``_uniform_points`` draws configurations in that layout.
-The partition estimator samples configurations modulo rotation, as
-``_rotation_classes`` lays them out: particle 0 at the pole, particle 1 on
-a meridian at a uniform height, particles 2..N-1 uniform.  The weight
+over particle-major points: x[k, p, ...] is coordinate k of particle p, so
+each particle's coordinates are contiguous rows over the configurations.
+A run of pairs with one first particle is one subtraction of whole rows,
+and the squares are summed with two array additions, not a reduction over
+an axis of length 3.  ``_uniform_points`` draws configurations in that
+layout.  The partition estimator samples configurations modulo rotation,
+as ``_rotation_classes`` lays them out: particle 0 at the pole, particle 1
+on a meridian at a uniform height, particles 2..N-1 uniform.  The weight
 depends only on pair distances, so its law is unchanged, and a sample
 costs N-2 free points and one uniform instead of N free points.
 The partition estimator and ``collapse_observables`` work in blocks of
-``_BLOCK_FLOATS // (3 * max(pairs, N))`` configurations, so each (3, block,
-pairs) temporary holds about 2^17 floats (1 MB) whatever N is.
+``_BLOCK_FLOATS // (3 * max(pairs, N))`` configurations, so the (3, pairs,
+block) buffer of pair differences holds about 2^17 floats (1 MB) whatever
+N is; each allocates its block buffers once per call.
 
 A chain draws its start, again while a coupled pair coincides (probability
 zero, as ``_uniform_points`` redraws a zero row), so its (N,N) table of
@@ -58,9 +60,10 @@ _BATCHES = 32
 _TUNE_WINDOW = 200
 _TUNE_FACTOR = 1.25
 _STEP_MIN, _STEP_MAX = 1e-3, 4.0
-# floats per partition-estimator temporary; the plasma weights were checked
-# bit-identical to one-shot row-major weights at this budget, and matmul
-# rounding can depend on the block's row count
+# floats per block buffer of pair differences.  A block's weights are one
+# gemv over its (pairs, block) log d^2 table, whose last (block mod 4)
+# configurations can round differently from the rest, so a weight's last
+# bit can depend on the block size: changing this budget moves estimates
 _BLOCK_FLOATS = 1 << 17
 # chain steps per block of generator draws: a block's normals and uniforms
 # take about 0.1 MB as Python lists, and 4096-step blocks raised the
@@ -121,72 +124,97 @@ class CollapseStats:
     max_quantiles: tuple
 
 
-def _uniform_points(rng: np.random.Generator, b: int, n: int) -> np.ndarray:
-    """b configurations of n uniform points on S^2, coordinate-major (3, b, n).
+def _uniform_points(rng: np.random.Generator, b: int, n: int, out: Optional[np.ndarray] = None,
+                    normals: Optional[np.ndarray] = None) -> np.ndarray:
+    """b configurations of n uniform points on S^2, particle-major (3, n, b),
+    written to ``out`` when given.
 
     The (b, n, 3) standard normals are drawn in C order, point after point,
-    and normalised in one contiguous coordinate-major copy.  A zero draw
-    (probability zero) is replaced by fresh normals, in the same C order."""
-    x = rng.standard_normal((b, n, 3)).transpose(2, 0, 1).copy()
+    into ``normals`` when given, and normalised in one transposing copy.  A
+    zero draw (probability zero) is replaced by fresh normals, in the same
+    (configuration, point) C order."""
+    if normals is None:
+        normals = np.empty((b, n, 3))
+    if out is None:
+        out = np.empty((3, n, b))
+    np.copyto(out, rng.standard_normal(out=normals).transpose(2, 1, 0))
 
     def norms():
         # (x^2 + y^2) + z^2, as np.linalg.norm over a last axis of three
-        return np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
+        return np.sqrt((out[0] * out[0] + out[1] * out[1]) + out[2] * out[2])
 
     r = norms()
     while not r.all():  # probability-zero guard
-        zero = r == 0.0
-        x[:, zero] = rng.standard_normal((int(np.sum(zero)), 3)).T
+        config, point = np.nonzero(r.T == 0.0)
+        out[:, point, config] = rng.standard_normal((config.size, 3)).T
         r = norms()
-    x /= r
-    return x
+    out /= r
+    return out
 
 
-def _rotation_classes(rng: np.random.Generator, u: np.ndarray, n: int) -> np.ndarray:
-    """One configuration of n points per rotation class, coordinate-major
-    (3, u.size, n): particle 0 at the pole (0, 0, 1), particle 1 on the
-    meridian y = 0 at height z = 2u - 1, particles 2..n-1 from
-    ``_uniform_points``.
+def _rotation_classes(rng: np.random.Generator, u: np.ndarray, out: np.ndarray,
+                      normals: np.ndarray) -> np.ndarray:
+    """One configuration of n points per rotation class, written to the
+    particle-major (3, n, u.size) ``out``: particle 0 at the pole (0, 0, 1),
+    particle 1 on the meridian y = 0 at height z = 2u - 1, particles
+    2..n-1 from ``_uniform_points`` (its (u.size, n-2, 3) normals in
+    ``normals``).
 
     A function of the pair distances has the same law on these as on n
     uniform points: a rotation takes particle 0 to the pole and then
     particle 1 onto the meridian, and the height of a uniform point is
     uniform on [-1, 1] (Archimedes)."""
-    z = 2.0 * u - 1.0
-    x = np.empty((3, u.size, n))
-    x[:, :, 0] = ((0.0,), (0.0,), (1.0,))
-    x[0, :, 1] = np.sqrt((1.0 - z) * (1.0 + z))
-    x[1, :, 1] = 0.0
-    x[2, :, 1] = z
-    x[:, :, 2:] = _uniform_points(rng, u.size, n - 2)
-    return x
+    # particle 1's rows, y holding 1 + z until it is zeroed: no temporaries
+    x, y, z = out[:, 1]
+    np.multiply(u, 2.0, out=z)
+    z -= 1.0
+    np.subtract(1.0, z, out=x)
+    np.add(1.0, z, out=y)
+    x *= y
+    np.sqrt(x, out=x)  # sqrt((1 - z)(1 + z))
+    y[...] = 0.0
+    out[:, 0] = ((0.0,), (0.0,), (1.0,))
+    _uniform_points(rng, u.size, out.shape[1] - 2, out=out[:, 2:], normals=normals)
+    return out
 
 
 def _block(pairs: int, n: int) -> int:
-    """Configurations per block, so that each coordinate-major (3, block,
-    pairs) temporary holds about _BLOCK_FLOATS floats (1 MB) whatever n is."""
+    """Configurations per block, so that each (3, pairs, block) buffer of
+    pair differences holds about _BLOCK_FLOATS floats (1 MB) whatever n is."""
     return max(1, _BLOCK_FLOATS // (3 * max(pairs, n)))
 
 
-def _d2(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _d2(x: np.ndarray, i: np.ndarray, j: np.ndarray, out: Optional[np.ndarray] = None,
+        diff: Optional[np.ndarray] = None) -> np.ndarray:
     """d(p_i, p_j)^2 for index arrays i, j over the particle axis of
-    coordinate-major (3, ..., N) points.
+    particle-major (3, N, ...) points, as a (pairs, ...) array; into ``out``,
+    with ``diff`` as the (3, pairs, ...) differences, when given.
 
-    The squares are summed as (dx^2 + dy^2) + dz^2, the order numpy's sum
-    over a last axis of three uses, so the result is bit-identical to the
-    row-major ``sum(diffs * diffs, axis=-1)``."""
-    d = x[..., i]
-    d -= x[..., j]
-    d *= d
-    s = d[0] + d[1]
-    s += d[2]
+    Each run of pairs with one first particle a is one subtraction of whole
+    rows, x[:, a] from its partners' (a slice, not a gather, when they are
+    consecutive; partners must increase within a run, as in triu order), so
+    pairs grouped by first particle, as ``_coupled_pairs`` gives them, cost
+    one subtraction per particle.  The squares are summed as (dx^2 + dy^2)
+    + dz^2, the order numpy's sum over a last axis of three uses, so the
+    result is bit-identical to the row-major ``sum(diffs * diffs, axis=-1)``."""
+    if diff is None:
+        diff = np.empty((3, i.size) + x.shape[2:])
+    starts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()
+    for k0, k1 in zip(starts, starts[1:] + [i.size]):
+        a, lo, hi = int(i[k0]), int(j[k0]), int(j[k1 - 1])
+        partners = slice(lo, hi + 1) if hi - lo == k1 - 1 - k0 else j[k0:k1]
+        np.subtract(x[:, a:a + 1], x[:, partners], out=diff[:, k0:k1])
+    diff *= diff
+    s = np.add(diff[0], diff[1], out=out)
+    s += diff[2]
     return s
 
 
-def _log_d2(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """log d(p_i, p_j)^2 over coordinate-major points, as ``_d2``; -inf where
+def _log_d2(x: np.ndarray, i: np.ndarray, j: np.ndarray, out: Optional[np.ndarray] = None,
+            diff: Optional[np.ndarray] = None) -> np.ndarray:
+    """log d(p_i, p_j)^2 over particle-major points, as ``_d2``; -inf where
     two points coincide."""
-    s = _d2(x, i, j)
+    s = _d2(x, i, j, out, diff)
     with np.errstate(divide="ignore"):
         return np.log(s, out=s)
 
@@ -241,10 +269,17 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     one configuration per rotation class (``_rotation_classes``).
 
     Draws: one ``random(samples)`` call for particle 1's heights, then per
-    block of b configurations one ``standard_normal((b, N-2, 3))`` call for
-    particles 2..N-1; the heights sit in the weights array until their
-    block's weights overwrite them.  A sample costs N-2 free points and one
-    uniform, and the weights have the same law as on N free points.
+    block of b configurations one ``standard_normal`` call filling a
+    (b, N-2, 3) buffer for particles 2..N-1; the heights sit in the weights
+    array until their block's weights overwrite them.  A sample costs N-2
+    free points and one uniform, and the weights have the same law as on N
+    free points.  The points, normals, pair differences and log d^2 table
+    are particle-major buffers allocated once per call, and a block's
+    weights are one ``cij @ log d^2`` product over its (pairs, b) table.
+    That product is taken with c scaled by 2^-e and beta by 2^e, e the
+    binary exponent of max |c_ij|: both scalings are exact, so the weights
+    are those of (log d^2 @ c) * beta wherever that is finite, and
+    couplings near the float limit do not overflow before beta scales them.
 
     Standard error by 32 batch means.  The weight's second moment is
     E[w^2] = Z(2 beta), so the heavy-tail flag marks exactly the beta with
@@ -259,16 +294,25 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     lo, hi = _interval(c, [beta])
 
     rows, cols, cij = _coupled_pairs(c)
+    n, pairs = c.n, rows.size
     rng = _philox(seed)
     # 364 configurations on the 8+8 plasma, 21,845 on a pair
-    block = _block(rows.size, c.n)
+    block = _block(pairs, n)
+    b = min(block, samples)
+    points, normals = np.empty((3, n, b)), np.empty((b, n - 2, 3))
+    diff, logd2 = np.empty((3, pairs, b)), np.empty((pairs, b))
     weights = np.empty(samples, dtype=float)
     rng.random(samples, out=weights)  # particle 1's heights, overwritten block by block
     with np.errstate(over="ignore", invalid="ignore"):
+        e = math.frexp(float(np.max(np.abs(cij), initial=0.0)))[1]
+        cij = np.ldexp(cij, -e)
+        beta_e = np.ldexp(beta, e)
         for start in range(0, samples, block):
             w = weights[start:start + block]
-            np.matmul(_log_d2(_rotation_classes(rng, w, c.n), rows, cols), cij, out=w)
-            w *= beta
+            m = w.size
+            x = _rotation_classes(rng, w, points[..., :m], normals[:m])
+            np.matmul(cij, _log_d2(x, rows, cols, out=logd2[:, :m], diff=diff[..., :m]), out=w)
+            w *= beta_e
             np.exp(w, out=w)
 
         # the moments of w / 2^e, e the binary exponent of the largest weight,
@@ -355,7 +399,7 @@ def metropolis_chain(c: CouplingMatrix, params: ChainParams) -> ChainResult:
     rng = _philox(params.seed)
     rows, cols, cij = _coupled_pairs(c)
     while True:
-        x = _uniform_points(rng, 1, n)[:, 0]
+        x = _uniform_points(rng, 1, n)[..., 0]
         start_logd2 = _log_d2(x, rows, cols)
         if not np.isneginf(start_logd2).any():
             break
@@ -464,16 +508,20 @@ def collapse_observables(samples: np.ndarray, labels: Sequence[int]) -> Collapse
     k = int(np.count_nonzero(opposite))
     m = samples.shape[0]
     min_opposite, min_same, max_dist = np.empty((3, m))
-    block = _block(i.size, n)
+    block = min(_block(i.size, n), m)
+    points, diff, d2 = np.empty((3, n, block)), np.empty((3, i.size, block)), np.empty((i.size, block))
     for start in range(0, m, block):
         b = slice(start, start + block)
-        dist = _d2(samples[b].transpose(2, 0, 1), i, j)
+        width = min(block, m - start)
+        x = points[..., :width]
+        np.copyto(x, samples[b].transpose(2, 1, 0))
+        dist = _d2(x, i, j, out=d2[:, :width], diff=diff[..., :width])
         np.sqrt(dist, out=dist)
         if k > 0:
-            np.min(dist[:, :k], axis=1, out=min_opposite[b])
+            np.min(dist[:k], axis=0, out=min_opposite[b])
         if k < i.size:
-            np.min(dist[:, k:], axis=1, out=min_same[b])
-        np.max(dist, axis=1, out=max_dist[b])
+            np.min(dist[k:], axis=0, out=min_same[b])
+        np.max(dist, axis=0, out=max_dist[b])
 
     def quantiles(values: np.ndarray) -> tuple:
         return tuple(float(q) for q in np.percentile(values, QUANTILE_LEVELS))

@@ -434,6 +434,23 @@ def test_exit_4_when_the_weights_overflow(tmp_path):
     assert not out.exists()
 
 
+def test_mc_partition_with_couplings_near_the_float_limit(tmp_path):
+    # the pair sum 1.6e308 is a float, but log d^2 @ c overflows unless beta
+    # scales the couplings first.  With S = sum c_ij log d_ij^2, whose three
+    # terms are pairwise independent with log d^2 of mean log 4 - 1 and
+    # variance 1, Z = E[exp(beta S)] is 1 + 0.014 (log 4 - 1) + 1.552e-4 / 2
+    # to second order
+    source = tmp_path / "near_max.json"
+    source.write_text('{"matrix": [[0, 1e308, -1e307], [1e308, 0, 5e307], [-1e307, 5e307, 0]]}')
+    out = tmp_path / "sweep.csv"
+    assert run(["mc-partition", "--input", source, "--beta-grid", "1e-310",
+                "--samples", 20000, "--seed", 3, "--out", out]) == 0
+    row = next(csv.DictReader(out.open(encoding="utf-8")))
+    z = 1.0 + 0.014 * (math.log(4.0) - 1.0) + 1.552e-4 / 2
+    assert row["heavy_tail"] == "false"
+    assert abs(float(row["logZ_mean"]) - math.log(z)) <= 4 * float(row["logZ_stderr"])
+
+
 def test_exit_4_on_failed_onsager_conditions(tmp_path):
     bad = tmp_path / "wide.json"
     bad.write_text('{"charges": [1, 1.6, -1, -1]}')

@@ -41,7 +41,7 @@ def sample_uniform(n, seed):
     """n uniform points on S^2 as an (n,3) array, drawn as estimate_partition
     and the chain start draw them: Philox normals, normalized."""
     rng = sphere_mc._philox(seed)
-    return sphere_mc._uniform_points(rng, 1, n)[:, 0].T
+    return sphere_mc._uniform_points(rng, 1, n)[..., 0].T
 
 
 def test_sample_uniform_unit_norms_and_determinism():
@@ -59,16 +59,21 @@ def test_sample_uniform_moments():
 
 
 class _StubNormals:
-    """A generator that returns the given standard-normal draws in order and
-    records the shapes asked for."""
+    """A generator that returns the given standard-normal draws in order
+    (into ``out`` when given) and records the shapes asked for."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
         self.shapes = []
 
-    def standard_normal(self, shape):
-        self.shapes.append(shape)
-        return self.draws.pop(0)
+    def standard_normal(self, size=None, out=None):
+        draw = self.draws.pop(0)
+        if out is None:
+            self.shapes.append(size)
+            return draw
+        self.shapes.append(out.shape)
+        out[...] = draw
+        return out
 
 
 def test_uniform_points_redraws_only_zero_rows_in_c_order():
@@ -80,11 +85,11 @@ def test_uniform_points_redraws_only_zero_rows_in_c_order():
     rng = _StubNormals(first, second, third)
     x = sphere_mc._uniform_points(rng, 2, 3)
     assert rng.shapes == [(2, 3, 3), (2, 3), (1, 3)]
-    assert x.shape == (3, 2, 3) and x.flags.c_contiguous
+    assert x.shape == (3, 3, 2) and x.flags.c_contiguous
     expected = first.copy()
     expected[0, 2], expected[1, 0] = third[0], second[1]
     expected /= np.linalg.norm(expected, axis=-1, keepdims=True)
-    pts = x.transpose(1, 2, 0)
+    pts = x.transpose(2, 1, 0)
     assert np.array_equal(pts, expected)
     assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) <= 1e-15
 
@@ -93,7 +98,7 @@ def test_uniform_points_match_row_major_normalisation():
     raw = sphere_mc._philox(6).standard_normal((200, 4, 3))
     x = sphere_mc._uniform_points(sphere_mc._philox(6), 200, 4)
     expected = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    assert np.array_equal(x.transpose(1, 2, 0), expected)
+    assert np.array_equal(x.transpose(2, 1, 0), expected)
 
 
 def _log_d2_row_major(pts, i, j):
@@ -110,10 +115,10 @@ def test_log_d2_matches_row_major_reference(b, n):
     pts = rng.standard_normal((b, n, 3)) * np.exp(4.0 * rng.standard_normal((b, n, 3)))
     pts[-1, 1] = pts[-1, 0]  # a coincident coupled pair
     i, j = np.triu_indices(n, k=1)
-    got = sphere_mc._log_d2(np.ascontiguousarray(pts.transpose(2, 0, 1)), i, j)
+    got = sphere_mc._log_d2(np.ascontiguousarray(pts.transpose(2, 1, 0)), i, j)
     expected = _log_d2_row_major(pts, i, j)
-    assert np.isneginf(got[-1, 0])
-    assert np.array_equal(got, expected)
+    assert np.isneginf(got[0, -1])
+    assert np.array_equal(got.T, expected)
 
 
 def test_energy_antipodal():
@@ -253,12 +258,13 @@ def test_estimate_matches_analytic_pair_inside_three_particles(pair, c12):
 
 def test_rotation_classes_put_particle_one_at_a_uniform_height():
     rng = sphere_mc._philox(6)
-    x = sphere_mc._rotation_classes(rng, rng.random(20_000), 4)
-    assert np.all(x[:, :, 0].T == (0.0, 0.0, 1.0))
-    assert np.all(x[1, :, 1] == 0.0) and np.all(x[0, :, 1] >= 0.0)
+    x = sphere_mc._rotation_classes(rng, rng.random(20_000), np.empty((3, 4, 20_000)),
+                                    np.empty((20_000, 2, 3)))
+    assert np.all(x[:, 0].T == (0.0, 0.0, 1.0))
+    assert np.all(x[1, 1] == 0.0) and np.all(x[0, 1] >= 0.0)
     assert np.max(np.abs(np.sqrt(np.sum(x * x, axis=0)) - 1.0)) <= 1e-12
     # 1.95 is the Kolmogorov critical value at level 0.001
-    assert _root_m_ks(x[2, :, 1], lambda z: (z + 1.0) / 2.0) < 1.95
+    assert _root_m_ks(x[2, 1], lambda z: (z + 1.0) / 2.0) < 1.95
 
 
 def _row_major_estimate(c, beta, samples, seed):
@@ -284,16 +290,96 @@ def _row_major_estimate(c, beta, samples, seed):
     return float(np.mean(w)), float(np.std(batch_means, ddof=1) / math.sqrt(32))
 
 
-@pytest.mark.parametrize("model", ["plasma_8_8", "sparse_float"])
+@pytest.mark.parametrize("model", ["plasma_8_8", "sparse_float", "pair", "three_particles"])
 def test_estimate_matches_row_major_reference(model):
     if model == "plasma_8_8":
         c, beta = from_charges(ChargeVector((1,) * 8 + (-1,) * 8)), 0.3
-    else:
+    elif model == "sparse_float":
         c, beta = _sparse_float_matrix(), 0.5
+    elif model == "pair":
+        c, beta = from_matrix([[0, -1], [-1, 0]]), 0.4
+    else:
+        # particle 2 is the one free point
+        c, beta = from_matrix([[0, 0.7, -0.3], [0.7, 0, 0.5], [-0.3, 0.5, 0]]), 0.5
     est = estimate_partition(c, beta, 20_000, seed=9)
     mean, stderr = _row_major_estimate(c, beta, 20_000, seed=9)
     assert abs(est.mean - mean) <= 1e-12 * abs(mean)
     assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+def test_estimate_without_coupled_pairs_is_exactly_one():
+    # no coupled pair: every weight is exp(0) = 1
+    est = estimate_partition(from_matrix([[0.0] * 3] * 3), 0.5, 2000, seed=1)
+    assert (est.mean, est.stderr, est.heavy_tail) == (1.0, 0.0, False)
+
+
+@pytest.mark.parametrize("model,k", [("pair", 1023), ("plasma", 1000), ("plasma", -1000)])
+def test_estimate_is_invariant_under_power_of_two_coupling_scaling(model, k):
+    # (c 2^k, beta 2^-k) has the weights of (c, beta), and the estimator
+    # scales c and beta by powers of two, so the estimates agree bit for bit,
+    # also where c 2^k log d^2 overflows (the pair at k = 1023, whenever
+    # log d^2 < -2); beta 2^-k is exact, a subnormal at k = 1023
+    if model == "pair":
+        entries, beta = np.array([[0.0, 1.0], [1.0, 0.0]]), 0.375
+    else:
+        entries, beta = from_charges(ChargeVector((1,) * 8 + (-1,) * 8)).entries, 0.3
+    scaled_beta = math.ldexp(beta, -k)
+    assert math.ldexp(scaled_beta, k) == beta
+    est = estimate_partition(from_matrix(entries.tolist()), beta, 4000, seed=5)
+    scaled = estimate_partition(from_matrix(np.ldexp(entries, k).tolist()), scaled_beta, 4000, seed=5)
+    assert scaled == est
+
+
+class _ZeroNormalRows:
+    """The draws of ``rng``, except that the first normals buffer filled
+    gets zero rows at the given (configuration, particle) places."""
+
+    def __init__(self, rng, zero_rows):
+        self.rng = rng
+        self.zero_rows = list(zero_rows)
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+    def standard_normal(self, size=None, out=None):
+        g = self.rng.standard_normal(size, out=out)
+        if out is not None:
+            for config, particle in self.zero_rows:
+                g[config, particle] = 0.0
+            self.zero_rows = []
+        return g
+
+
+def test_estimate_redraws_zero_normals_in_configuration_particle_order(monkeypatch):
+    # zero draws at (configuration 3, particle 2) and (7, 0) of particles
+    # 2..4: C order redraws (3, 2) first, particle-then-configuration order
+    # would redraw (7, 0) first
+    zero_rows = [(7, 0), (3, 2)]
+    raw = sphere_mc._philox(4)
+    raw.random(1000)
+    first = raw.standard_normal((1000, 3, 3))
+    redraw = raw.standard_normal((2, 3))
+    first[3, 2], first[7, 0] = redraw
+    expected = first / np.linalg.norm(first, axis=-1, keepdims=True)
+
+    philox = sphere_mc._philox
+    stub = _ZeroNormalRows(philox(4), zero_rows)
+    stub.random(1000)
+    uniform = sphere_mc._uniform_points(stub, 1000, 3)
+    assert np.array_equal(uniform.transpose(2, 1, 0), expected)
+
+    seen = []
+    log_d2 = sphere_mc._log_d2
+
+    def spy(x, *args, **kwargs):
+        seen.append(x.copy())
+        return log_d2(x, *args, **kwargs)
+
+    monkeypatch.setattr(sphere_mc, "_philox", lambda seed: _ZeroNormalRows(philox(seed), zero_rows))
+    monkeypatch.setattr(sphere_mc, "_log_d2", spy)
+    estimate_partition(from_charges(ChargeVector((1, 1, -1, -1, 1))), 0.2, 1000, seed=4)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0][:, 2:], uniform)
 
 
 def test_estimate_memory_is_block_sized():
@@ -586,7 +672,7 @@ def _stub_pair_chain(monkeypatch, *normals):
     """A chain on the pair that starts at p0 = (1,0,0), p1 = (0,1,0) with
     step 0.5 and draws the given normals; returns the chain and the stub."""
     monkeypatch.setattr(sphere_mc, "_uniform_points",
-                        lambda rng, b, n: _PAIR_START.T[:, None, :].copy())
+                        lambda rng, b, n: _PAIR_START.T[:, :, None].copy())
     rng = _StubChainGenerator(*normals)
     monkeypatch.setattr(sphere_mc, "_philox", lambda seed: rng)
     params = ChainParams(beta=0.5, steps=len(normals), burn_in=0, step_size=0.5)
@@ -627,8 +713,8 @@ def test_chain_redraws_a_coincident_start(monkeypatch):
     def coincident_first(rng, b, n):
         x = uniform_points(rng, b, n)
         if not starts:
-            x[..., 2] = x[..., 0]
-        starts.append(x[:, 0].T.copy())
+            x[:, 2] = x[:, 0]
+        starts.append(x[..., 0].T.copy())
         return x
 
     monkeypatch.setattr(sphere_mc, "_uniform_points", coincident_first)
