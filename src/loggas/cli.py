@@ -11,6 +11,10 @@ each optimizer once.
 Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
 and --tol for critical and sk-check, --seed for the sampling commands;
 any other flag is an argparse error (exit 2).
+A handler loads its input under its particle cap: the solver's
+(``solver._MAX_N``) for the commands that solve, 2048 for bounds and
+closed-form.  It reads the matrix of its mode from ``SystemInput.matrix``;
+the float-range policy lives in ``coupling``.
 mc-partition spreads its grid points over up to 4 of the process's CPUs;
 everything else runs serially.
 
@@ -46,12 +50,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import closed_forms, sphere_mc
+from . import closed_forms, solver, sphere_mc
 from .coupling import (
-    UNDERFLOW,
-    CouplingMatrix,
     SystemInput,
-    check_pair_sum,
     from_charges,
     load_system,
     sample_gaussian_charges,
@@ -65,25 +66,6 @@ from .solver import CriticalReport, critical_interval, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
 SCHEMA_VERSION = 1
-
-
-def _float_view(c: CouplingMatrix) -> CouplingMatrix:
-    """A float-only copy of ``c``, refused when every float of a nonzero
-    exact grid underflows to 0.0 (it would be solved as the zero matrix) or
-    when its pair sum is beyond the float range (``check_pair_sum``)."""
-    if c.is_exact and not c.entries.any() and any(map(any, c.exact_entries)):
-        raise InputError(UNDERFLOW)
-    check_pair_sum(c.entries)
-    return CouplingMatrix(c.n, np.array(c.entries, dtype=float), None)
-
-
-def _solver_matrix(system: SystemInput, mode: str) -> CouplingMatrix:
-    """The matrix to solve under ``--mode``: the input's own rational matrix
-    for exact (and for auto on rational input), a float copy otherwise."""
-    c = system.coupling
-    if mode == "exact" and not c.is_exact:
-        raise InputError("exact mode requires rational-expressible input")
-    return c if c.is_exact and mode != "float" else _float_view(c)
 
 
 def _tie_tol(args: argparse.Namespace) -> float:
@@ -159,7 +141,7 @@ def _critical_lines(doc: dict) -> list:
 
 def cmd_critical(args: argparse.Namespace) -> tuple:
     tie_tol = _tie_tol(args)
-    c = _solver_matrix(load_system(args.input), args.mode)
+    c = load_system(args.input, solver._MAX_N).matrix(args.mode)
     report = critical_interval(c, tie_tol=tie_tol)
     doc = _critical_report_dict(report, "exact" if report.exact else "float")
     return doc, _critical_lines(doc)
@@ -167,7 +149,7 @@ def cmd_critical(args: argparse.Namespace) -> tuple:
 
 def cmd_bounds(args: argparse.Namespace) -> tuple:
     system = load_system(args.input)
-    c = _float_view(system.coupling)
+    c = system.matrix("float")
     spectrum = symmetric_eigs(c)
     eig = eig_bounds(c)
     doc = {
@@ -221,7 +203,7 @@ def cmd_closed_form(args: argparse.Namespace) -> tuple:
 
 
 def cmd_arboricity(args: argparse.Namespace) -> tuple:
-    system = load_system(args.input)
+    system = load_system(args.input, solver._MAX_N)
     if system.graph is None:
         raise InputError("arboricity needs a 'graph' input")
     report = run_arboricity(system.graph)
@@ -239,7 +221,7 @@ def cmd_arboricity(args: argparse.Namespace) -> tuple:
 
 def cmd_sk_check(args: argparse.Namespace) -> tuple:
     tie_tol = _tie_tol(args)
-    c = _solver_matrix(load_system(args.input), args.mode)
+    c = load_system(args.input, solver._MAX_N).matrix(args.mode)
     holds = sk_ground_state_check(c, tie_tol=tie_tol)
     doc = {"n": c.n, "mode": "exact" if c.is_exact else "float", "holds": holds}
     return doc, [f"ground-state identity holds: {holds}"]
@@ -277,8 +259,7 @@ def _csv_text(header, rows, comments=()) -> str:
 
 def cmd_mc_partition(args: argparse.Namespace) -> tuple:
     grid = _parse_beta_grid(args.beta_grid)
-    system = load_system(args.input)
-    c = _float_view(system.coupling)
+    c = load_system(args.input, solver._MAX_N).matrix("float")
     lo, hi = sphere_mc._interval(c, grid)
 
     def estimate(index):
@@ -331,8 +312,8 @@ def _class_labels(system: SystemInput) -> list:
 
 def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
     grid = _parse_beta_grid(args.beta_grid)
-    system = load_system(args.input)
-    c = _float_view(system.coupling)
+    system = load_system(args.input, solver._MAX_N)
+    c = system.matrix("float")
     labels = _class_labels(system)
 
     results = []

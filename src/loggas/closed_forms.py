@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import ChargeVector, TwoComponentSpec, neutrality_check
+from .coupling import ChargeVector, TwoComponentSpec
 from .errors import DomainError, InputError
 from .rational import TIE_TOL, Real, tolerance
 
@@ -46,7 +46,9 @@ def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
     Under neutrality the species of larger charge magnitude is the smaller
     one, so kappa+ = min(n1, n2) and the prefactor is min(z1, z2)/(z1 + z2).
     Neither depends on the species order: IEEE + and * commute."""
-    neutrality_check(spec)
+    if not spec.is_neutral:
+        raise InputError(
+            f"n1*z1 = {float(spec.n1 * spec.z1)} != n2*z2 = {float(spec.n2 * spec.z2)}")
     num = Fraction if spec.is_exact else float
     z1, z2 = num(spec.z1), num(spec.z2)
     return TwoComponentCritical(

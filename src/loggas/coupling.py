@@ -5,6 +5,13 @@ rational entries (Fractions) are kept alongside the float matrix whenever the
 input was given as integer/ratio literals; float inputs never promote.
 Random sampling uses numpy's Philox counter-based generator with an explicit
 seed, never the global RNG.
+
+This module alone turns an input into the matrix a command reads.
+``load_system`` refuses a particle count past the command's cap before any
+entry is parsed or any grid is built.  ``_float_matrix`` is the one gate on
+the float range: a float input passes it at load, and the float view of a
+rational input passes it in ``SystemInput.matrix``, which picks the matrix
+of a mode (exact, float or auto).
 """
 
 from __future__ import annotations
@@ -26,23 +33,10 @@ MAX_PARTICLES = 2048  # the eigensolver's cap, the largest n any consumer accept
 UNDERFLOW = "the couplings underflow the float range: each is 0.0 as a float"
 
 
-def check_pair_sum(floats: np.ndarray):
-    """Refuse a symmetric float grid whose sum of |c_ij| over pairs i < j is
-    beyond the float range.  Every subset sum the solver forms and every
-    eigenvalue is bounded by that sum, so a grid that passes has none that
-    overflows."""
-    with np.errstate(over="ignore"):
-        # half the sum over the whole grid, so a pair sum that fits is not
-        # refused because its double does not
-        total = np.sum(np.ldexp(np.abs(floats), -1))
-    if np.isinf(total):
-        raise InputError("the sum of |c_ij| over pairs i < j is beyond the float range")
-
-
-def _check_count(n: int, context: str):
-    """Refuse a particle count past MAX_PARTICLES before anything n x n exists."""
-    if n > MAX_PARTICLES:
-        raise SizeLimitError(f"{context}: n={n} exceeds the cap {MAX_PARTICLES}")
+def _check_count(n: int, context: str, cap: int):
+    """Refuse a particle count past ``cap`` before anything n x n exists."""
+    if n > cap:
+        raise SizeLimitError(f"{context}: n={n} exceeds the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,8 @@ class TwoComponentSpec:
         if is_exact(a) and is_exact(b):
             return a == b
         a, b = float(a), float(b)
-        return abs(a - b) <= NEUTRALITY_RTOL * max(abs(a), abs(b))
+        # scale 0: the tolerance is relative to the larger side, with no floor
+        return abs(a - b) <= tolerance(NEUTRALITY_RTOL, max(abs(a), abs(b)), 0.0)
 
     def charges(self) -> ChargeVector:
         return ChargeVector(tuple([self.z1] * self.n1 + [-self.z2] * self.n2))
@@ -154,7 +149,7 @@ class GraphSpec:
             seen.add((i, j))
 
 
-def from_matrix(raw) -> CouplingMatrix:
+def from_matrix(raw, cap: int = MAX_PARTICLES) -> CouplingMatrix:
     """Validate a square array of couplings.
 
     Symmetry is checked, never repaired by averaging: when every entry is
@@ -163,12 +158,13 @@ def from_matrix(raw) -> CouplingMatrix:
     the float grid: 1e-12 * max(min(1, s), |c(i,j)|).  Integer/Fraction/"p/q"
     entries produce an exact rational grid alongside the floats; a float
     input is stored as its upper triangle mirrored by index, so a -0.0
-    coupling keeps its sign, and its pair sum is checked by ``check_pair_sum``.
+    coupling keeps its sign, and goes through ``_float_matrix``.  A row
+    count past ``cap`` is refused before any row is read.
     """
     arrays = (list, tuple, np.ndarray)
     if not (isinstance(raw, arrays) and all(isinstance(r, arrays) for r in raw)):
         raise InputError("matrix must be an array of rows")
-    _check_count(len(raw), "matrix")
+    _check_count(len(raw), "matrix", cap)
     rows = raw.tolist() if isinstance(raw, np.ndarray) else [list(r) for r in raw]
     n = len(rows)
     if n < 2:
@@ -195,8 +191,31 @@ def from_matrix(raw) -> CouplingMatrix:
     lower = np.tril_indices(n, -1)
     floats[lower] = floats.T[lower]
     np.fill_diagonal(floats, 0.0)
-    check_pair_sum(floats)
-    return CouplingMatrix(n, floats)
+    return _float_matrix(floats, nonzero=False)
+
+
+def _float_matrix(floats: np.ndarray, nonzero: bool) -> CouplingMatrix:
+    """The float-only matrix of a symmetric grid with zero diagonal.
+
+    The one gate on the float range, refusing in this order: the first
+    infinite coupling in row-major order, named; a grid of ``nonzero``
+    couplings whose floats are all 0.0 (``UNDERFLOW``), which would be
+    solved as the zero matrix; a sum of |c_ij| over pairs beyond the float
+    range.  Every subset sum the solver forms and every eigenvalue is
+    bounded by that sum, so a grid that passes has none that overflows."""
+    infinite = np.argwhere(np.isinf(floats))
+    if infinite.size:
+        i, j = infinite[0]
+        raise InputError(f"coupling ({i},{j}) is beyond the float range")
+    if nonzero and not floats.any():
+        raise InputError(UNDERFLOW)
+    with np.errstate(over="ignore"):
+        # half the sum over the whole grid, so a pair sum that fits is not
+        # refused because its double does not
+        total = np.sum(np.ldexp(np.abs(floats), -1))
+    if np.isinf(total):
+        raise InputError("the sum of |c_ij| over pairs i < j is beyond the float range")
+    return CouplingMatrix(len(floats), floats)
 
 
 def _float_grid(grid) -> np.ndarray:
@@ -222,11 +241,9 @@ def _exact_matrix(exact: tuple) -> CouplingMatrix:
 def from_charges(k: ChargeVector) -> CouplingMatrix:
     """Coupling c(i,j) = k_i * k_j off the diagonal.
 
-    Float products out of range are refused as exact ones are: the first
-    infinite coupling in row-major order is named, a grid whose products
-    all underflow to 0.0 is refused with ``UNDERFLOW``, and one whose
-    products are finite but sum beyond the float range by
-    ``check_pair_sum``."""
+    Float products go through ``_float_matrix``, which refuses them as the
+    float view of exact ones is refused: the first infinite coupling named,
+    products that all underflow to 0.0, a pair sum beyond the float range."""
     if k.is_exact:
         kq = [Fraction(v) for v in k.values]
         return _exact_matrix(tuple(tuple(a * b if i != j else Fraction(0) for j, b in enumerate(kq))
@@ -235,14 +252,7 @@ def from_charges(k: ChargeVector) -> CouplingMatrix:
     with np.errstate(over="ignore", under="ignore"):
         floats = np.outer(kf, kf)
     np.fill_diagonal(floats, 0.0)
-    infinite = np.argwhere(np.isinf(floats))
-    if infinite.size:
-        i, j = infinite[0]
-        raise InputError(f"coupling ({i},{j}) is beyond the float range")
-    if not floats.any():
-        raise InputError(UNDERFLOW)
-    check_pair_sum(floats)
-    return CouplingMatrix(k.n, floats)
+    return _float_matrix(floats, nonzero=True)
 
 
 def from_two_component(spec: TwoComponentSpec) -> CouplingMatrix:
@@ -307,6 +317,21 @@ class SystemInput:
     two_component: Optional[TwoComponentSpec] = None
     graph: Optional[GraphSpec] = None
 
+    def matrix(self, mode: str) -> CouplingMatrix:
+        """The matrix a command reads under ``mode`` (exact, float or auto).
+
+        Exact and auto read a rational input's own matrix; exact refuses a
+        float input.  Float and auto read a float input's own grid as it
+        is: ``_float_matrix`` passed it at load, or it was sampled, with
+        draws far inside the float range.  Float reads a rational input's
+        float grid through ``_float_matrix``."""
+        c = self.coupling
+        if mode == "exact" and not c.is_exact:
+            raise InputError("exact mode requires rational-expressible input")
+        if mode == "float" and c.is_exact:
+            return _float_matrix(c.entries, nonzero=any(map(any, c.exact_entries)))
+        return c
+
 
 def _require_keys(obj, allowed: set, context: str) -> dict:
     if not isinstance(obj, dict):
@@ -329,9 +354,10 @@ def _list(value, context: str) -> list:
     return value
 
 
-def parse_system(obj: dict) -> SystemInput:
+def parse_system(obj: dict, cap: int = MAX_PARTICLES) -> SystemInput:
     """Parse the input schema: exactly one of matrix / charges /
-    two_component / graph / random.  Unknown keys are rejected."""
+    two_component / graph / random.  Unknown keys are rejected, and a
+    particle count past ``cap`` before any entry is parsed."""
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
     _require_keys(obj, set(_INPUT_KEYS), "input")
@@ -341,11 +367,11 @@ def parse_system(obj: dict) -> SystemInput:
     kind = present[0]
 
     if kind == "matrix":
-        return SystemInput(from_matrix(obj["matrix"]))
+        return SystemInput(from_matrix(obj["matrix"], cap))
 
     if kind == "charges":
         values = _list(obj["charges"], "charges")
-        _check_count(len(values), "charges")
+        _check_count(len(values), "charges", cap)
         k = ChargeVector(tuple(parse_number(v) for v in values))
         return SystemInput(from_charges(k), charges=k)
 
@@ -355,7 +381,7 @@ def parse_system(obj: dict) -> SystemInput:
             if key not in tc:
                 raise InputError(f"two_component missing {key!r}")
         n1, n2 = _integer(tc["n1"], "two_component.n1"), _integer(tc["n2"], "two_component.n2")
-        _check_count(n1 + n2, "two_component")
+        _check_count(n1 + n2, "two_component", cap)
         spec = TwoComponentSpec(n1, n2, parse_number(tc["z1"]), parse_number(tc["z2"]))
         return SystemInput(from_two_component(spec), charges=spec.charges(), two_component=spec)
 
@@ -364,7 +390,7 @@ def parse_system(obj: dict) -> SystemInput:
         if "n" not in gobj or "edges" not in gobj:
             raise InputError("graph needs 'n' and 'edges'")
         n = _integer(gobj["n"], "graph.n")
-        _check_count(n, "graph")
+        _check_count(n, "graph", cap)
         edges = tuple(tuple(_integer(v, "graph edge end") for v in _list(e, "graph edge"))
                       for e in _list(gobj["edges"], "graph.edges"))
         g = GraphSpec(n, edges)
@@ -377,7 +403,7 @@ def parse_system(obj: dict) -> SystemInput:
     if "n" not in robj or "seed" not in robj:
         raise InputError("random needs 'n' and 'seed'")
     n, seed = _integer(robj["n"], "random.n"), _integer(robj["seed"], "random.seed")
-    _check_count(n, "random")
+    _check_count(n, "random", cap)
     if model == "couplings":
         try:
             variance = float(parse_number(robj.get("variance", 1.0)))
@@ -391,18 +417,12 @@ def parse_system(obj: dict) -> SystemInput:
     return SystemInput(from_charges(k), charges=k)
 
 
-def load_system(path) -> SystemInput:
-    """Read and parse an input JSON file."""
+def load_system(path, cap: int = MAX_PARTICLES) -> SystemInput:
+    """Read and parse an input JSON file, refusing more than ``cap``
+    particles (``parse_system``)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_system(obj)
-
-
-def neutrality_check(spec: TwoComponentSpec):
-    if not spec.is_neutral:
-        raise InputError(
-            f"n1*z1 = {float(spec.n1 * spec.z1)} != n2*z2 = {float(spec.n2 * spec.z2)}"
-        )
+    return parse_system(obj, cap)

@@ -804,15 +804,33 @@ def test_exit_2_on_malformed_input(tmp_path, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("system", [
-    {"matrix": [[0]] * 2049},  # the row count is checked before rows or entries
-    {"charges": [1, -1] * 1025},
-    {"two_component": {"n1": 1025, "n2": 1025, "z1": 1, "z2": 1}},
-    {"graph": {"n": 100000, "edges": [[0, 1]]}},
-    {"random": {"model": "couplings", "n": 100000, "seed": 0}},
-    {"random": {"model": "charges", "n": 100000, "seed": 0}},
-], ids=["matrix", "charges", "two_component", "graph", "random-couplings", "random-charges"])
-def test_exit_3_before_building_oversized_input(tmp_path, monkeypatch, system):
+# the commands that solve, whose cap is the solver's: n = 27 is refused at load
+_SOLVING = [["critical"], ["sk-check"], ["arboricity"],
+            ["mc-partition", "--beta-grid", "0.5"], ["mc-gibbs", "--beta-grid", "0.5"]]
+_AT_27 = {
+    "matrix-27": {"matrix": [[0] * 27] * 27},
+    "charges-27": {"charges": [1, -1] * 13 + [1]},
+    "two_component-27": {"two_component": {"n1": 14, "n2": 13, "z1": 1, "z2": 1}},
+    "graph-27": {"graph": {"n": 27, "edges": [[0, 1]]}},
+    "random-couplings-27": {"random": {"model": "couplings", "n": 27, "seed": 0}},
+    "random-charges-27": {"random": {"model": "charges", "n": 27, "seed": 0}},
+}
+
+
+@pytest.mark.parametrize("argv,system", [
+    # the row count is checked before rows or entries
+    pytest.param(["critical"], {"matrix": [[0]] * 2049}, id="matrix"),
+    pytest.param(["critical"], {"charges": [1, -1] * 1025}, id="charges"),
+    pytest.param(["critical"], {"two_component": {"n1": 1025, "n2": 1025, "z1": 1, "z2": 1}},
+                 id="two_component"),
+    pytest.param(["critical"], {"graph": {"n": 100000, "edges": [[0, 1]]}}, id="graph"),
+    pytest.param(["critical"], {"random": {"model": "couplings", "n": 100000, "seed": 0}},
+                 id="random-couplings"),
+    pytest.param(["critical"], {"random": {"model": "charges", "n": 100000, "seed": 0}},
+                 id="random-charges"),
+] + [pytest.param(argv, system, id=f"{argv[0]}-{name}")
+     for argv in _SOLVING for name, system in _AT_27.items()])
+def test_exit_3_before_building_oversized_input(tmp_path, monkeypatch, argv, system):
     def refuse(*args, **kwargs):
         raise AssertionError("built an oversized input")
 
@@ -820,6 +838,7 @@ def test_exit_3_before_building_oversized_input(tmp_path, monkeypatch, system):
                  "from_two_component", "from_graph", "sample_gaussian_couplings",
                  "sample_gaussian_charges"):
         monkeypatch.setattr(coupling, name, refuse)
-    path = tmp_path / "big.json"
+    path, out = tmp_path / "big.json", tmp_path / "out"
     path.write_text(json.dumps(system))
-    assert run(["critical", "--input", path]) == 3
+    assert run([*argv, "--input", path, "--out", out]) == 3
+    assert not out.exists()

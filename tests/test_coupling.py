@@ -292,3 +292,39 @@ def test_from_graph_floats_are_correctly_rounded():
     c = from_graph(g)
     _assert_same_bits(c.entries, _reference_floats(upper))
     assert c.exact_entries == _reference_exact(upper)
+
+
+_UNDERFLOWING = {"charges": ["1e-200", "1e-200", "-1e-200"]}  # exact couplings of 1e-400
+_PAIR_SUM_BEYOND = {"charges": ["1.1e154"] * 3 + ["-1e154"] * 3}  # each float finite
+
+
+@pytest.mark.parametrize("system,mode,expected", [
+    ({"charges": [3, -1, -2]}, "exact", "own"),
+    ({"charges": [3, -1, -2]}, "auto", "own"),
+    ({"charges": [3, -1, -2]}, "float", "float view"),
+    ({"charges": [3.0, -1.0, -2.0]}, "exact", "exact mode requires rational-expressible input"),
+    ({"charges": [3.0, -1.0, -2.0]}, "auto", "own"),
+    ({"charges": [3.0, -1.0, -2.0]}, "float", "own"),
+    ({"matrix": [[0, 1.5], [1.5, 0]]}, "float", "own"),
+    ({"random": {"model": "couplings", "n": 4, "seed": 1}}, "float", "own"),
+    ({"matrix": [[0, 0], [0, 0]]}, "float", "float view"),  # no coupling to underflow
+    (_UNDERFLOWING, "exact", "own"),
+    (_UNDERFLOWING, "auto", "own"),
+    (_UNDERFLOWING, "float", "the couplings underflow the float range"),
+    (_PAIR_SUM_BEYOND, "auto", "own"),
+    (_PAIR_SUM_BEYOND, "float", "the sum of |c_ij| over pairs i < j is beyond the float range"),
+])
+def test_system_matrix_of_each_mode(system, mode, expected):
+    parsed = parse_system(system)
+    c = parsed.coupling
+    if expected == "own":  # the input's own matrix, not a copy
+        assert parsed.matrix(mode) is c
+    elif expected == "float view":  # the same floats, without the rational grid
+        view = parsed.matrix(mode)
+        assert c.is_exact and not view.is_exact
+        np.testing.assert_array_equal(view.entries, c.entries)
+        assert not view.entries.flags.writeable
+    else:
+        with pytest.raises(InputError) as refusal:
+            parsed.matrix(mode)
+        assert str(refusal.value).startswith(expected)
