@@ -12,9 +12,11 @@ Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
 and --tol for critical and sk-check, --seed for the sampling commands;
 any other flag is an argparse error (exit 2).
 A handler loads its input under its particle cap: the solver's
-(``solver._MAX_N``) for the commands that solve, 2048 for bounds and
-closed-form.  It reads the matrix of its mode from ``SystemInput.matrix``;
-the float-range policy lives in ``coupling``.
+(``solver._MAX_N``) for the commands that solve, the eigensolver's
+(``spectral._MAX_N``) for bounds, 2048 for closed-form.  It reads the matrix
+of its mode from ``SystemInput.matrix``, the one builder of a model's grid,
+or the model alone (closed-form, arboricity); the float-range policy lives
+in ``coupling``.
 mc-partition spreads its grid points over up to 4 of the process's CPUs;
 everything else runs serially.
 
@@ -50,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import closed_forms, solver, sphere_mc
+from . import closed_forms, solver, spectral, sphere_mc
 from .coupling import (
     SystemInput,
     from_charges,
@@ -148,7 +150,7 @@ def cmd_critical(args: argparse.Namespace) -> tuple:
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple:
-    system = load_system(args.input)
+    system = load_system(args.input, spectral._MAX_N)
     c = system.matrix("float")
     spectrum = symmetric_eigs(c)
     eig = eig_bounds(c)
@@ -303,18 +305,18 @@ def cmd_mc_partition(args: argparse.Namespace) -> tuple:
     return text, lines
 
 
-def _class_labels(system: SystemInput) -> list:
+def _class_labels(system: SystemInput, n: int) -> list:
     """0/1 by charge sign (a two-component input has charges too), else 0."""
     if system.charges is not None:
         return [0 if v > 0 else 1 for v in system.charges.values]
-    return [0] * system.coupling.n
+    return [0] * n
 
 
 def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
     grid = _parse_beta_grid(args.beta_grid)
     system = load_system(args.input, solver._MAX_N)
     c = system.matrix("float")
-    labels = _class_labels(system)
+    labels = _class_labels(system, c.n)
 
     results = []
     for index, beta in enumerate(grid):

@@ -19,6 +19,7 @@ from .coupling import ChargeVector, TwoComponentSpec
 from .errors import DomainError, InputError
 from .rational import TIE_TOL, Real, tolerance
 
+NEUTRALITY_RTOL = 1e-12
 POSITIVE_COLLAPSE = "positive_collapse"
 NEGATIVE_COLLAPSE = "negative_collapse"
 TIE = "tie"
@@ -40,19 +41,39 @@ class OnsagerCritical:
     collapsing: tuple  # the index tuple of each sign class that collapses
 
 
+def _in_range(name: str, compute) -> Real:
+    """``compute()``, or an InputError naming ``name`` when it divides by
+    zero, overflows, or gives 0 or a value beyond the float range.  An
+    exact value passes when its float is finite: tiny ones are kept."""
+    try:
+        value = compute()
+        if value != 0 and math.isfinite(value):
+            return value
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise InputError(f"{name} is beyond the float range")
+
+
 def two_component_critical(spec: TwoComponentSpec) -> TwoComponentCritical:
     """Critical data of the neutral two-component plasma.
 
     Under neutrality the species of larger charge magnitude is the smaller
     one, so kappa+ = min(n1, n2) and the prefactor is min(z1, z2)/(z1 + z2).
-    Neither depends on the species order: IEEE + and * commute."""
-    if not spec.is_neutral:
-        raise InputError(
-            f"n1*z1 = {float(spec.n1 * spec.z1)} != n2*z2 = {float(spec.n2 * spec.z2)}")
+    Neither depends on the species order: IEEE + and * commute.  Float
+    n1*z1, n2*z2 and beta+ must be in the float range (``_in_range``)."""
+    def as_float(name, value):
+        return _in_range(name, lambda: float(value))
+
+    a, b = spec.n1 * spec.z1, spec.n2 * spec.z2
+    if not spec.is_exact:
+        a, b = as_float("n1*z1", a), as_float("n2*z2", b)
+    # exact sides must be equal; float ones agree relative to the larger, with no floor
+    if abs(a - b) > tolerance(0 if spec.is_exact else NEUTRALITY_RTOL, max(a, b), 0.0):
+        raise InputError(f"n1*z1 = {as_float('n1*z1', a)} != n2*z2 = {as_float('n2*z2', b)}")
     num = Fraction if spec.is_exact else float
     z1, z2 = num(spec.z1), num(spec.z2)
     return TwoComponentCritical(
-        beta_plus=1 / (z1 * z2),
+        beta_plus=_in_range("beta+ = 1/(z1*z2)", lambda: 1 / (z1 * z2)),
         kappa_plus=min(spec.n1, spec.n2),
         free_energy_prefactor=min(z1, z2) / (z1 + z2),
     )
@@ -110,13 +131,8 @@ def onsager_beta_minus(k: ChargeVector) -> OnsagerCritical:
     def candidate(idx, side: str):
         if len(idx) < 2:
             return -math.inf
-        try:
-            cand = (1 - len(idx)) / _pair_sum(k, idx)
-            if cand != 0 and math.isfinite(cand):
-                return cand
-        except (ZeroDivisionError, OverflowError):
-            pass
-        raise InputError(f"the {side} Onsager candidate is beyond the float range")
+        return _in_range(f"the {side} Onsager candidate",
+                         lambda: (1 - len(idx)) / _pair_sum(k, idx))
 
     cand_pos, cand_neg = candidate(pos, "positive-side"), candidate(neg, "negative-side")
     if k.is_exact:

@@ -8,10 +8,11 @@ seed, never the global RNG.
 
 This module alone turns an input into the matrix a command reads.
 ``load_system`` refuses a particle count past the command's cap before any
-entry is parsed or any grid is built.  ``_float_matrix`` is the one gate on
-the float range: a float input passes it at load, and the float view of a
-rational input passes it in ``SystemInput.matrix``, which picks the matrix
-of a mode (exact, float or auto).
+entry is parsed.  A charges, two_component or graph input stays a model:
+only ``SystemInput.matrix``, which picks the matrix of a mode (exact, float
+or auto), builds its grid.  ``_float_matrix`` is the one gate on the float
+range, for a float grid as it is built and for the float view of a
+rational grid in ``matrix``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, SizeLimitError
-from .rational import Real, all_exact, is_exact, parse_number, tolerance
+from .rational import Real, all_exact, parse_number, tolerance
 
 SYMMETRY_RTOL = 1e-12
-NEUTRALITY_RTOL = 1e-12
-MAX_PARTICLES = 2048  # the eigensolver's cap, the largest n any consumer accepts
+MAX_PARTICLES = 2048  # closed-form's cap, the largest n any command accepts
 UNDERFLOW = "the couplings underflow the float range: each is 0.0 as a float"
 
 
@@ -113,15 +113,6 @@ class TwoComponentSpec:
     @property
     def is_exact(self) -> bool:
         return all_exact((self.z1, self.z2))
-
-    @property
-    def is_neutral(self) -> bool:
-        a, b = self.n1 * self.z1, self.n2 * self.z2
-        if is_exact(a) and is_exact(b):
-            return a == b
-        a, b = float(a), float(b)
-        # scale 0: the tolerance is relative to the larger side, with no floor
-        return abs(a - b) <= tolerance(NEUTRALITY_RTOL, max(abs(a), abs(b)), 0.0)
 
     def charges(self) -> ChargeVector:
         return ChargeVector(tuple([self.z1] * self.n1 + [-self.z2] * self.n2))
@@ -310,9 +301,10 @@ _INPUT_KEYS = ("matrix", "charges", "two_component", "graph", "random")
 
 @dataclass(frozen=True)
 class SystemInput:
-    """A parsed input file: the coupling matrix plus the model it came from."""
+    """A parsed input file: the grid of a matrix or random-couplings input,
+    or the model (charges, a plasma with its charges, a graph) it came from."""
 
-    coupling: CouplingMatrix
+    coupling: Optional[CouplingMatrix] = None
     charges: Optional[ChargeVector] = None
     two_component: Optional[TwoComponentSpec] = None
     graph: Optional[GraphSpec] = None
@@ -320,12 +312,14 @@ class SystemInput:
     def matrix(self, mode: str) -> CouplingMatrix:
         """The matrix a command reads under ``mode`` (exact, float or auto).
 
-        Exact and auto read a rational input's own matrix; exact refuses a
-        float input.  Float and auto read a float input's own grid as it
-        is: ``_float_matrix`` passed it at load, or it was sampled, with
-        draws far inside the float range.  Float reads a rational input's
-        float grid through ``_float_matrix``."""
+        A model's grid is built here, on each call.  Exact and auto read a
+        rational grid as it is; exact refuses a float one.  Float and auto
+        read a float grid as it is: ``_float_matrix`` passed it when it was
+        built, or it was sampled, with draws far inside the float range.
+        Float reads a rational grid's floats through ``_float_matrix``."""
         c = self.coupling
+        if c is None:
+            c = from_graph(self.graph) if self.graph else from_charges(self.charges)
         if mode == "exact" and not c.is_exact:
             raise InputError("exact mode requires rational-expressible input")
         if mode == "float" and c.is_exact:
@@ -372,8 +366,7 @@ def parse_system(obj: dict, cap: int = MAX_PARTICLES) -> SystemInput:
     if kind == "charges":
         values = _list(obj["charges"], "charges")
         _check_count(len(values), "charges", cap)
-        k = ChargeVector(tuple(parse_number(v) for v in values))
-        return SystemInput(from_charges(k), charges=k)
+        return SystemInput(charges=ChargeVector(tuple(parse_number(v) for v in values)))
 
     if kind == "two_component":
         tc = _require_keys(obj["two_component"], {"n1", "n2", "z1", "z2"}, "two_component")
@@ -383,7 +376,7 @@ def parse_system(obj: dict, cap: int = MAX_PARTICLES) -> SystemInput:
         n1, n2 = _integer(tc["n1"], "two_component.n1"), _integer(tc["n2"], "two_component.n2")
         _check_count(n1 + n2, "two_component", cap)
         spec = TwoComponentSpec(n1, n2, parse_number(tc["z1"]), parse_number(tc["z2"]))
-        return SystemInput(from_two_component(spec), charges=spec.charges(), two_component=spec)
+        return SystemInput(charges=spec.charges(), two_component=spec)
 
     if kind == "graph":
         gobj = _require_keys(obj["graph"], {"n", "edges"}, "graph")
@@ -393,8 +386,7 @@ def parse_system(obj: dict, cap: int = MAX_PARTICLES) -> SystemInput:
         _check_count(n, "graph", cap)
         edges = tuple(tuple(_integer(v, "graph edge end") for v in _list(e, "graph edge"))
                       for e in _list(gobj["edges"], "graph.edges"))
-        g = GraphSpec(n, edges)
-        return SystemInput(from_graph(g), graph=g)
+        return SystemInput(graph=GraphSpec(n, edges))
 
     robj = _require_keys(obj["random"], {"model", "n", "variance", "seed"}, "random")
     model = robj.get("model")
@@ -413,16 +405,15 @@ def parse_system(obj: dict, cap: int = MAX_PARTICLES) -> SystemInput:
         return SystemInput(sample_gaussian_couplings(n, variance, seed))
     if "variance" in robj:
         raise InputError("random charges are standard normal; 'variance' not allowed")
-    k = sample_gaussian_charges(n, seed)
-    return SystemInput(from_charges(k), charges=k)
+    return SystemInput(charges=sample_gaussian_charges(n, seed))
 
 
 def load_system(path, cap: int = MAX_PARTICLES) -> SystemInput:
     """Read and parse an input JSON file, refusing more than ``cap``
-    particles (``parse_system``)."""
+    particles (``parse_system``); JSON nested too deeply is invalid too."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return parse_system(obj, cap)

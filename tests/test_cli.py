@@ -16,6 +16,7 @@ from hypothesis import given, settings
 
 import loggas.cli as cli
 import loggas.coupling as coupling
+import loggas.graphs as graphs
 import loggas.solver as solver
 import loggas.sphere_mc as sphere_mc
 from loggas import load_system, two_component_critical
@@ -165,7 +166,8 @@ _BEYOND = "3" + "0" * 400  # a JSON integer past the float range
 @pytest.mark.parametrize("system,command,message", [
     ('{"matrix": [[0, "1e400"], ["1e400", 0]]}', "critical", "coupling (0,1)"),
     ('{"charges": ["1e200", "-1e200"]}', "bounds", "coupling (0,1)"),
-    ('{"two_component": {"n1": 1, "n2": 1, "z1": "1e400", "z2": "1e400"}}', "closed-form",
+    # closed-form reads no grid and answers this plasma exactly; bounds reads its grid
+    ('{"two_component": {"n1": 1, "n2": 1, "z1": "1e400", "z2": "1e400"}}', "bounds",
      "coupling (0,1)"),
     ('{"random": {"model": "couplings", "n": 4, "variance": "1e400", "seed": 0}}', "critical",
      "random.variance 1e400"),
@@ -241,7 +243,6 @@ _FLOAT_OUT_OF_RANGE = {
     ["critical"],
     ["sk-check"],
     ["bounds"],
-    ["closed-form"],
     ["mc-partition", "--beta-grid", "0.5", "--samples", 1000],
     ["mc-gibbs", "--beta-grid", "0.5", "--steps", 200, "--burn-in", 100],
 ], ids=lambda argv: argv[0])
@@ -255,6 +256,78 @@ def test_exit_2_on_float_charges_beyond_float_range(tmp_path, capsys, argv, case
     assert run([*argv, "--input", source, "--out", out]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(_FLOAT_OUT_OF_RANGE))
+@pytest.mark.filterwarnings("error")
+def test_closed_form_refuses_float_charges_beyond_float_range(tmp_path, capsys, case):
+    # closed-form builds no grid: the positive class's pair sum overflows or
+    # underflows in each case, and its candidate is refused
+    source, out = tmp_path / "charges.json", tmp_path / "out"
+    source.write_text(_FLOAT_OUT_OF_RANGE[case][0])
+    assert run(["closed-form", "--input", source, "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        "error (input): the positive-side Onsager candidate is beyond the float range\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec,message", [
+    # z1*z2 = 1e400 is inf as a float, so 1/(z1*z2) would be 0.0
+    ({"n1": 1, "n2": 1, "z1": 1e200, "z2": 1e200}, "beta+ = 1/(z1*z2)"),
+    # z1*z2 = 1e-400 is 0.0 as a float
+    ({"n1": 1, "n2": 1, "z1": 1e-200, "z2": 1e-200}, "beta+ = 1/(z1*z2)"),
+    ({"n1": 2, "n2": 2, "z1": 1e308, "z2": 1e308}, "n1*z1"),
+    # exact and not neutral: the message's float of n1*z1 overflows
+    ({"n1": 1, "n2": 2, "z1": "1e400", "z2": "1e400"}, "n1*z1"),
+], ids=["overflow", "underflow", "n-times-z", "exact-not-neutral"])
+@pytest.mark.filterwarnings("error")
+def test_closed_form_refuses_a_plasma_beyond_float_range(tmp_path, capsys, spec, message):
+    source, out = tmp_path / "plasma.json", tmp_path / "out"
+    source.write_text(json.dumps({"two_component": spec}))
+    assert run(["closed-form", "--input", source, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error (input): {message} is beyond the float range\n"
+    assert not out.exists()
+
+
+def test_closed_form_answers_an_exact_plasma_beyond_float_range(tmp_path, capsys):
+    source, out = tmp_path / "plasma.json", tmp_path / "report.json"
+    source.write_text('{"two_component": {"n1": 1, "n2": 1, "z1": "1e400", "z2": "1e400"}}')
+    assert run(["closed-form", "--input", source, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["beta_plus"] == "1/1" + "0" * 800
+    assert doc["kappa_plus"] == 1 and doc["free_energy_prefactor"] == "1/2"
+    assert capsys.readouterr().out.startswith(f"beta+ = 1/1{'0' * 800}   kappa+ = 1")
+
+
+@pytest.mark.parametrize("system,first", [
+    ({"two_component": {"n1": 1024, "n2": 1024, "z1": 1, "z2": 1}}, "beta+ = 1   kappa+ = 1024"),
+    ({"charges": [1] * 1024 + [-1] * 1024}, "beta- = -1/512   side: tie"),
+], ids=["plasma", "charges"])
+def test_closed_form_builds_no_grid(tmp_path, monkeypatch, capsys, system, first):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a coupling grid")
+
+    monkeypatch.setattr(coupling, "from_charges", refuse)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(system))
+    assert run(["closed-form", "--input", path]) == 0
+    assert capsys.readouterr().out.startswith(first)
+
+
+def test_arboricity_builds_one_graph_grid(tmp_path, monkeypatch):
+    original, calls = coupling.from_graph, []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    # graphs imported the name, so both namespaces count
+    monkeypatch.setattr(graphs, "from_graph", counted)
+    monkeypatch.setattr(coupling, "from_graph", counted)
+    out = tmp_path / "report.json"
+    assert run(["arboricity", "--input", INPUTS / "c5_graph.json", "--out", out]) == 0
+    assert len(calls) == 1
+    compare_bytes(out, GOLDEN / "arboricity_c5.json")
 
 
 def test_exit_2_when_an_onsager_pair_sum_underflows(tmp_path, capsys):
@@ -780,6 +853,14 @@ def test_exit_2_on_ensemble_variance_with_charges(tmp_path):
 # Malformed and oversized input
 # ---------------------------------------------------------------------------
 
+def test_exit_2_on_deeply_nested_json(tmp_path, capsys):
+    path, out = tmp_path / "deep.json", tmp_path / "report.json"
+    path.write_text('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run(["critical", "--input", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error (input): invalid JSON in {path}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"matrix": 5}',
     '{"matrix": [0, 1]}',
@@ -828,6 +909,10 @@ _AT_27 = {
                  id="random-couplings"),
     pytest.param(["critical"], {"random": {"model": "charges", "n": 100000, "seed": 0}},
                  id="random-charges"),
+    # bounds' cap is the eigensolver's
+    pytest.param(["bounds"], {"random": {"model": "couplings", "n": 385, "seed": 0}},
+                 id="bounds-random-couplings-385"),
+    pytest.param(["bounds"], {"charges": [1, -1] * 192 + [1]}, id="bounds-charges-385"),
 ] + [pytest.param(argv, system, id=f"{argv[0]}-{name}")
      for argv in _SOLVING for name, system in _AT_27.items()])
 def test_exit_3_before_building_oversized_input(tmp_path, monkeypatch, argv, system):

@@ -316,9 +316,15 @@ _PAIR_SUM_BEYOND = {"charges": ["1.1e154"] * 3 + ["-1e154"] * 3}  # each float f
 ])
 def test_system_matrix_of_each_mode(system, mode, expected):
     parsed = parse_system(system)
-    c = parsed.coupling
-    if expected == "own":  # the input's own matrix, not a copy
-        assert parsed.matrix(mode) is c
+    # a matrix or sampled grid is kept at load; a charge input's is built on demand
+    assert (parsed.coupling is None) == (parsed.charges is not None)
+    c = parsed.coupling or from_charges(parsed.charges)
+    if expected == "own":  # the input's own grid: kept, or built as from_charges builds it
+        m = parsed.matrix(mode)
+        if parsed.coupling is not None:
+            assert m is c
+        np.testing.assert_array_equal(m.entries, c.entries)
+        assert m.exact_entries == c.exact_entries
     elif expected == "float view":  # the same floats, without the rational grid
         view = parsed.matrix(mode)
         assert c.is_exact and not view.is_exact

@@ -209,8 +209,8 @@ def test_sweep_cap_raises_no_convergence(monkeypatch):
 
 
 def test_size_cap():
-    with pytest.raises(SizeLimitError, match="eigensolver limited to n <= 2048"):
-        symmetric_eigs(CouplingMatrix(2049, np.zeros((2049, 2049))))
+    with pytest.raises(SizeLimitError, match="eigensolver limited to n <= 384"):
+        symmetric_eigs(CouplingMatrix(385, np.zeros((385, 385))))
 
 
 def test_eig_bounds_mixed_charges():
