@@ -29,7 +29,8 @@ the text lines to print.  Once the handler has succeeded, ``main`` stamps
 text to ``--out`` (the only file the package writes) and prints the lines.
 A report is written byte for byte as ``json.dumps(report, indent=2,
 allow_nan=False)`` would write it, by a writer that renders each shared list
-of scalars once (``_json_text``) and each scalar with json's own encoder.
+of scalars once (``_json_text``) and each scalar with json's own encoder;
+a list of lists writes each member it has rendered before as it stands.
 A sweep is ``csv.writer`` rows (CRLF line ends) followed by one
 ``# key=value`` line per pole-fit result.
 Exit codes: 0 ok, and the ``exit_code`` of the ``LogGasError`` raised (2
@@ -114,8 +115,8 @@ def _critical_report_dict(report: CriticalReport, mode: str) -> dict:
         "nests_truncated_plus": nests_p.truncated,
         "nests_truncated_minus": nests_m.truncated,
         # one coincidence pattern of the limiting Gibbs support per nest
-        "support_plus": [", ".join(chains[s.bits] for s in nest) for nest in nests_p.nests],
-        "support_minus": [", ".join(chains[s.bits] for s in nest) for nest in nests_m.nests],
+        "support_plus": [", ".join([chains[s.bits] for s in nest]) for nest in nests_p.nests],
+        "support_minus": [", ".join([chains[s.bits] for s in nest]) for nest in nests_m.nests],
         "free_energy_asymptote_plus": _asymptote(nests_p.kappa, report.n, report.beta_plus),
         "free_energy_asymptote_minus": _asymptote(nests_m.kappa, report.n, report.beta_minus),
         "degenerate": not (plus.attained or minus.attained),
@@ -500,7 +501,8 @@ def _json_text(doc) -> str:
     The pieces go into one flat list, joined once.  A list of scalars is
     rendered once per (object, depth): the critical report shares one label
     list per optimizer among its families and nests, so its tens of
-    thousands of member lists cost a dictionary lookup each."""
+    thousands of member lists cost a dictionary lookup each, made by the
+    list that holds them."""
     parts, leaves = [], {}
 
     def write(value, depth: int):
@@ -516,7 +518,11 @@ def _json_text(doc) -> str:
                     sep, comma = "[" + inner, "," + inner
                     for item in value:
                         parts.append(sep)
-                        write(item, depth + 1)
+                        leaf = leaves.get((id(item), depth + 1))
+                        if leaf is None:
+                            write(item, depth + 1)
+                        else:
+                            parts.append(leaf)
                         sep = comma
                     parts.extend((outer, "]"))
                     return
@@ -539,6 +545,7 @@ def _json_text(doc) -> str:
             parts.append(_json_scalar(value))
 
     write(doc, 0)
+    del write  # it holds itself, and so parts, until a full garbage collection
     return "".join(parts)
 
 

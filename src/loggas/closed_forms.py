@@ -102,13 +102,16 @@ def onsager_conditions(k: ChargeVector) -> bool:
 
 
 def _pair_sum(k: ChargeVector, idx) -> Real:
-    """sum_{i<j in idx} k_i k_j, each product cast to the mode's type and
-    added left to right (Python 3.12's sum() would compensate floats)."""
-    num = Fraction if k.is_exact else float
-    total = num(0)
+    """sum_{i<j in idx} k_i k_j.  Exact charges take it as ((sum k)^2 -
+    sum k^2)/2, in O(len(idx)).  Float charges add each product as a float,
+    left to right (Python 3.12's sum() would compensate floats)."""
+    if k.is_exact:
+        vals = [Fraction(k.values[i]) for i in idx]
+        return (sum(vals) ** 2 - sum(v * v for v in vals)) / 2
+    total = 0.0
     for a, i in enumerate(idx):
         for j in idx[a + 1:]:
-            total += num(k.values[i] * k.values[j])
+            total += float(k.values[i] * k.values[j])
     return total
 
 

@@ -88,7 +88,9 @@ class ChargeVector:
         return all_exact(self.values)
 
     def as_floats(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        """The float view of the charges; a charge beyond the float range is
+        an InputError naming it."""
+        return _floats(self.values, "charge k[{}]")
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def from_matrix(raw, cap: int = MAX_PARTICLES) -> CouplingMatrix:
     parsed = [[parse_number(v) for v in r] for r in rows]
     exact_mode = all(all_exact(r) for r in parsed)
     # mixed or float input is checked on its one float cast
-    floats = None if exact_mode else _float_grid(parsed)
+    floats = None if exact_mode else _floats(parsed, "coupling ({},{})")
     grid, rtol, scale = ((parsed, 0, 0.0) if exact_mode else
                          (floats.tolist(), SYMMETRY_RTOL, float(np.abs(floats).max())))
     for i in range(n):
@@ -209,24 +211,25 @@ def _float_matrix(floats: np.ndarray, nonzero: bool) -> CouplingMatrix:
     return CouplingMatrix(len(floats), floats)
 
 
-def _float_grid(grid) -> np.ndarray:
-    """``np.array(grid, dtype=float)``; an entry whose float is out of range
-    is an InputError naming the first such entry, 0-based and row-major."""
+def _floats(values, name: str) -> np.ndarray:
+    """``np.array(values, dtype=float)``; a value whose float is out of range
+    is an InputError naming the first one, ``name`` formatted with its
+    0-based index, row-major."""
     try:
-        return np.array(grid, dtype=float)
+        return np.array(values, dtype=float)
     except OverflowError:
-        for i, row in enumerate(grid):
-            for j, v in enumerate(row):
-                try:
-                    float(v)
-                except OverflowError:
-                    raise InputError(f"coupling ({i},{j}) is beyond the float range") from None
+        held = np.array(values, dtype=object)
+        for index in np.ndindex(held.shape):
+            try:
+                float(held[index])
+            except OverflowError:
+                raise InputError(f"{name.format(*index)} is beyond the float range") from None
         raise
 
 
 def _exact_matrix(exact: tuple) -> CouplingMatrix:
     """A Fraction grid with its floats; float(Fraction) is correctly rounded."""
-    return CouplingMatrix(len(exact), _float_grid(exact), exact)
+    return CouplingMatrix(len(exact), _floats(exact, "coupling ({},{})"), exact)
 
 
 def from_charges(k: ChargeVector) -> CouplingMatrix:

@@ -61,6 +61,7 @@ _MAX_N = 26  # largest instance the 2^n scan accepts
 _COLLECT_CAP = 1_000_000
 _NEST_CAP = 10_000  # maximum nests enumerated before the truncated flag is set
 _FAMILY_CAP = 4096  # largest optimizer family max_nest accepts
+_MEMO_BITS = 1 << 16  # candidate-mask bits of the bounds one max_nest call remembers
 _INT64_BOUND = 1 << 62
 
 
@@ -128,11 +129,6 @@ class CriticalReport:
     beta_plus: Real
     nests_plus: NestSearch
     nests_minus: NestSearch
-
-
-def _nested(x: int, y: int) -> bool:
-    common = x & y
-    return common == 0 or common == x or common == y
 
 
 def _weights(c: CouplingMatrix, exact: bool):
@@ -349,6 +345,16 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     subtrees hold no nest that would count: kappa, the nests kept and the
     flag are those of the unpruned search.  Families larger than
     ``_FAMILY_CAP`` are refused.
+
+    The class bound depends on the candidates and the members still needed
+    alone, and tie-rich families meet the same pair many times (the 8+8
+    plasma: 884 distinct among 24,365), so one call remembers it per (cand,
+    need); a need of at most 1 always holds and is not looked up.  The memo
+    holds at most ``_MEMO_BITS`` bits of candidate masks, ``_MEMO_BITS //
+    k`` answers for a family of k, so a large family whose pairs never
+    repeat keeps few.  Each nest is collected as the sorted tuple of its
+    members' ranks in report order; the nests are then sorted by their
+    members' bits.
     """
     fam = list(family)
     if not fam:
@@ -361,14 +367,25 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     fam.sort(key=lambda s: (-s.size, s.bits))
     bits = [s.bits for s in fam]
     k = len(fam)
-    compat = [0] * k  # compat[i]: the later members nested with member i
-    for i in range(k):
+    compat = []  # compat[i]: the later members nested with member i
+    for i, x in enumerate(bits):
+        nested = 0
         for j in range(i + 1, k):
-            if _nested(bits[i], bits[j]):
-                compat[i] |= 1 << j
+            common = x & bits[j]
+            if common == 0 or common == x or common == bits[j]:
+                nested |= 1 << j
+        compat.append(nested)
     # a class grows upward from its lowest member, so masking out the later
     # members nested with each one suffices
     crossing = [~(compat[i] | 1 << i) for i in range(k)]
+    # a nest lists its members by lowest element, then size, then bits: the
+    # search pushes each member's rank in that order, so a sort of the
+    # ranks orders a nest
+    order = sorted(range(k), key=lambda j: (bits[j] & -bits[j], bits[j].bit_count(), bits[j]))
+    rank = [0] * k
+    for r, j in enumerate(order):
+        rank[j] = r
+    memo, room = {}, _MEMO_BITS // k  # (cand, need) -> whether the classes reach need
 
     def classes_reach(cand: int, need: int) -> bool:
         """Whether a greedy split of cand into classes of pairwise-crossing
@@ -391,33 +408,40 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
         nonlocal best, found, truncated
         depth = len(stack)
         if depth > best:
-            best, found, truncated = depth, [tuple(stack)], False
+            best, found, truncated = depth, [tuple(sorted(stack))], False
         elif depth == best:
             if len(found) < _NEST_CAP:
-                found.append(tuple(stack))
+                found.append(tuple(sorted(stack)))
             else:
                 truncated = True
         while cand:
             need = best - depth + truncated  # members a nest must add to count
-            if cand.bit_count() < need or not classes_reach(cand, need):
-                return
+            if need > 1:
+                if cand.bit_count() < need:
+                    return
+                key = (cand, need)
+                reach = memo.get(key)
+                if reach is None:
+                    reach = classes_reach(cand, need)
+                    if len(memo) < room:
+                        memo[key] = reach
+                if not reach:
+                    return
             b = cand & -cand
             j = b.bit_length() - 1
             cand ^= b
-            stack.append(j)
+            stack.append(rank[j])
             search(stack, cand & compat[j])
             stack.pop()
 
     search([], (1 << k) - 1)
+    del search  # it holds itself, and so the nests and memo, until a full garbage collection
 
-    # a nest lists its members by lowest element, then size, then bits
-    order = sorted(range(k), key=lambda j: (bits[j] & -bits[j], bits[j].bit_count(), bits[j]))
-    rank = [0] * k
-    for r, j in enumerate(order):
-        rank[j] = r
-    members = sorted((sorted(combo, key=rank.__getitem__) for combo in found),
-                     key=lambda combo: [bits[j] for j in combo])
-    return NestSearch(best, tuple(tuple(fam[j] for j in combo) for combo in members), truncated)
+    ranked = [fam[j] for j in order]
+    ranked_bits = [bits[j] for j in order]
+    found.sort(key=lambda nest: [ranked_bits[r] for r in nest])
+    return NestSearch(best, tuple(tuple(map(ranked.__getitem__, nest)) for nest in found),
+                      truncated)
 
 
 def critical_interval(c: CouplingMatrix, *, tie_tol: float = TIE_TOL) -> CriticalReport:

@@ -175,8 +175,11 @@ _BEYOND = "3" + "0" * 400  # a JSON integer past the float range
      "the positive-side Onsager candidate"),
     (f'{{"matrix": [[0, 1.5, {_BEYOND}], [1.5, 0, 1], [{_BEYOND}, 1, 0]]}}', "critical",
      "coupling (0,2)"),
+    # mixed charges are read as floats, so the charge itself is refused
+    ('{"charges": ["1e400", 1.0, -1.0, -1.0]}', "critical", "charge k[0]"),
+    ('{"charges": [1.0, -1.0, "-1e400", 1.0]}', "bounds", "charge k[2]"),
 ], ids=["matrix", "charge-product", "two-component", "variance", "onsager-candidate",
-        "mixed-matrix"])
+        "mixed-matrix", "mixed-charges-critical", "mixed-charges-bounds"])
 def test_exit_2_on_exact_value_beyond_float_range(tmp_path, capsys, system, command, message):
     source = tmp_path / "huge.json"
     source.write_text(system)
@@ -645,12 +648,19 @@ def test_report_schema_is_versioned(tmp_path):
 
 
 def test_plasma_report_is_written_as_indent_2_json(tmp_path):
-    # 720 nests whose member lists share one label list per optimizer
+    # 720 nests, and the first 10,000 of the 8+8 plasma's 40,320, whose member
+    # lists share one label list per optimizer
+    plasma_8_8 = tmp_path / "plasma_8_8.json"
+    plasma_8_8.write_text('{"two_component": {"n1": 8, "n2": 8, "z1": 1, "z2": 1}}')
     out = tmp_path / "report.json"
-    assert run(["critical", "--input", INPUTS / "plasma_6_6.json", "--out", out]) == 0
-    text = out.read_text()
-    assert len(json.loads(text)["max_nests_plus"]) == 720
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    for source, nests, truncated in ((INPUTS / "plasma_6_6.json", 720, False),
+                                     (plasma_8_8, 10_000, True)):
+        assert run(["critical", "--input", source, "--out", out]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert len(doc["max_nests_plus"]) == nests
+        assert doc["nests_truncated_plus"] is truncated
+        assert text == json.dumps(doc, indent=2) + "\n"
 
 
 _SCALARS = st.one_of(

@@ -159,6 +159,31 @@ def test_onsager_mixed_charges_match_the_float_loop():
     assert crit.candidate_neg == candidate((3, 4, 5))
 
 
+def test_onsager_exact_candidates_match_the_pairwise_sum():
+    # an exact class's pair sum is taken in O(n); it must be the Fraction
+    # that adding every product gives
+    rng = random.Random(73)
+    for _ in range(100):
+        n1, n2 = rng.randint(2, 9), rng.randint(2, 9)
+        pos = [Fraction(rng.randint(100, 140), rng.randint(90, 100)) for _ in range(n1)]
+        neg = [-Fraction(rng.randint(100, 140), rng.randint(90, 100)) for _ in range(n2)]
+        k = ChargeVector(tuple(pos + neg))
+        if not onsager_conditions(k):
+            continue
+        crit = onsager_beta_minus(k)
+
+        def candidate(values):
+            total = Fraction(0)
+            for a, x in enumerate(values):
+                for y in values[a + 1:]:
+                    total += x * y
+            return (1 - len(values)) / total
+
+        assert type(crit.candidate_pos) is Fraction
+        assert crit.candidate_pos == candidate(pos)
+        assert crit.candidate_neg == candidate(neg)
+
+
 def test_onsager_conditions_fail_raises():
     with pytest.raises(DomainError, match="fails the 3/2-variation conditions"):
         onsager_beta_minus(ChargeVector((1, 1.6, -1, -1)))

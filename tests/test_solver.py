@@ -498,11 +498,20 @@ def test_max_nest_matches_subfamily_enumeration(bits):
     assert set(reported) <= expected
 
 
+def _in_report_order(fam, combos) -> tuple:
+    """The nests of the index combinations into ``fam``, each listed by
+    (smallest member index, size, bits) and all sorted by their bits."""
+    nests = [tuple(sorted((fam[j] for j in combo), key=lambda s: (min(s.indices()), s.size, s.bits)))
+             for combo in combos]
+    nests.sort(key=lambda nest: [s.bits for s in nest])
+    return tuple(nests)
+
+
 def _oracle_first_nests(family, cap: int) -> tuple:
     """(kappa, nests, truncated) as a capped search in index order keeps
-    them: the family sorted by (-size, bits), the first ``cap`` maximum
-    pairwise-nested index combinations in lexicographic order, each listed
-    by (smallest member index, size, bits) and all sorted by their bits."""
+    them: the family sorted by (-size, bits), and the first ``cap`` maximum
+    pairwise-nested index combinations in lexicographic order, in report
+    order."""
     fam = sorted(family, key=lambda s: (-s.size, s.bits))
     for size in range(len(fam), 0, -1):
         combos = [combo for combo in itertools.combinations(range(len(fam)), size)
@@ -510,10 +519,7 @@ def _oracle_first_nests(family, cap: int) -> tuple:
                          for i, j in itertools.combinations(combo, 2))]
         if combos:
             break
-    nests = [tuple(sorted((fam[j] for j in combo), key=lambda s: (min(s.indices()), s.size, s.bits)))
-             for combo in combos[:cap]]
-    nests.sort(key=lambda nest: [s.bits for s in nest])
-    return size, tuple(nests), len(combos) > cap
+    return size, _in_report_order(fam, combos[:cap]), len(combos) > cap
 
 
 @settings(max_examples=150)
@@ -525,6 +531,50 @@ def test_truncated_max_nest_keeps_the_first_nests_in_search_order(bits):
             mp.setattr(solver, "_NEST_CAP", cap)
             search = max_nest(family)
         assert (search.kappa, search.nests, search.truncated) == _oracle_first_nests(family, cap)
+
+
+@settings(max_examples=100)
+@given(st.sets(st.integers(0, 255).filter(lambda m: m.bit_count() >= 2), min_size=1, max_size=12))
+def test_max_nest_is_the_same_when_its_memo_is_full(bits):
+    # _MEMO_BITS // k answers fit: none at 0, one at k
+    family = [SubsetMask(m) for m in sorted(bits)]
+    for cap in (1, 3, solver._NEST_CAP):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_NEST_CAP", cap)
+            expected = max_nest(family)
+            for memo_bits in (0, len(family)):
+                mp.setattr(solver, "_MEMO_BITS", memo_bits)
+                assert max_nest(family) == expected
+
+
+def test_max_nest_memo_tells_needs_apart(monkeypatch):
+    # families of 14-40 members meet one candidate set with different needs;
+    # the search without a memo is the reference
+    rng = random.Random(41)
+    for _ in range(200):
+        width = rng.choice((6, 8))
+        draws = (rng.getrandbits(width) for _ in range(rng.randint(14, 40)))
+        family = [SubsetMask(m) for m in sorted({m for m in draws if m.bit_count() >= 2})]
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_MEMO_BITS", 0)
+            expected = max_nest(family)
+        assert max_nest(family) == expected
+
+
+def test_truncated_plasma_nests_are_the_first_pairings():
+    # the 8+8 plasma's G+ is its 64 mixed pairs {i, 8+j}; in (-size, bits)
+    # order the pair has index 8j + i, and its 8! maximum nests are the
+    # pairings i -> p[i]
+    fam = sorted((SubsetMask.from_indices((i, 8 + j)) for i in range(8) for j in range(8)),
+                 key=lambda s: (-s.size, s.bits))
+    assert [fam[8 * j + i] for i in range(8) for j in range(8)] == \
+        [SubsetMask.from_indices((i, 8 + j)) for i in range(8) for j in range(8)]
+    combos = sorted(tuple(sorted(8 * p[i] + i for i in range(8)))
+                    for p in itertools.permutations(range(8)))
+    assert len(combos) == 40_320 > solver._NEST_CAP
+    search = max_nest(list(reversed(fam)))
+    assert search.kappa == 8 and search.truncated
+    assert search.nests == _in_report_order(fam, combos[:solver._NEST_CAP])
 
 
 def test_kappa_bounded_by_n_minus_1():
