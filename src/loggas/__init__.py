@@ -39,7 +39,6 @@ from .closed_forms import (
 from .graphs import (
     ArboricityReport,
     arboricity,
-    forest_partition_oracle,
     sk_ground_state_check,
 )
 from .sphere_mc import (
@@ -49,7 +48,6 @@ from .sphere_mc import (
     MCEstimate,
     analytic_partition_two,
     collapse_observables,
-    energy,
     estimate_partition,
     metropolis_chain,
     pole_order_fit,

@@ -9,8 +9,8 @@ module alone renders a subset, as a list of 1-based labels or as an
 equality chain p1=p3 of the limiting support, and ``critical`` renders
 each optimizer once.
 Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
-and --tol for critical and sk-check, --seed for the sampling commands;
-any other flag is an argparse error (exit 2).
+and --tol for critical and sk-check, --seed (a non-negative integer) for the
+sampling commands; any other flag is an argparse error (exit 2).
 A handler loads its input under its particle cap: the solver's
 (``solver._MAX_N``) for the commands that solve, the eigensolver's
 (``spectral._MAX_N``) for bounds, 2048 for closed-form.  It reads the matrix
@@ -355,8 +355,9 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
                  variance: Optional[float] = None) -> dict:
     """Sample random instances, solve, and check the deterministic bounds.
 
-    gaussian_couplings records the eigenvalue bounds of the coupling matrix;
-    gaussian_charges records the closed-form charge bounds.  The first bound
+    Each trial records the upper bounds on T+ and -T- that ``bounds`` reads:
+    ``eig_bounds`` of the couplings (gaussian_couplings) or ``charge_bounds``
+    of the charges (gaussian_charges).  The first bound
     violated beyond ``tolerance(_BOUND_SLACK, bound, max |c|)`` raises
     RuntimeError, so a report has 0 in ``bound_violations`` and in each
     row's ``violations``.  Returns the report fields in report order: model,
@@ -378,20 +379,16 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
         trial_seed = seed + index
         if model == "gaussian_couplings":
             c = sample_gaussian_couplings(n, variance, trial_seed)
-            spectrum = symmetric_eigs(c)
-            bound_plus = -spectrum.lambda_min
-            bound_minus = spectrum.lambda_max  # -T- <= lambda_max
+            bounds = eig_bounds(c)
         else:
             k = sample_gaussian_charges(n, trial_seed)
             c = from_charges(k)
-            squares = k.as_floats() ** 2
-            bound_plus = float(np.max(squares))
-            bound_minus = float(np.sum(squares) - np.min(squares))
+            bounds = charge_bounds(k)
         plus, minus = solve_both(c)
         t_plus, t_minus = float(plus.t_value), float(minus.t_value)
         scale = c.scale
-        for side, result, t, bound in (("T+", plus, t_plus, bound_plus),
-                                       ("-T-", minus, -t_minus, bound_minus)):
+        for side, result, t, bound in (("T+", plus, t_plus, bounds.t_plus_upper),
+                                       ("-T-", minus, -t_minus, bounds.neg_t_minus_upper)):
             if result.attained and t > bound + tolerance(_BOUND_SLACK, bound, scale):
                 raise RuntimeError(f"trial {index}: {side} = {t!r} exceeds its "
                                    f"deterministic bound {bound!r}")
@@ -400,8 +397,8 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
             "seed": trial_seed,
             "t_plus": t_plus,
             "t_minus": t_minus,
-            "bound_t_plus": bound_plus,
-            "bound_neg_t_minus": bound_minus,
+            "bound_t_plus": bounds.t_plus_upper,
+            "bound_neg_t_minus": bounds.neg_t_minus_upper,
             "violations": 0,
         }
 
@@ -432,12 +429,19 @@ def cmd_ensemble(args: argparse.Namespace) -> tuple:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 _FLAGS = {
     "--input": dict(required=True, help="input JSON file"),
     "--out": dict(default=None, help="output file (JSON report or CSV)"),
     "--mode": dict(choices=["exact", "float", "auto"], default="auto"),
     "--tol": dict(type=float, default=TIE_TOL, help="float-mode tie tolerance"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_seed, default=0),
     "--samples": dict(type=int, default=100_000),
     "--beta-grid": dict(required=True, help="a:b:steps or comma list"),
     "--steps": dict(type=int, default=20_000),

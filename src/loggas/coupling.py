@@ -109,10 +109,6 @@ class TwoComponentSpec:
             raise InputError("charge magnitudes must be positive")
 
     @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
     def is_exact(self) -> bool:
         return all_exact((self.z1, self.z2))
 
@@ -398,6 +394,8 @@ def parse_system(obj: dict, cap: int = MAX_PARTICLES) -> SystemInput:
     if "n" not in robj or "seed" not in robj:
         raise InputError("random needs 'n' and 'seed'")
     n, seed = _integer(robj["n"], "random.n"), _integer(robj["seed"], "random.seed")
+    if seed < 0:
+        raise InputError(f"random.seed must be non-negative, got {seed}")
     _check_count(n, "random", cap)
     if model == "couplings":
         try:

@@ -2,9 +2,10 @@
 
 For an adjacency coupling matrix, -T- is the maximum edge density
 |E(H)|/(|V(H)|-1) over induced subgraphs (the fractional arboricity), and
-its ceiling is the minimal number of forests partitioning the edge set.
-An exhaustive forest-partition oracle and a spin-glass-style ground-state
-identity provide independent verification routes.
+its ceiling is the minimal number of forests partitioning the edge set
+(Nash-Williams).  A spin-glass-style ground-state identity checks the ratio
+solver from another side.  The exhaustive forest-partition oracle that
+checks ``arboricity`` is test code, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .errors import InputError, SizeLimitError
 from .rational import TIE_TOL, tolerance
 from .solver import SubsetMask, all_subset_sums, solve_t_minus
 
-_ORACLE_MAX_N = 10
-_ORACLE_MAX_EDGES = 20
 _SK_MAX_N = 16
 
 
@@ -42,77 +41,6 @@ def arboricity(g: GraphSpec) -> ArboricityReport:
     fractional = -result.t_value  # a Fraction: graph couplings are exact
     witness = result.optimizers[0]
     return ArboricityReport(fractional, math.ceil(fractional), witness)
-
-
-class _RollbackUnionFind:
-    """Union-find without path compression so unions can be undone."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.trail = []
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        bumped = self.rank[ra] == self.rank[rb]
-        if bumped:
-            self.rank[ra] += 1
-        self.trail.append((rb, ra, bumped))
-        return True
-
-    def undo(self):
-        rb, ra, bumped = self.trail.pop()
-        self.parent[rb] = rb
-        if bumped:
-            self.rank[ra] -= 1
-
-
-def forest_partition_oracle(g: GraphSpec) -> int:
-    """Minimal number of forests partitioning the edge set, by exhaustive
-    edge coloring with acyclicity checks per color.
-
-    Independent of the ratio solver: tries color counts upward from the
-    trivial bound ceil(|E|/(n-1)), with symmetry breaking on color order."""
-    if g.n > _ORACLE_MAX_N or len(g.edges) > _ORACLE_MAX_EDGES:
-        raise SizeLimitError(
-            f"oracle limited to n <= {_ORACLE_MAX_N}, |E| <= {_ORACLE_MAX_EDGES}"
-        )
-    if not g.edges:
-        raise InputError("graph has no edges")
-    edges = list(g.edges)
-    m = len(edges)
-
-    def colorable(t: int) -> bool:
-        forests = [_RollbackUnionFind(g.n) for _ in range(t)]
-
-        def place(e: int, used: int) -> bool:
-            if e == m:
-                return True
-            u, v = edges[e]
-            limit = min(used + 1, t)  # new color only in first-use order
-            for color in range(limit):
-                if forests[color].union(u, v):
-                    if place(e + 1, max(used, color + 1)):
-                        return True
-                    forests[color].undo()
-            return False
-
-        return place(0, 0)
-
-    t = max(1, math.ceil(m / (g.n - 1)))
-    while not colorable(t):
-        t += 1
-    return t
 
 
 def sk_ground_state_check(c: CouplingMatrix, tie_tol: float = TIE_TOL) -> bool:

@@ -87,13 +87,6 @@ class SubsetMask:
             bits ^= b
         return tuple(out)
 
-    @classmethod
-    def from_indices(cls, indices) -> "SubsetMask":
-        bits = 0
-        for i in indices:
-            bits |= 1 << i
-        return cls(bits)
-
 
 @dataclass(frozen=True)
 class OptResult:

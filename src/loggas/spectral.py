@@ -1,10 +1,13 @@
 """Eigenvalue bounds on the critical inverse temperatures.
 
 The subset ratio equals half a Rayleigh-Ritz-type quotient of the coupling
-matrix over 0/1 vectors, which gives beta+ >= -1/lambda_min(C) and
-beta- <= -1/lambda_max(C) whenever the respective endpoint is finite.  In
-the charge case c(i,j) = k_i k_j the Weil inequalities yield the explicit
-bounds beta+ >= 1/max k_i^2 and beta- <= -1/(sum k_i^2 - min k_i^2).
+matrix over 0/1 vectors, which gives T+ <= -lambda_min(C) and
+-T- <= lambda_max(C).  In the charge case c(i,j) = k_i k_j the Weil
+inequalities give T+ <= max k_i^2 and -T- <= sum k_i^2 - min k_i^2.  This
+module states each bound once, in that form (``BoundReport``).  The beta
+bounds that ``bounds`` prints are derived from it (beta+ >= 1/u for the
+bound u on T+, beta- <= -1/v for the bound v on -T-), and the ensemble
+checks its trials against it.
 
 The spectrum comes from a self-contained Brent-Luk round-robin Jacobi
 solver (eigenvectors are kept for residual checks); no external eigensolver
@@ -62,8 +65,20 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class BoundReport:
-    beta_plus_lower: Real
-    beta_minus_upper: Real
+    """Upper bounds on T+ and on -T-, and the beta bounds they give: a
+    bound that is not positive bounds T+ (or -T-) by 0, so beta+ is +inf
+    (or beta- is -inf) and the beta bound is that infinity."""
+
+    t_plus_upper: Real
+    neg_t_minus_upper: Real
+
+    @property
+    def beta_plus_lower(self) -> Real:
+        return 1 / self.t_plus_upper if self.t_plus_upper > 0 else math.inf
+
+    @property
+    def beta_minus_upper(self) -> Real:
+        return -1 / self.neg_t_minus_upper if self.neg_t_minus_upper > 0 else -math.inf
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -168,19 +183,19 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
 
 
 def eig_bounds(c: CouplingMatrix) -> BoundReport:
-    """beta+ >= -1/lambda_min when lambda_min < 0 (else vacuous +inf);
-    beta- <= -1/lambda_max when lambda_max > 0 (else vacuous -inf)."""
+    """T+ <= -lambda_min and -T- <= lambda_max, from one ``symmetric_eigs``."""
     spec = symmetric_eigs(c)
-    lo = -1.0 / spec.lambda_min if spec.lambda_min < 0 else math.inf
-    hi = -1.0 / spec.lambda_max if spec.lambda_max > 0 else -math.inf
-    return BoundReport(lo, hi)
+    return BoundReport(-spec.lambda_min, spec.lambda_max)
 
 
 def charge_bounds(k: ChargeVector) -> BoundReport:
-    """Closed-form bounds for c(i,j) = k_i k_j; exact when charges are.
+    """T+ <= max k_i^2 and -T- <= sum k_i^2 - min k_i^2 for c(i,j) = k_i k_j.
 
-    Applicable when the corresponding endpoint is finite (the caller checks
-    finiteness via the solver)."""
-    num = Fraction if k.is_exact else float
-    squares = [num(v * v) for v in k.values]
-    return BoundReport(1 / max(squares), -1 / (sum(squares) - min(squares)))
+    Exact charges give Fractions.  Otherwise each square is formed in the
+    input's types and cast to float, and numpy reduces the squares."""
+    if k.is_exact:
+        squares = [Fraction(v * v) for v in k.values]
+        return BoundReport(max(squares), sum(squares) - min(squares))
+    squares = np.array([float(v * v) for v in k.values])
+    with np.errstate(over="ignore"):  # a sum past the float range bounds -T- by inf
+        return BoundReport(float(squares.max()), float(squares.sum() - squares.min()))

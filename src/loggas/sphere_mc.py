@@ -1,15 +1,16 @@
 """Monte Carlo verification layer on (S^2)^N.
 
-Energy evaluation with chordal distances, plain Monte Carlo estimation of
-the partition function against the analytic two-particle closed form,
-least-squares pole-order fitting of the free-energy divergence, and a
-single-particle Metropolis sampler of the Gibbs measure with collapse
-observables.
+Plain Monte Carlo estimation of the partition function, the analytic
+two-particle closed form it is checked against, least-squares pole-order
+fitting of the free-energy divergence, and a single-particle Metropolis
+sampler of the Gibbs measure with collapse observables.  The energy oracle
+that checks the chain's running energies is test code, in tests/oracles.py,
+with a pair loop of its own.
 
-``energy``, the partition estimator, the chain start and the collapse
-observables share one pair helper, ``_d2`` (``_log_d2`` takes its log),
-over particle-major points: x[k, p, ...] is coordinate k of particle p, so
-each particle's coordinates are contiguous rows over the configurations.
+The partition estimator, the chain start and the collapse observables share
+one pair helper, ``_d2`` (``_log_d2`` takes its log), over particle-major
+points: x[k, p, ...] is coordinate k of particle p, so each particle's
+coordinates are contiguous rows over the configurations.
 A run of pairs with one first particle is one subtraction of whole rows,
 and the squares are summed with two array additions, not a reduction over
 an axis of length 3.  ``_uniform_points`` draws configurations in that
@@ -225,22 +226,6 @@ def _coupled_pairs(c: CouplingMatrix):
     cij = c.entries[iu]
     coupled = cij != 0.0
     return iu[0][coupled], iu[1][coupled], cij[coupled]
-
-
-def energy(c: CouplingMatrix, points: np.ndarray) -> float:
-    """E = -sum_{i<j} c(i,j) log d(p_i,p_j)^2 for an (N,3) array of points,
-    chordal distance in R^3."""
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"expected (N,3) array, got {points.shape}")
-    if points.shape[0] != c.n:
-        raise ValueError(f"configuration has {points.shape[0]} points, matrix has n={c.n}")
-    rows, cols, cij = _coupled_pairs(c)
-    logd2 = _log_d2(points.T, rows, cols)
-    bad = np.isneginf(logd2)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise DomainError(f"particles {rows[k]} and {cols[k]} coincide")
-    return float(-np.sum(cij * logd2))
 
 
 def analytic_partition_two(c12: float, beta: float) -> float:

@@ -5,13 +5,18 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from loggas import CouplingMatrix, from_matrix
+from loggas import CouplingMatrix, SubsetMask, from_matrix
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("default")
+
+
+def subset_mask(indices) -> SubsetMask:
+    """The subset of the given 0-based particle indices."""
+    return SubsetMask(sum(1 << i for i in set(indices)))
 
 
 def symmetric_from_upper(n, values):

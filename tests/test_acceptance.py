@@ -13,7 +13,6 @@ from fractions import Fraction
 from loggas import (
     ChainParams,
     ChargeVector,
-    SubsetMask,
     TwoComponentSpec,
     analytic_partition_two,
     arboricity,
@@ -23,7 +22,6 @@ from loggas import (
     critical_interval,
     eig_bounds,
     estimate_partition,
-    forest_partition_oracle,
     from_charges,
     from_matrix,
     from_two_component,
@@ -38,7 +36,8 @@ from loggas import (
 from loggas.cli import run_ensemble
 from loggas.closed_forms import NEGATIVE_COLLAPSE, POSITIVE_COLLAPSE
 
-from conftest import random_exact_matrix
+from conftest import random_exact_matrix, subset_mask
+from oracles import forest_partition_oracle
 from test_graphs import PETERSEN, complete_graph, cycle_graph, random_connected_graph, random_tree
 
 
@@ -106,7 +105,7 @@ def test_criterion_03_two_component_plasma():
         dt = time.perf_counter() - t0
         if n1 + n2 == 9:
             elapsed_n9 = dt
-        mixed = {SubsetMask.from_indices((i, n1 + j)).bits
+        mixed = {subset_mask((i, n1 + j)).bits
                  for i in range(n1) for j in range(n2)}
         ok = ok and report.beta_plus == Fraction(1, z1 * z2)
         ok = ok and report.nests_plus.kappa == min(n1, n2)
@@ -150,8 +149,8 @@ def test_criterion_05_onsager_corollary():
         crit = onsager_beta_minus(k)
         report = critical_interval(from_charges(k))
         ok = ok and abs(float(report.beta_minus) - float(crit.beta_minus)) <= 1e-10
-        full_pos = SubsetMask.from_indices(range(n1)).bits
-        full_neg = SubsetMask.from_indices(range(n1, n1 + n2)).bits
+        full_pos = subset_mask(range(n1)).bits
+        full_neg = subset_mask(range(n1, n1 + n2)).bits
         solver_sets = {s.bits for s in report.minus.optimizers}
         if crit.winning_side == POSITIVE_COLLAPSE:
             ok = ok and solver_sets == {full_pos}

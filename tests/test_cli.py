@@ -19,7 +19,14 @@ import loggas.coupling as coupling
 import loggas.graphs as graphs
 import loggas.solver as solver
 import loggas.sphere_mc as sphere_mc
-from loggas import load_system, two_component_critical
+from loggas import (
+    charge_bounds,
+    eig_bounds,
+    load_system,
+    sample_gaussian_charges,
+    sample_gaussian_couplings,
+    two_component_critical,
+)
 from loggas.cli import build_parser, main
 from loggas.sphere_mc import estimate_partition
 
@@ -142,6 +149,15 @@ def test_golden_ensemble(tmp_path):
                 "--trials", 5, "--seed", 2, "--out", out])
     assert code == 0
     compare_bytes(out, GOLDEN / "ensemble_charges.json")
+
+
+def test_critical_says_when_both_endpoints_are_infinite(tmp_path, capsys):
+    source = tmp_path / "zero.json"
+    source.write_text('{"matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
+    assert run(["critical", "--input", source]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n = 3  (mode: exact)", "interval: (-inf, inf)", "T+ = 0   T- = 0",
+        "degenerate: both endpoints infinite, no collapse on either side"]
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +512,31 @@ def test_ensemble_raises_at_the_first_violated_bound(monkeypatch, model, varianc
     monkeypatch.setattr(cli, "solve_both", inflated)
     with pytest.raises(RuntimeError, match=r"^trial 0: T\+ = .* exceeds its deterministic bound"):
         cli.run_ensemble(model, 6, 3, 1, variance=variance)
+
+
+@pytest.mark.parametrize("model,random_input", [
+    ("gaussian_couplings", {"model": "couplings", "n": 8, "variance": 0.125}),
+    ("gaussian_charges", {"model": "charges", "n": 8}),
+])
+def test_ensemble_and_bounds_read_the_same_bound(tmp_path, model, random_input):
+    # each trial's bounds are spectral's, bit for bit, and `bounds` on the
+    # same sampled instance prints the beta bounds derived from them
+    report = cli.run_ensemble(model, 8, 3, 40)
+    source, out = tmp_path / "instance.json", tmp_path / "bounds.json"
+    for row in report["rows"]:
+        if model == "gaussian_couplings":
+            bounds = eig_bounds(sample_gaussian_couplings(8, 0.125, row["seed"]))
+            keys = ("eig_beta_plus_lower", "eig_beta_minus_upper")
+        else:
+            bounds = charge_bounds(sample_gaussian_charges(8, row["seed"]))
+            keys = ("charge_beta_plus_lower", "charge_beta_minus_upper")
+        assert row["bound_t_plus"] == bounds.t_plus_upper
+        assert row["bound_neg_t_minus"] == bounds.neg_t_minus_upper
+        source.write_text(json.dumps({"random": {**random_input, "seed": row["seed"]}}))
+        assert run(["bounds", "--input", source, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc[keys[0]], doc[keys[1]]) == (1 / row["bound_t_plus"],
+                                                -1 / row["bound_neg_t_minus"])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -887,11 +928,56 @@ def test_exit_2_on_deeply_nested_json(tmp_path, capsys):
     '{"graph": {"n": 5, "edges": [[0, "1"]]}}',
     '{"two_component": 5}',
     '{"two_component": {"n1": true, "n2": 1, "z1": 1, "z2": 1}}',
+    '{"matrix": [[0, 1], [1, 0, 2]]}',
+    '{"graph": {"n": 3, "edges": [[0, 1, 2]]}}',
+    '{"two_component": {"n1": 1, "n2": 1, "z1": 1}}',
+    '{"two_component": {"n1": 0, "n2": 2, "z1": 1, "z2": 1}}',
+    '{"two_component": {"n1": 1, "n2": 1, "z1": 0, "z2": 1}}',
+    '{"graph": {"n": 3}}',
+    '{"random": {"model": "x", "n": 4, "seed": 0}}',
+    '{"random": {"model": "couplings", "n": 4}}',
+    '{"charges": ["1/0", 1]}',
 ])
 def test_exit_2_on_malformed_input(tmp_path, text):
     path, out = tmp_path / "bad.json", tmp_path / "report.json"
     path.write_text(text)
     assert run(["critical", "--input", path, "--out", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,system,message", [
+    ("closed-form", "c5_graph.json", "closed-form needs a 'two_component' or 'charges' input"),
+    ("arboricity", "sk_matrix.json", "arboricity needs a 'graph' input"),
+])
+def test_exit_2_on_an_input_the_command_cannot_read(tmp_path, capsys, command, system, message):
+    out = tmp_path / "report.json"
+    assert run([command, "--input", INPUTS / system, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error (input): {message}\n"
+    assert not out.exists()
+
+
+def test_exit_2_on_a_negative_random_seed_at_load(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled with a negative seed")
+
+    monkeypatch.setattr(coupling, "sample_gaussian_couplings", no_sampling)
+    path = tmp_path / "random.json"
+    path.write_text('{"random": {"model": "couplings", "n": 4, "seed": -3}}')
+    assert run(["critical", "--input", path]) == 2
+    assert capsys.readouterr().err == "error (input): random.seed must be non-negative, got -3\n"
+
+
+def test_exit_2_on_a_negative_seed_flag_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(sphere_mc, "_interval", no_work)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["mc-partition", "--input", INPUTS / "pair_c1.json", "--beta-grid", "0.5",
+             "--seed", "-3", "--out", out])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-3'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from loggas import (
     ChargeVector,
-    SubsetMask,
     TwoComponentSpec,
     critical_interval,
     from_charges,
@@ -18,6 +17,8 @@ from loggas import (
 from loggas.closed_forms import NEGATIVE_COLLAPSE, POSITIVE_COLLAPSE, TIE
 from loggas.errors import DomainError, InputError
 from loggas.rational import TIE_TOL, tolerance
+
+from conftest import subset_mask
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +71,7 @@ def test_two_component_agrees_with_solver():
         assert report.beta_plus == crit.beta_plus
         assert report.nests_plus.kappa == crit.kappa_plus
         mixed = {
-            SubsetMask.from_indices((i, n1 + j)).bits
+            subset_mask((i, n1 + j)).bits
             for i in range(n1) for j in range(n2)
         }
         assert {s.bits for s in report.plus.optimizers} == mixed
@@ -218,8 +219,8 @@ def test_onsager_agreement_with_solver():
         report = critical_interval(from_charges(k))
         assert abs(float(report.beta_minus) - float(crit.beta_minus)) < 1e-10
         n1 = sum(1 for v in k.values if v > 0)
-        full_pos = SubsetMask.from_indices(range(n1)).bits
-        full_neg = SubsetMask.from_indices(range(n1, k.n)).bits
+        full_pos = subset_mask(range(n1)).bits
+        full_neg = subset_mask(range(n1, k.n)).bits
         solver_sets = {s.bits for s in report.minus.optimizers}
         if crit.winning_side == POSITIVE_COLLAPSE:
             assert solver_sets == {full_pos}
@@ -257,8 +258,8 @@ def test_onsager_near_ties_agree_with_solver(gap, scale):
         crit = onsager_beta_minus(k)
         expected = TIE if abs(gap) < 1 else NEGATIVE_COLLAPSE if gap > 0 else POSITIVE_COLLAPSE
         assert crit.winning_side == expected
-        full_pos = SubsetMask.from_indices(range(len(pos))).bits
-        full_neg = SubsetMask.from_indices(range(len(pos), k.n)).bits
+        full_pos = subset_mask(range(len(pos))).bits
+        full_neg = subset_mask(range(len(pos), k.n)).bits
         classes = {TIE: {full_pos, full_neg}, POSITIVE_COLLAPSE: {full_pos},
                    NEGATIVE_COLLAPSE: {full_neg}}[expected]
         report = critical_interval(from_charges(k))

@@ -7,13 +7,13 @@ import pytest
 from loggas import (
     GraphSpec,
     arboricity,
-    forest_partition_oracle,
     sk_ground_state_check,
     solve_t_minus,
 )
 from loggas.errors import InputError, SizeLimitError
 
 from conftest import random_exact_matrix, random_float_matrix
+from oracles import forest_partition_oracle
 
 
 def complete_graph(n):

@@ -31,12 +31,13 @@ from conftest import (
     exact_coupling_matrices,
     random_exact_matrix,
     random_float_matrix,
+    subset_mask,
     symmetric_from_upper,
 )
 
 
 def masks(*index_sets):
-    return {SubsetMask.from_indices(s).bits for s in index_sets}
+    return {subset_mask(s).bits for s in index_sets}
 
 
 def _support(report, side):
@@ -53,7 +54,7 @@ def bits(family):
 # ---------------------------------------------------------------------------
 
 def subset_sum(c, indices):
-    return solver.all_subset_sums(c)[SubsetMask.from_indices(indices).bits]
+    return solver.all_subset_sums(c)[subset_mask(indices).bits]
 
 
 def test_subset_sum_mixed_charges_full_set():
@@ -300,7 +301,7 @@ def test_permutation_equivariance(c, pyrandom):
 
     def mapped(family):
         return {
-            SubsetMask.from_indices(tuple(inverse[i] for i in s.indices())).bits
+            subset_mask(tuple(inverse[i] for i in s.indices())).bits
             for s in family
         }
 
@@ -419,14 +420,14 @@ def test_endpoints_match_interval():
 # ---------------------------------------------------------------------------
 
 def test_max_nest_disjoint_pair():
-    family = [SubsetMask.from_indices((0, 1)), SubsetMask.from_indices((2, 3))]
+    family = [subset_mask((0, 1)), subset_mask((2, 3))]
     search = max_nest(family)
     assert search.kappa == 2
     assert len(search.nests) == 1
 
 
 def test_max_nest_overlapping():
-    family = [SubsetMask.from_indices((0, 1)), SubsetMask.from_indices((0, 2))]
+    family = [subset_mask((0, 1)), subset_mask((0, 2))]
     search = max_nest(family)
     assert search.kappa == 1
     assert len(search.nests) == 2
@@ -442,10 +443,10 @@ def test_max_nest_two_component_family():
 
 def test_max_nest_chain_and_cap(monkeypatch):
     family = [
-        SubsetMask.from_indices((0, 1)),
-        SubsetMask.from_indices((0, 1, 2)),
-        SubsetMask.from_indices((0, 1, 2, 3)),
-        SubsetMask.from_indices((2, 3)),
+        subset_mask((0, 1)),
+        subset_mask((0, 1, 2)),
+        subset_mask((0, 1, 2, 3)),
+        subset_mask((2, 3)),
     ]
     search = max_nest(family)
     assert search.kappa == 3  # {01} < {012} < {0123}; {23} conflicts with {012}
@@ -457,7 +458,7 @@ def test_max_nest_chain_and_cap(monkeypatch):
 def test_max_nest_truncation_flag(monkeypatch):
     # 6x6 pairing family: 6! = 720 maximum nests, far above a cap of 10
     monkeypatch.setattr(solver, "_NEST_CAP", 10)
-    pairs = [SubsetMask.from_indices((i, 6 + j)) for i in range(6) for j in range(6)]
+    pairs = [subset_mask((i, 6 + j)) for i in range(6) for j in range(6)]
     search = max_nest(pairs)
     assert search.kappa == 6
     assert search.truncated
@@ -565,10 +566,10 @@ def test_truncated_plasma_nests_are_the_first_pairings():
     # the 8+8 plasma's G+ is its 64 mixed pairs {i, 8+j}; in (-size, bits)
     # order the pair has index 8j + i, and its 8! maximum nests are the
     # pairings i -> p[i]
-    fam = sorted((SubsetMask.from_indices((i, 8 + j)) for i in range(8) for j in range(8)),
+    fam = sorted((subset_mask((i, 8 + j)) for i in range(8) for j in range(8)),
                  key=lambda s: (-s.size, s.bits))
     assert [fam[8 * j + i] for i in range(8) for j in range(8)] == \
-        [SubsetMask.from_indices((i, 8 + j)) for i in range(8) for j in range(8)]
+        [subset_mask((i, 8 + j)) for i in range(8) for j in range(8)]
     combos = sorted(tuple(sorted(8 * p[i] + i for i in range(8)))
                     for p in itertools.permutations(range(8)))
     assert len(combos) == 40_320 > solver._NEST_CAP

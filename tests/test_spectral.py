@@ -261,6 +261,15 @@ def test_charge_bounds_examples():
     assert report.beta_minus_upper == -1.0 / (sum(squares) - min(squares))
 
 
+@pytest.mark.filterwarnings("error")
+def test_charge_bounds_when_the_sum_of_squares_overflows():
+    # each square is finite, as is the one coupling -1.44e308; their sum is not
+    report = charge_bounds(ChargeVector((1.2e154, -1.2e154)))
+    assert report.t_plus_upper == 1.2e154 * 1.2e154
+    assert report.neg_t_minus_upper == math.inf
+    assert report.beta_minus_upper == 0.0
+
+
 def test_bound_validity_against_solver():
     rng = random.Random(41)
     for _ in range(50):

@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from loggas import (
     ChargeVector,
     analytic_partition_two,
     collapse_observables,
-    energy,
     estimate_partition,
     from_charges,
     from_matrix,
@@ -20,6 +21,8 @@ from loggas import (
 )
 import loggas.sphere_mc as sphere_mc
 from loggas.errors import DomainError
+
+from oracles import energy
 
 C1 = from_matrix([[0, 1], [1, 0]])
 
@@ -119,6 +122,14 @@ def test_log_d2_matches_row_major_reference(b, n):
     expected = _log_d2_row_major(pts, i, j)
     assert np.isneginf(got[0, -1])
     assert np.array_equal(got.T, expected)
+
+
+def test_energy_oracle_shares_no_code_with_the_sampler():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    assert "loggas" in modules and not any(m.startswith("loggas.sphere_mc") for m in modules)
 
 
 def test_energy_antipodal():
