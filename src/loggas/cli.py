@@ -10,7 +10,9 @@ equality chain p1=p3 of the limiting support, and ``critical`` renders
 each optimizer once.
 Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
 and --tol for critical and sk-check, --seed (a non-negative integer) for the
-sampling commands; any other flag is an argparse error (exit 2).
+sampling commands, --samples (at least the estimator's 1000) for
+mc-partition; any other flag, or a value these refuse, is an argparse error
+(exit 2) before any work.
 A handler loads its input under its particle cap: the solver's
 (``solver._MAX_N``) for the commands that solve, the eigensolver's
 (``spectral._MAX_N``) for bounds, 2048 for closed-form.  It reads the matrix
@@ -26,11 +28,17 @@ handler does any work.  A handler does no I/O; it returns ``(result, lines)``:
 the JSON report body as a dict, or a sweep's CSV text (``_csv_text``), and
 the text lines to print.  Once the handler has succeeded, ``main`` stamps
 ``schema_version`` and ``subcommand`` on a report and renders it, writes the
-text to ``--out`` (the only file the package writes) and prints the lines.
+text to ``--out`` (the only file the package writes) and prints the lines
+in one ``sys.stdout.write``.  ``main`` pauses the cyclic garbage collector
+from the handler to the last write, and restores the state it found on
+every exit: a run leaves its objects to reference counting, so no cycle may
+hold a report.
 A report is written byte for byte as ``json.dumps(report, indent=2,
 allow_nan=False)`` would write it, by a writer that renders each shared list
 of scalars once (``_json_text``) and each scalar with json's own encoder;
-a list of lists writes each member it has rendered before as it stands.
+a list of lists writes each member it has rendered before as it stands, and
+a member whose own members it has all rendered (a nest of optimizers) as
+one join of their texts.
 A sweep is ``csv.writer`` rows (CRLF line ends) followed by one
 ``# key=value`` line per pole-fit result.
 Exit codes: 0 ok, and the ``exit_code`` of the ``LogGasError`` raised (2
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -436,13 +445,21 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _samples(text: str) -> int:
+    """A --samples value: the estimator's floor, checked before any work."""
+    if not text.isdecimal() or int(text) < sphere_mc._MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least {sphere_mc._MIN_SAMPLES}, got {text!r}")
+    return int(text)
+
+
 _FLAGS = {
     "--input": dict(required=True, help="input JSON file"),
     "--out": dict(default=None, help="output file (JSON report or CSV)"),
     "--mode": dict(choices=["exact", "float", "auto"], default="auto"),
     "--tol": dict(type=float, default=TIE_TOL, help="float-mode tie tolerance"),
     "--seed": dict(type=_seed, default=0),
-    "--samples": dict(type=int, default=100_000),
+    "--samples": dict(type=_samples, default=100_000),
     "--beta-grid": dict(required=True, help="a:b:steps or comma list"),
     "--steps": dict(type=int, default=20_000),
     "--burn-in": dict(type=int, default=2_000),
@@ -503,10 +520,12 @@ def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2, allow_nan=False)``, byte for byte.
 
     The pieces go into one flat list, joined once.  A list of scalars is
-    rendered once per (object, depth): the critical report shares one label
-    list per optimizer among its families and nests, so its tens of
-    thousands of member lists cost a dictionary lookup each, made by the
-    list that holds them."""
+    rendered once per (object, depth), and kept in ``leaves[depth]`` by id:
+    the critical report shares one label list per optimizer among its
+    families and nests.  A member of a list of lists whose own members are
+    all rendered lists, as a nest is once the first nests have rendered its
+    optimizers, is one join of those texts, so its tens of thousands of
+    nests cost no call each."""
     parts, leaves = [], {}
 
     def write(value, depth: int):
@@ -514,15 +533,25 @@ def _json_text(doc) -> str:
             if not value:
                 parts.append("[]")
                 return
-            key = (id(value), depth)
-            leaf = leaves.get(key)
+            here = leaves.setdefault(depth, {})
+            leaf = here.get(id(value))
             if leaf is None:
                 inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
                 if any(isinstance(x, (list, tuple, dict)) for x in value):
+                    below, two_below = (leaves.setdefault(depth + 1, {}),
+                                        leaves.setdefault(depth + 2, {}))
+                    nest_inner = "\n" + "  " * (depth + 2)
+                    opening, joint, closing = "[" + nest_inner, "," + nest_inner, inner + "]"
                     sep, comma = "[" + inner, "," + inner
                     for item in value:
+                        leaf = below.get(id(item))
+                        if leaf is None and isinstance(item, (list, tuple)) and item:
+                            members = list(map(two_below.get, map(id, item)))
+                            if None not in members:
+                                parts.extend((sep, opening, joint.join(members), closing))
+                                sep = comma
+                                continue
                         parts.append(sep)
-                        leaf = leaves.get((id(item), depth + 1))
                         if leaf is None:
                             write(item, depth + 1)
                         else:
@@ -530,7 +559,7 @@ def _json_text(doc) -> str:
                         sep = comma
                     parts.extend((outer, "]"))
                     return
-                leaf = leaves[key] = \
+                leaf = here[id(value)] = \
                     "[" + inner + ("," + inner).join(map(_json_scalar, value)) + outer + "]"
             parts.append(leaf)
         elif isinstance(value, dict):
@@ -566,6 +595,11 @@ def _check_out(path: Optional[str]):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.out = args.out or _CSV_OUT.get(args.subcommand)
+    # a run frees what it drops by reference counting (no cycle holds a
+    # report), so a collection finds next to nothing; on the 8+8 plasma the
+    # collections took a tenth of the run
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _check_out(args.out)
         result, lines = _COMMANDS[args.subcommand][0](args)
@@ -577,7 +611,7 @@ def main(argv=None) -> int:
                                      "subcommand": args.subcommand, **result}) + "\n"
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(result)
-        print(*lines, sep="\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     except LogGasError as exc:
         print(f"error ({exc.label}): {exc}", file=sys.stderr)
         return exc.exit_code
@@ -587,6 +621,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error (input): {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -58,6 +58,8 @@ from .solver import critical_interval  # noqa: F401  re-exported: sphere_mc.crit
 from .solver import endpoints, solve_both
 
 _BATCHES = 32
+# fewest samples per estimate; cli refuses a smaller --samples before any work
+_MIN_SAMPLES = 1000
 _TUNE_WINDOW = 200
 _TUNE_FACTOR = 1.25
 _STEP_MIN, _STEP_MAX = 1e-3, 4.0
@@ -274,8 +276,8 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     is estimated; a mean or stderr that overflows even so (Z itself is
     beyond the float range), or a mean that underflows to 0, is a
     DomainError."""
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    if samples < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples")
     lo, hi = _interval(c, [beta])
 
     rows, cols, cij = _coupled_pairs(c)

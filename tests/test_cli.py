@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -722,14 +723,23 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300)
 @given(_JSON_VALUES, st.lists(_SCALARS, max_size=4))
 def test_report_writer_matches_json_dumps(value, shared):
-    # one list object at several depths, inside the value and beside it
-    for doc in (value, [shared, {"a": shared, "b": [shared, value, shared]}, [], {}, (shared,)]):
+    # one list object at several depths, inside the value and beside it.
+    # Then lists of nests, at depths 1 and 4: a nest whose members an earlier
+    # nest rendered is one join of their texts, and one that holds a dict, an
+    # empty list, a tuple or a list not rendered yet is written member by member
+    pair = [1, "p1=p2"]
+    nests = [[shared, pair], [pair, shared, shared], [pair], [shared, {"k": shared}],
+             [pair, []], [pair, (1, 2)], (pair, tuple(shared)), [pair, value], [pair, shared]]
+    for doc in (value, [shared, {"a": shared, "b": [shared, value, shared]}, [], {}, (shared,)],
+                {"g": [shared, pair], "nests": nests}, [[[{"nests": nests}]]]):
         assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_report_writer_refuses_non_finite_floats(bad):
-    for doc in (bad, [bad], {"k": [1, bad]}, {bad: 1}):
+    leaf = [1]
+    # the second nest's members are not all rendered, so it is written member by member
+    for doc in (bad, [bad], {"k": [1, bad]}, {bad: 1}, [[leaf], [leaf, [1, bad]]]):
         with pytest.raises(ValueError):
             json.dumps(doc, indent=2, allow_nan=False)
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -881,6 +891,71 @@ def test_exit_2_on_unwritable_out_before_any_work(tmp_path, monkeypatch, command
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("system,argv,code", [
+    (None, ["critical", "--input", INPUTS / "pair_c1.json"], 0),
+    (None, ["critical", "--input", INPUTS / "missing.json"], 2),
+    (None, ["ensemble", "--n", 21, "--trials", 1], 3),
+    ('{"charges": [1, 1.6, -1, -1]}', ["closed-form"], 4),
+], ids=["ok", "input", "size-limit", "domain"])
+def test_main_restores_the_collector_it_pauses(tmp_path, monkeypatch, enabled, system, argv,
+                                                code):
+    seen, solve = [], cli.critical_interval
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "critical_interval", recording)
+    if system is not None:
+        path = tmp_path / "system.json"
+        path.write_text(system)
+        argv = argv + ["--input", path]
+    caller = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert seen == ([False] if code == 0 else [])
+
+
+def _largest_cycle_member(argv) -> int:
+    """The most items in a list, tuple, dict or set that only a reference
+    cycle kept alive once ``main(argv)`` returned."""
+    # a first run may import numpy.random, and inspect's parse of its Cython
+    # signatures leaves copies of sys.modules in cycles: an import's, not a run's
+    assert run(argv) == 0
+    caller = gc.isenabled()
+    gc.collect()
+    gc.disable()  # no collection between the run and the one that saves
+    try:
+        assert run(argv) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return max((len(x) for x in gc.garbage if isinstance(x, (list, tuple, dict, set))),
+                   default=0)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        (gc.enable if caller else gc.disable)()
+
+
+@pytest.mark.parametrize("command", list(_RUNNABLE) + ["plasma_8_8"])
+def test_no_cycle_holds_a_report(tmp_path, command):
+    # with the collector paused, a cycle through a report (the writer's
+    # closure, say) would keep it until the caller collects; argparse's own
+    # cycles hold a dozen items
+    if command == "plasma_8_8":
+        plasma = tmp_path / "plasma_8_8.json"
+        plasma.write_text('{"two_component": {"n1": 8, "n2": 8, "z1": 1, "z2": 1}}')
+        argv = ["critical", "--input", plasma]
+    else:
+        argv = [command, *_RUNNABLE[command]]
+    assert _largest_cycle_member(argv + ["--out", tmp_path / "out"]) <= 100
+
+
 def test_sk_check_reads_tol(tmp_path):
     # {1,2} and {1,3} tie within 1e-3; the solver and the identity check
     # must both see the same tolerance
@@ -978,6 +1053,21 @@ def test_exit_2_on_a_negative_seed_flag_before_any_work(tmp_path, capsys, monkey
              "--seed", "-3", "--out", out])
     assert exc.value.code == 2
     assert "argument --seed: must be a non-negative integer, got '-3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_2_on_too_few_samples_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_load(*args):
+        raise AssertionError("loaded before --samples was checked")
+
+    monkeypatch.setattr(cli, "load_system", no_load)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["mc-partition", "--input", INPUTS / "pair_c1.json", "--beta-grid", "0.5",
+             "--samples", "999", "--out", out])
+    assert exc.value.code == 2
+    assert "argument --samples: must be an integer of at least 1000, got '999'" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
