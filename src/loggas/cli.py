@@ -25,20 +25,20 @@ everything else runs serially.
 ``main`` alone frames a run.  It refuses an ``--out`` path that cannot be
 written (an existing directory, a missing parent directory) before the
 handler does any work.  A handler does no I/O; it returns ``(result, lines)``:
-the JSON report body as a dict, or a sweep's CSV text (``_csv_text``), and
-the text lines to print.  Once the handler has succeeded, ``main`` stamps
-``schema_version`` and ``subcommand`` on a report and renders it, writes the
-text to ``--out`` (the only file the package writes) and prints the lines
-in one ``sys.stdout.write``.  ``main`` pauses the cyclic garbage collector
+the JSON report body as a dict, the critical report's text, or a sweep's CSV
+text (``_csv_text``), and the text lines to print.  Once the handler has
+succeeded, ``main`` renders a dict with ``schema_version`` and ``subcommand``
+stamped first (``_report_text``), writes the text to ``--out`` (the only
+file the package writes) and prints the lines in one ``sys.stdout.write``.
+``main`` pauses the cyclic garbage collector
 from the handler to the last write, and restores the state it found on
 every exit: a run leaves its objects to reference counting, so no cycle may
 hold a report.
 A report is written byte for byte as ``json.dumps(report, indent=2,
-allow_nan=False)`` would write it, by a writer that renders each shared list
-of scalars once (``_json_text``) and each scalar with json's own encoder;
-a list of lists writes each member it has rendered before as it stands, and
-a member whose own members it has all rendered (a nest of optimizers) as
-one join of their texts.
+allow_nan=False)`` writes it.  ``critical`` writes its own text, with the
+same stamp: its optimizer families, nests and supports are rendered from
+the optimizers' texts, each nest as one join (``_critical_side``), and its
+scalars through ``json.dumps``.
 A sweep is ``csv.writer`` rows (CRLF line ends) followed by one
 ``# key=value`` line per pole-fit result.
 Exit codes: 0 ok, and the ``exit_code`` of the ``LogGasError`` raised (2
@@ -97,66 +97,107 @@ def _asymptote(kappa: int, n: int, beta) -> Optional[str]:
     return f"({Fraction(kappa, n)})*log|beta-({format_real(beta)})|"
 
 
-def _critical_report_dict(report: CriticalReport, mode: str) -> dict:
-    """The report document.  Each optimizer is rendered once, as its label
-    list and its equality chain; families, nests and supports look it up."""
+def _stamp(subcommand: str) -> dict:
+    """The first fields of every report."""
+    return {"schema_version": SCHEMA_VERSION, "subcommand": subcommand}
+
+
+def _label_list(indices, depth: int) -> str:
+    """A subset's 1-based labels as ``json.dumps(indent=2)`` writes the list
+    at ``depth``."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return "[" + inner + ("," + inner).join([str(i + 1) for i in indices]) + outer + "]"
+
+
+def _list_pieces(items: list, left: str = "", right: str = "") -> list:
+    """The pieces of a report field's list as ``json.dumps(indent=2)`` writes
+    it at depth 1, each item's text placed between ``left`` and ``right``."""
+    if not items:
+        return ["[]"]
+    pieces = [right + ",\n    " + left] * (2 * len(items) + 1)  # separators between items
+    pieces[1::2] = items
+    pieces[0], pieces[-1] = "[\n    " + left, right + "\n  ]"
+    return pieces
+
+
+# a side's report fields, each named with the side appended, in report order
+_SIDE_FIELDS = ("g", "kappa", "max_nests", "nests_truncated", "support", "free_energy_asymptote")
+
+
+def _critical_side(side: str, result: solver.OptResult, search: solver.NestSearch, n: int,
+                   beta) -> tuple:
+    """(fields, lines): one side's fields by ``_SIDE_FIELDS`` name, and its
+    console lines.
+
+    Each optimizer is rendered once: its label list at family depth, and as
+    a nest member its label list at nest depth and its equality chain.  A
+    nest's entry and its support pattern (one coincidence pattern of the
+    limiting Gibbs support) are then one join each of its members' texts,
+    and the console prints the same patterns.  A chain holds only ``p``,
+    digits and ``=``, so a pattern is its own JSON string body."""
+    family = [s.indices() for s in result.optimizers]
+    members = [s.indices() for s in search.members]
+    texts, chains = [_label_list(m, 3) for m in members], [_chain(m) for m in members]
+    nests = [",\n      ".join([texts[r] for r in nest]) for nest in search.nests]
+    supports = [", ".join([chains[r] for r in nest]) for nest in search.nests]
+    asymptote = _asymptote(search.kappa, n, beta)
+    fields = dict(zip(_SIDE_FIELDS, (
+        _list_pieces([_label_list(f, 2) for f in family]), search.kappa,
+        _list_pieces(nests, "[\n      ", "\n    ]"), search.truncated,
+        _list_pieces(supports, '"', '"'), asymptote)))
+    if not result.attained:
+        return fields, [f"{side}: endpoint infinite"]
+    sets = ", ".join("{" + ",".join([str(i + 1) for i in f]) + "}" for f in family)
+    lines = [f"G_{side} = [{sets}]   kappa_{side} = {search.kappa}",
+             *(f"  support_{side}: {pattern}" for pattern in supports)]
+    if search.truncated:
+        lines.append("  (nest enumeration truncated)")
+    lines.append(f"  free energy ~ {asymptote}")
+    return fields, lines
+
+
+def _critical_text(report: CriticalReport, mode: str, subcommand: str) -> tuple:
+    """(text, lines): the report as ``json.dumps(doc, indent=2,
+    allow_nan=False)`` writes it, and the console lines.  The list fields
+    come as pieces (``_critical_side``), every other value is a scalar that
+    ``json.dumps`` writes the same with or without ``indent`` (and without
+    it, leaves no reference cycle), and the text is one join of all of them."""
     plus, minus = report.plus, report.minus
-    nests_p, nests_m = report.nests_plus, report.nests_minus
-    labels, chains = {}, {}
-    for s in plus.optimizers + minus.optimizers:
-        indices = s.indices()
-        labels[s.bits], chains[s.bits] = [i + 1 for i in indices], _chain(indices)
-    return {
-        "mode": mode,
-        "n": report.n,
-        "t_plus": format_real(plus.t_value),
-        "t_minus": format_real(minus.t_value),
-        "beta_minus": format_real(report.beta_minus),
-        "beta_plus": format_real(report.beta_plus),
-        "attained_plus": plus.attained,
-        "attained_minus": minus.attained,
-        "g_plus": [labels[s.bits] for s in plus.optimizers],
-        "g_minus": [labels[s.bits] for s in minus.optimizers],
-        "kappa_plus": nests_p.kappa,
-        "kappa_minus": nests_m.kappa,
-        "max_nests_plus": [[labels[s.bits] for s in nest] for nest in nests_p.nests],
-        "max_nests_minus": [[labels[s.bits] for s in nest] for nest in nests_m.nests],
-        "nests_truncated_plus": nests_p.truncated,
-        "nests_truncated_minus": nests_m.truncated,
-        # one coincidence pattern of the limiting Gibbs support per nest
-        "support_plus": [", ".join([chains[s.bits] for s in nest]) for nest in nests_p.nests],
-        "support_minus": [", ".join([chains[s.bits] for s in nest]) for nest in nests_m.nests],
-        "free_energy_asymptote_plus": _asymptote(nests_p.kappa, report.n, report.beta_plus),
-        "free_energy_asymptote_minus": _asymptote(nests_m.kappa, report.n, report.beta_minus),
-        "degenerate": not (plus.attained or minus.attained),
-    }
-
-
-def _critical_lines(doc: dict) -> list:
-    lines = [f"n = {doc['n']}  (mode: {doc['mode']})",
-             f"interval: ({doc['beta_minus']}, {doc['beta_plus']})",
-             f"T+ = {doc['t_plus']}   T- = {doc['t_minus']}"]
-    if doc["degenerate"]:
-        return lines + ["degenerate: both endpoints infinite, no collapse on either side"]
-    for side in ("plus", "minus"):
-        if not doc[f"attained_{side}"]:
-            lines.append(f"{side}: endpoint infinite")
-            continue
-        sets = ", ".join("{" + ",".join(map(str, s)) + "}" for s in doc[f"g_{side}"])
-        lines.append(f"G_{side} = [{sets}]   kappa_{side} = {doc[f'kappa_{side}']}")
-        lines += [f"  support_{side}: {pattern}" for pattern in doc[f"support_{side}"]]
-        if doc[f"nests_truncated_{side}"]:
-            lines.append("  (nest enumeration truncated)")
-        lines.append(f"  free energy ~ {doc[f'free_energy_asymptote_{side}']}")
-    return lines
+    beta_minus, beta_plus = format_real(report.beta_minus), format_real(report.beta_plus)
+    t_plus, t_minus = format_real(plus.t_value), format_real(minus.t_value)
+    (fields_p, lines_p), (fields_m, lines_m) = (
+        _critical_side("plus", plus, report.nests_plus, report.n, report.beta_plus),
+        _critical_side("minus", minus, report.nests_minus, report.n, report.beta_minus))
+    degenerate = not (plus.attained or minus.attained)
+    doc = {**_stamp(subcommand), "mode": mode, "n": report.n, "t_plus": t_plus,
+           "t_minus": t_minus, "beta_minus": beta_minus, "beta_plus": beta_plus,
+           "attained_plus": plus.attained, "attained_minus": minus.attained}
+    for name in _SIDE_FIELDS:
+        doc[f"{name}_plus"], doc[f"{name}_minus"] = fields_p[name], fields_m[name]
+    doc["degenerate"] = degenerate
+    parts, sep = ["{"], "\n  "
+    for key, value in doc.items():
+        parts += sep, json.dumps(key), ": "
+        if isinstance(value, list):  # a list field's pieces
+            parts += value
+        else:
+            parts.append(json.dumps(value, allow_nan=False))
+        sep = ",\n  "
+    parts.append("\n}\n")
+    lines = [f"n = {report.n}  (mode: {mode})", f"interval: ({beta_minus}, {beta_plus})",
+             f"T+ = {t_plus}   T- = {t_minus}"]
+    if degenerate:
+        lines.append("degenerate: both endpoints infinite, no collapse on either side")
+    else:
+        lines += lines_p + lines_m
+    return "".join(parts), lines
 
 
 def cmd_critical(args: argparse.Namespace) -> tuple:
     tie_tol = _tie_tol(args)
     c = load_system(args.input, solver._MAX_N).matrix(args.mode)
     report = critical_interval(c, tie_tol=tie_tol)
-    doc = _critical_report_dict(report, "exact" if report.exact else "float")
-    return doc, _critical_lines(doc)
+    return _critical_text(report, "exact" if report.exact else "float", args.subcommand)
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple:
@@ -511,75 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# one JSON scalar as json.dumps writes it; _json_text tests for lists, tuples
-# and dicts first, and no scalar is one of those, so it branches as json does
-_json_scalar = json.JSONEncoder(allow_nan=False).encode
-
-
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False)``, byte for byte.
-
-    The pieces go into one flat list, joined once.  A list of scalars is
-    rendered once per (object, depth), and kept in ``leaves[depth]`` by id:
-    the critical report shares one label list per optimizer among its
-    families and nests.  A member of a list of lists whose own members are
-    all rendered lists, as a nest is once the first nests have rendered its
-    optimizers, is one join of those texts, so its tens of thousands of
-    nests cost no call each."""
-    parts, leaves = [], {}
-
-    def write(value, depth: int):
-        if isinstance(value, (list, tuple)):
-            if not value:
-                parts.append("[]")
-                return
-            here = leaves.setdefault(depth, {})
-            leaf = here.get(id(value))
-            if leaf is None:
-                inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-                if any(isinstance(x, (list, tuple, dict)) for x in value):
-                    below, two_below = (leaves.setdefault(depth + 1, {}),
-                                        leaves.setdefault(depth + 2, {}))
-                    nest_inner = "\n" + "  " * (depth + 2)
-                    opening, joint, closing = "[" + nest_inner, "," + nest_inner, inner + "]"
-                    sep, comma = "[" + inner, "," + inner
-                    for item in value:
-                        leaf = below.get(id(item))
-                        if leaf is None and isinstance(item, (list, tuple)) and item:
-                            members = list(map(two_below.get, map(id, item)))
-                            if None not in members:
-                                parts.extend((sep, opening, joint.join(members), closing))
-                                sep = comma
-                                continue
-                        parts.append(sep)
-                        if leaf is None:
-                            write(item, depth + 1)
-                        else:
-                            parts.append(leaf)
-                        sep = comma
-                    parts.extend((outer, "]"))
-                    return
-                leaf = here[id(value)] = \
-                    "[" + inner + ("," + inner).join(map(_json_scalar, value)) + outer + "]"
-            parts.append(leaf)
-        elif isinstance(value, dict):
-            if not value:
-                parts.append("{}")
-                return
-            inner = "\n" + "  " * (depth + 1)
-            sep, comma = "{" + inner, "," + inner
-            for key, item in value.items():
-                key = _json_scalar(key if isinstance(key, str) else _json_scalar(key))
-                parts.extend((sep, key, ": "))
-                write(item, depth + 1)
-                sep = comma
-            parts.extend(("\n" + "  " * depth, "}"))
-        else:
-            parts.append(_json_scalar(value))
-
-    write(doc, 0)
-    del write  # it holds itself, and so parts, until a full garbage collection
-    return "".join(parts)
+def _report_text(subcommand: str, fields: dict) -> str:
+    """A report document, its stamp then ``fields``, as ``json.dumps(indent=2,
+    allow_nan=False)`` writes it.  Every value is JSON-ready (format_real
+    renders rationals and infinities), so a stray NaN raises ValueError, not
+    a bad literal."""
+    return json.dumps({**_stamp(subcommand), **fields}, indent=2, allow_nan=False) + "\n"
 
 
 def _check_out(path: Optional[str]):
@@ -605,10 +583,7 @@ def main(argv=None) -> int:
         result, lines = _COMMANDS[args.subcommand][0](args)
         if args.out:
             if isinstance(result, dict):
-                # every value is JSON-ready (format_real renders rationals and
-                # infinities), so a stray NaN raises ValueError, not a bad literal
-                result = _json_text({"schema_version": SCHEMA_VERSION,
-                                     "subcommand": args.subcommand, **result}) + "\n"
+                result = _report_text(args.subcommand, result)
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(result)
         sys.stdout.write("\n".join(lines) + "\n")

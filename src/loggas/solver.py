@@ -35,9 +35,10 @@ family, and the maximal nests themselves come from one depth-first search
 over the family's compatibility bitmask (``max_nest``).  A nest is a clique
 of the "nested" graph, so a greedy colouring bounds each branch (Tomita &
 Seki 2003): a nest holds at most one member of each class of pairwise
-crossing candidates.  Each nest is a plain tuple of ``SubsetMask``: the
-search only extends a nest by members compatible with all of it, so every
-nest it returns is pairwise nested.
+crossing candidates.  A nest is the sorted tuple of its members' ranks in
+``NestSearch.members``, the family in report order: the search only extends
+a nest by members compatible with all of it, so every nest it returns is
+pairwise nested.
 ``critical_interval`` returns the solver's own results, the two
 ``OptResult`` and the two ``NestSearch``; the CLI renders them.
 """
@@ -104,9 +105,15 @@ class OptResult:
 
 @dataclass(frozen=True)
 class NestSearch:
+    """kappa, the maximum nests and whether their list stopped at the cap.
+
+    ``members`` is the family in report order: by lowest element, then size,
+    then bits.  Each nest is the sorted tuple of its members' ranks there."""
+
     kappa: int
-    nests: tuple  # each a tuple of SubsetMask
+    nests: tuple
     truncated: bool
+    members: tuple
 
 
 @dataclass(frozen=True)
@@ -346,8 +353,8 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     holds at most ``_MEMO_BITS`` bits of candidate masks, ``_MEMO_BITS //
     k`` answers for a family of k, so a large family whose pairs never
     repeat keeps few.  Each nest is collected as the sorted tuple of its
-    members' ranks in report order; the nests are then sorted by their
-    members' bits.
+    members' ranks in report order (``NestSearch.members``); the nests are
+    then sorted by their members' bits.
     """
     fam = list(family)
     if not fam:
@@ -430,19 +437,17 @@ def max_nest(family: Sequence[SubsetMask]) -> NestSearch:
     search([], (1 << k) - 1)
     del search  # it holds itself, and so the nests and memo, until a full garbage collection
 
-    ranked = [fam[j] for j in order]
     ranked_bits = [bits[j] for j in order]
     found.sort(key=lambda nest: [ranked_bits[r] for r in nest])
-    return NestSearch(best, tuple(tuple(map(ranked.__getitem__, nest)) for nest in found),
-                      truncated)
+    return NestSearch(best, tuple(found), truncated, tuple(fam[j] for j in order))
 
 
 def critical_interval(c: CouplingMatrix, *, tie_tol: float = TIE_TOL) -> CriticalReport:
     """Full report: endpoints, optimizer families and their maximum nests."""
     plus, minus = solve_both(c, tie_tol=tie_tol)
     beta_minus, beta_plus = endpoints(plus, minus)
-    nests_plus, nests_minus = (max_nest(r.optimizers) if r.attained else NestSearch(0, (), False)
-                               for r in (plus, minus))
+    nests_plus, nests_minus = (max_nest(r.optimizers) if r.attained
+                               else NestSearch(0, (), False, ()) for r in (plus, minus))
     return CriticalReport(c.n, c.is_exact, plus, minus, beta_minus, beta_plus,
                           nests_plus, nests_minus)
 

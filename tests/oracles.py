@@ -4,13 +4,18 @@
 colouring, without the ratio solver.  ``energy`` checks the running energies
 of ``sphere_mc.metropolis_chain`` with a row-major loop over the pairs, not
 the package's particle-major pair kernel; nothing here imports
-``loggas.sphere_mc``.  The oracles that the benchmark gate imports too
+``loggas.sphere_mc``.  ``three_particle_partition`` gives the exact
+partition function of three particles by quadrature, for the sampler's
+estimates.  The oracles that the benchmark gate imports too
 (``brute_force_oracle``, ``analytic_partition_two``) stay in the package.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import beta as beta_function
+from scipy.special import gamma, hyp2f1
 
 from loggas import CouplingMatrix, GraphSpec
 from loggas.errors import DomainError, InputError, SizeLimitError
@@ -111,3 +116,69 @@ def energy(c: CouplingMatrix, points) -> float:
                 raise DomainError(f"particles {i} and {j} coincide")
             total -= cij * math.log(d2)
     return total
+
+
+def _hyp2f1(a: float, b: float, d: float, z: float) -> float:
+    """2F1(a, b; a+b+d; z) with c - a - b equal to d in floating point (b
+    moves by at most an ulp).  Near z = 1, scipy 1.17 reads a c - a - b that
+    rounding put next to an integer as not one, and loses every digit:
+    2F1(1.05, 2; 3.05; 0.999) comes out as -52.4, not 12.57."""
+    c = a + b + d
+    return hyp2f1(a, (c - a) - d, c, z)
+
+
+def three_particle_partition(c12: float, c13: float, c23: float, beta: float) -> float:
+    """Z = E[prod_{i<j} (d_ij^2)^(beta c_ij)] for three independent uniform
+    points on the unit sphere, by one-dimensional quadrature.
+
+    Put p1 at the pole and write u = d^2/4 for the distances of p2 and p3
+    to it; each u is uniform on [0, 1].  The mean over the azimuth between
+    p2 and p3 of (d23^2/4)^s, s = beta c23, is ``(u2 (1-u3))^s *
+    2F1(-s, -s; 1; q)`` with q = o3/o2 and o = u/(1-u) the odds, on the
+    region u3 < u2 (a quadratic transformation of the azimuth mean
+    ``(A+B)^s 2F1(-s, 1/2; 1; 2B/(A+B))``).  At fixed q the integral over
+    o2 is Euler's integral of a 2F1, so the region gives
+
+        4^(a+g+s) B(p, s+2) * integral_0^1 q^g 2F1(-s,-s;1;q) H(1-q) dq,
+
+    with a = beta c12, g = beta c13, p = a+g+s+2, H = 2F1(g+s+2, p; a+g+2s+4;
+    .), and the region u2 < u3 is the same with a and g swapped.  Near q = 1
+    the first 2F1 grows as (1-q)^(1+2s) once s < -1/2: that half is
+    integrated with QUADPACK's algebraic weight (1-q)^min(0, 1+2s), and
+    the 2F1 is taken there through its connection formula at 1 - q.  Near
+    q = 0, H(1-q) is finite for g < 0, and q^g the weight of that half; for
+    g >= 0, q^g H(1-q) is finite by Euler's transformation, or grows as
+    log q at g = 0, and that half is left to QUADPACK's extrapolation.  Z is
+    finite on the interval: each beta c_ij > -1 and p > 0.  Within about
+    1e-4 of s = -1/2, where the collision term turns logarithmic, quad
+    warns that it misses its 1e-12 tolerance."""
+    a, g, s = beta * c12, beta * c13, beta * c23
+    p = a + g + s + 2
+    if min(a, g, s) <= -1 or p <= 0:
+        raise DomainError(f"Z is infinite at beta={beta} on couplings {(c12, c13, c23)}")
+    e = min(0.0, 1 + 2 * s)
+
+    def collision(q):
+        """2F1(-s, -s; 1; q) / (1-q)^e, for q >= 1/2."""
+        if s >= -0.5:
+            return hyp2f1(-s, -s, 1, q)
+        return (gamma(1 + 2 * s) / gamma(1 + s) ** 2 * hyp2f1(-s, -s, -2 * s, 1 - q)
+                * (1 - q) ** -e
+                + gamma(-1 - 2 * s) / gamma(-s) ** 2 * hyp2f1(1 + s, 1 + s, 2 + 2 * s, 1 - q))
+
+    def region(a, g):
+        if g >= 0:
+            def h(q):  # q^g H(1-q), by Euler's transformation
+                return _hyp2f1(a + s + 2, s + 2, g, 1 - q)
+            near_zero = {}
+        else:
+            def h(q):  # H(1-q); q^g is the weight near q = 0
+                return _hyp2f1(g + s + 2, p, -g, 1 - q)
+            near_zero = {"weight": "alg", "wvar": (g, 0)}
+        head = quad(lambda q: hyp2f1(-s, -s, 1, q) * h(q), 0, 0.5, **near_zero,
+                    epsabs=0, epsrel=1e-12, limit=200)[0]
+        tail = quad(lambda q: collision(q) * h(q) * q ** min(g, 0), 0.5, 1, weight="alg",
+                    wvar=(0, e), epsabs=0, epsrel=1e-12, limit=200)[0]
+        return head + tail
+
+    return float(4 ** (a + g + s) * beta_function(p, s + 2) * (region(a, g) + region(g, a)))

@@ -10,10 +10,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 import loggas.cli as cli
 import loggas.coupling as coupling
@@ -689,69 +687,64 @@ def test_report_schema_is_versioned(tmp_path):
     assert doc["beta_minus"] == "-1"
 
 
-def test_plasma_report_is_written_as_indent_2_json(tmp_path):
-    # 720 nests, and the first 10,000 of the 8+8 plasma's 40,320, whose member
-    # lists share one label list per optimizer
+def _supports_printed(out: str, side: str) -> list:
+    prefix = f"  support_{side}: "
+    return [line[len(prefix):] for line in out.splitlines() if line.startswith(prefix)]
+
+
+def test_plasma_report_is_written_as_indent_2_json(tmp_path, capsys):
+    # 720 nests, and the first 10,000 of the 8+8 plasma's 40,320 in exact and
+    # float mode, rendered from the optimizers' texts: json reads each report
+    # back and writes it unchanged, and the console prints the same supports
     plasma_8_8 = tmp_path / "plasma_8_8.json"
     plasma_8_8.write_text('{"two_component": {"n1": 8, "n2": 8, "z1": 1, "z2": 1}}')
     out = tmp_path / "report.json"
-    for source, nests, truncated in ((INPUTS / "plasma_6_6.json", 720, False),
-                                     (plasma_8_8, 10_000, True)):
-        assert run(["critical", "--input", source, "--out", out]) == 0
+    for source, mode, kappa, nests, truncated in (
+            (INPUTS / "plasma_6_6.json", "auto", 6, 720, False),
+            (plasma_8_8, "exact", 8, 10_000, True), (plasma_8_8, "float", 8, 10_000, True)):
+        assert run(["critical", "--input", source, "--mode", mode, "--out", out]) == 0
         text = out.read_text()
         doc = json.loads(text)
-        assert len(doc["max_nests_plus"]) == nests
+        assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert doc["kappa_plus"] == kappa
+        assert len(doc["max_nests_plus"]) == len(doc["support_plus"]) == nests
+        assert all(len(nest) == kappa for nest in doc["max_nests_plus"])
         assert doc["nests_truncated_plus"] is truncated
-        assert text == json.dumps(doc, indent=2) + "\n"
+        assert _supports_printed(capsys.readouterr().out, "plus") == doc["support_plus"]
 
 
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.text(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 1e-300, 5e-324, 1.7976931348623157e308, np.float64(0.1),
-                     "é☃\U0001f600", "\"\\\n\t\x00\x7f"]))
-# json.dumps writes int, float, bool and None keys as strings
-_KEYS = st.one_of(st.text(max_size=5), st.integers(), st.booleans(), st.none(),
-                  st.floats(allow_nan=False, allow_infinity=False))
-_JSON_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(_KEYS, inner, max_size=4)),
-    max_leaves=20)
-
-
-@settings(max_examples=300)
-@given(_JSON_VALUES, st.lists(_SCALARS, max_size=4))
-def test_report_writer_matches_json_dumps(value, shared):
-    # one list object at several depths, inside the value and beside it.
-    # Then lists of nests, at depths 1 and 4: a nest whose members an earlier
-    # nest rendered is one join of their texts, and one that holds a dict, an
-    # empty list, a tuple or a list not rendered yet is written member by member
-    pair = [1, "p1=p2"]
-    nests = [[shared, pair], [pair, shared, shared], [pair], [shared, {"k": shared}],
-             [pair, []], [pair, (1, 2)], (pair, tuple(shared)), [pair, value], [pair, shared]]
-    for doc in (value, [shared, {"a": shared, "b": [shared, value, shared]}, [], {}, (shared,)],
-                {"g": [shared, pair], "nests": nests}, [[[{"nests": nests}]]]):
-        assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+@pytest.mark.parametrize("mode", ["exact", "float", "auto"])
+@pytest.mark.parametrize("name", sorted(p.name for p in INPUTS.glob("*.json")))
+def test_critical_report_round_trips_through_json(tmp_path, capsys, name, mode):
+    # empty families and nest lists, unattained and degenerate sides, and
+    # float, rational and infinite endpoints
+    out = tmp_path / "report.json"
+    code = run(["critical", "--input", INPUTS / name, "--mode", mode, "--out", out])
+    printed = capsys.readouterr().out
+    if code != 0:  # exact mode on float input, or an input critical cannot read
+        assert code == 2 and not out.exists()
+        return
+    text = out.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    assert list(doc)[:3] == ["schema_version", "subcommand", "mode"]
+    for side in ("plus", "minus"):
+        assert len(doc[f"max_nests_{side}"]) == len(doc[f"support_{side}"])
+        shown = doc[f"attained_{side}"] and not doc["degenerate"]
+        assert _supports_printed(printed, side) == (doc[f"support_{side}"] if shown else [])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_report_writer_refuses_non_finite_floats(bad):
-    leaf = [1]
-    # the second nest's members are not all rendered, so it is written member by member
-    for doc in (bad, [bad], {"k": [1, bad]}, {bad: 1}, [[leaf], [leaf, [1, bad]]]):
-        with pytest.raises(ValueError):
-            json.dumps(doc, indent=2, allow_nan=False)
+    for fields in ({"k": bad}, {"k": [1, bad]}, {"k": {"j": [bad]}}, {bad: 1}):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._json_text(doc)
+            cli._report_text("bounds", fields)
 
 
 def test_report_writer_refuses_numpy_integers():
-    for doc in (np.int64(3), [1, np.int64(3)], {"k": [np.int64(3)]}):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2, allow_nan=False)
+    for fields in ({"k": np.int64(3)}, {"k": [1, np.int64(3)]}, {"k": {"j": [np.int64(3)]}}):
         with pytest.raises(TypeError, match="int64"):
-            cli._json_text(doc)
+            cli._report_text("bounds", fields)
 
 
 def test_float_mode_on_exact_input(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -41,8 +42,14 @@ def masks(*index_sets):
 
 
 def _support(report, side):
-    """The support patterns the CLI renders for one side of the report."""
-    return cli._critical_report_dict(report, "exact")[f"support_{side}"]
+    """The support patterns the CLI writes for one side of the report."""
+    text, _ = cli._critical_text(report, "exact", "critical")
+    return json.loads(text)[f"support_{side}"]
+
+
+def nest_members(search) -> tuple:
+    """The nests of a ``NestSearch`` as tuples of its members."""
+    return tuple(tuple(map(search.members.__getitem__, nest)) for nest in search.nests)
 
 
 def bits(family):
@@ -158,7 +165,7 @@ def test_interval_two_component_2211():
     assert report.beta_plus == 1
     assert report.nests_plus.kappa == 2
     assert len(report.nests_plus.nests) == 2
-    nest_sets = {tuple(sorted(s.bits for s in k)) for k in report.nests_plus.nests}
+    nest_sets = {tuple(sorted(s.bits for s in k)) for k in nest_members(report.nests_plus)}
     assert nest_sets == {
         tuple(sorted(masks((0, 2), (1, 3)))),
         tuple(sorted(masks((0, 3), (1, 2)))),
@@ -487,16 +494,26 @@ def test_max_nest_matches_subfamily_enumeration(bits):
     search = max_nest(family)
     assert search.kappa == kappa
     assert not search.truncated
-    assert {frozenset(s.bits for s in nest) for nest in search.nests} == expected
+    assert {frozenset(s.bits for s in nest) for nest in nest_members(search)} == expected
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_NEST_CAP", 3)
         capped = max_nest(family)
-    reported = [frozenset(s.bits for s in nest) for nest in capped.nests]
+    reported = [frozenset(s.bits for s in nest) for nest in nest_members(capped)]
     assert capped.kappa == kappa
     assert capped.truncated == (len(expected) > 3)
     assert len(reported) == min(3, len(expected)) == len(set(reported))
     assert set(reported) <= expected
+
+
+@settings(max_examples=100)
+@given(st.sets(st.integers(0, 255).filter(lambda m: m.bit_count() >= 2), min_size=1, max_size=12))
+def test_max_nest_ranks_index_the_family_in_report_order(bits):
+    family = [SubsetMask(m) for m in sorted(bits)]
+    search = max_nest(family)
+    assert search.members == tuple(sorted(family, key=lambda s: (min(s.indices()), s.size,
+                                                                 s.bits)))
+    assert all(list(nest) == sorted(set(nest)) for nest in search.nests)
 
 
 def _in_report_order(fam, combos) -> tuple:
@@ -531,7 +548,8 @@ def test_truncated_max_nest_keeps_the_first_nests_in_search_order(bits):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_NEST_CAP", cap)
             search = max_nest(family)
-        assert (search.kappa, search.nests, search.truncated) == _oracle_first_nests(family, cap)
+        assert (search.kappa, nest_members(search), search.truncated) == \
+            _oracle_first_nests(family, cap)
 
 
 @settings(max_examples=100)
@@ -575,7 +593,7 @@ def test_truncated_plasma_nests_are_the_first_pairings():
     assert len(combos) == 40_320 > solver._NEST_CAP
     search = max_nest(list(reversed(fam)))
     assert search.kappa == 8 and search.truncated
-    assert search.nests == _in_report_order(fam, combos[:solver._NEST_CAP])
+    assert nest_members(search) == _in_report_order(fam, combos[:solver._NEST_CAP])
 
 
 def test_kappa_bounded_by_n_minus_1():
@@ -586,12 +604,13 @@ def test_kappa_bounded_by_n_minus_1():
         report = critical_interval(c)
         assert report.nests_plus.kappa <= n - 1
         assert report.nests_minus.kappa <= n - 1
-        for nest in report.nests_plus.nests:
+        plus, minus = nest_members(report.nests_plus), nest_members(report.nests_minus)
+        for nest in plus:
             assert len(nest) == report.nests_plus.kappa
-        for nest in report.nests_minus.nests:
+        for nest in minus:
             assert len(nest) == report.nests_minus.kappa
         # max_nest's search guarantees nesting; nothing re-checks it at run time
-        for nest in report.nests_plus.nests + report.nests_minus.nests:
+        for nest in plus + minus:
             bits = [s.bits for s in nest]
             assert all(x & y in (0, x, y) for x, y in itertools.combinations(bits, 2))
 
