@@ -25,20 +25,25 @@ everything else runs serially.
 ``main`` alone frames a run.  It refuses an ``--out`` path that cannot be
 written (an existing directory, a missing parent directory) before the
 handler does any work.  A handler does no I/O; it returns ``(result, lines)``:
-the JSON report body as a dict, the critical report's text, or a sweep's CSV
-text (``_csv_text``), and the text lines to print.  Once the handler has
+the JSON report body as a dict, the critical report's pieces, or a sweep's
+CSV text (``_csv_text``), and the text lines to print.  Once the handler has
 succeeded, ``main`` renders a dict with ``schema_version`` and ``subcommand``
-stamped first (``_report_text``), writes the text to ``--out`` (the only
-file the package writes) and prints the lines in one ``sys.stdout.write``.
+stamped first (``_report_text``), writes the text or the pieces to ``--out``
+(the only file the package writes), drops what it did not write, and prints
+the lines in one ``sys.stdout.write``.
 ``main`` pauses the cyclic garbage collector
 from the handler to the last write, and restores the state it found on
 every exit: a run leaves its objects to reference counting, so no cycle may
 hold a report.
 A report is written byte for byte as ``json.dumps(report, indent=2,
-allow_nan=False)`` writes it.  ``critical`` writes its own text, with the
-same stamp: its optimizer families, nests and supports are rendered from
-the optimizers' texts, each nest as one join (``_critical_side``), and its
-scalars through ``json.dumps``.
+allow_nan=False)`` writes it.  ``critical`` renders its own pieces, with
+the same stamp, from the optimizers' texts (``_critical_side``): its
+scalars through ``json.dumps`` and its support patterns before ``--out`` is
+opened, and its lists as chunks of ``_CHUNK`` items, each nest one join of
+its members' texts made only while its chunk is written.  So no run holds
+the whole report text, and a run without ``--out`` renders no nest.
+``mc-gibbs`` keeps each grid point's acceptance rate and quantiles, not its
+chain.
 A sweep is ``csv.writer`` rows (CRLF line ends) followed by one
 ``# key=value`` line per pole-fit result.
 Exit codes: 0 ok, and the ``exit_code`` of the ``LogGasError`` raised (2
@@ -58,6 +63,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from types import GeneratorType
 from typing import Optional
 
 import numpy as np
@@ -109,15 +115,27 @@ def _label_list(indices, depth: int) -> str:
     return "[" + inner + ("," + inner).join([str(i + 1) for i in indices]) + outer + "]"
 
 
-def _list_pieces(items: list, left: str = "", right: str = "") -> list:
-    """The pieces of a report field's list as ``json.dumps(indent=2)`` writes
-    it at depth 1, each item's text placed between ``left`` and ``right``."""
+# nests (or supports) per chunk of a written list: about 85 KB of an 8+8
+# plasma report
+_CHUNK = 256
+
+
+def _list_chunks(items: list, left: str = "", right: str = "", render=None):
+    """A report field's list as ``json.dumps(indent=2)`` writes it at depth 1,
+    in chunks of ``_CHUNK`` items, each item's text placed between ``left``
+    and ``right``.  ``render`` maps a slice of ``items`` to their texts; it
+    runs only as the chunks are read."""
     if not items:
-        return ["[]"]
-    pieces = [right + ",\n    " + left] * (2 * len(items) + 1)  # separators between items
-    pieces[1::2] = items
-    pieces[0], pieces[-1] = "[\n    " + left, right + "\n  ]"
-    return pieces
+        yield "[]"
+        return
+    sep = right + ",\n    " + left
+    yield "[\n    " + left
+    for start in range(0, len(items), _CHUNK):
+        batch = items[start:start + _CHUNK]
+        if start:
+            yield sep
+        yield sep.join(render(batch) if render else batch)
+    yield right + "\n  ]"
 
 
 # a side's report fields, each named with the side appended, in report order
@@ -126,25 +144,29 @@ _SIDE_FIELDS = ("g", "kappa", "max_nests", "nests_truncated", "support", "free_e
 
 def _critical_side(side: str, result: solver.OptResult, search: solver.NestSearch, n: int,
                    beta) -> tuple:
-    """(fields, lines): one side's fields by ``_SIDE_FIELDS`` name, and its
-    console lines.
+    """(fields, lines): one side's fields by ``_SIDE_FIELDS`` name, a list
+    field as its chunks (``_list_chunks``), and its console lines.
 
     Each optimizer is rendered once: its label list at family depth, and as
     a nest member its label list at nest depth and its equality chain.  A
-    nest's entry and its support pattern (one coincidence pattern of the
-    limiting Gibbs support) are then one join each of its members' texts,
-    and the console prints the same patterns.  A chain holds only ``p``,
-    digits and ``=``, so a pattern is its own JSON string body."""
+    support pattern (one coincidence pattern of the limiting Gibbs support)
+    is one join of its members' chains, and the console prints the same
+    patterns; a chain holds only ``p``, digits and ``=``, so a pattern is its
+    own JSON string body.  A nest's entry is one join of its members' texts,
+    made only while its chunk is written."""
     family = [s.indices() for s in result.optimizers]
     members = [s.indices() for s in search.members]
     texts, chains = [_label_list(m, 3) for m in members], [_chain(m) for m in members]
-    nests = [",\n      ".join([texts[r] for r in nest]) for nest in search.nests]
     supports = [", ".join([chains[r] for r in nest]) for nest in search.nests]
     asymptote = _asymptote(search.kappa, n, beta)
+
+    def nests(batch):
+        return [",\n      ".join([texts[r] for r in nest]) for nest in batch]
+
     fields = dict(zip(_SIDE_FIELDS, (
-        _list_pieces([_label_list(f, 2) for f in family]), search.kappa,
-        _list_pieces(nests, "[\n      ", "\n    ]"), search.truncated,
-        _list_pieces(supports, '"', '"'), asymptote)))
+        _list_chunks([_label_list(f, 2) for f in family]), search.kappa,
+        _list_chunks(search.nests, "[\n      ", "\n    ]", nests), search.truncated,
+        _list_chunks(supports, '"', '"'), asymptote)))
     if not result.attained:
         return fields, [f"{side}: endpoint infinite"]
     sets = ", ".join("{" + ",".join([str(i + 1) for i in f]) + "}" for f in family)
@@ -156,12 +178,22 @@ def _critical_side(side: str, result: solver.OptResult, search: solver.NestSearc
     return fields, lines
 
 
+def _pieces(parts: list):
+    """The strings of ``parts`` and of the chunk generators among them, in order."""
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from part
+
+
 def _critical_text(report: CriticalReport, mode: str, subcommand: str) -> tuple:
-    """(text, lines): the report as ``json.dumps(doc, indent=2,
-    allow_nan=False)`` writes it, and the console lines.  The list fields
-    come as pieces (``_critical_side``), every other value is a scalar that
-    ``json.dumps`` writes the same with or without ``indent`` (and without
-    it, leaves no reference cycle), and the text is one join of all of them."""
+    """(pieces, lines): the report as ``json.dumps(doc, indent=2,
+    allow_nan=False)`` writes it, as an iterator of strings each at most one
+    chunk long, and the console lines.  Every scalar is written here by
+    ``json.dumps``, the same with or without ``indent`` (and without it,
+    leaves no reference cycle), so nothing that can refuse a value is left
+    for the write; the list fields come as ``_critical_side``'s chunks."""
     plus, minus = report.plus, report.minus
     beta_minus, beta_plus = format_real(report.beta_minus), format_real(report.beta_plus)
     t_plus, t_minus = format_real(plus.t_value), format_real(minus.t_value)
@@ -178,10 +210,8 @@ def _critical_text(report: CriticalReport, mode: str, subcommand: str) -> tuple:
     parts, sep = ["{"], "\n  "
     for key, value in doc.items():
         parts += sep, json.dumps(key), ": "
-        if isinstance(value, list):  # a list field's pieces
-            parts += value
-        else:
-            parts.append(json.dumps(value, allow_nan=False))
+        parts.append(value if isinstance(value, GeneratorType)
+                     else json.dumps(value, allow_nan=False))
         sep = ",\n  "
     parts.append("\n}\n")
     lines = [f"n = {report.n}  (mode: {mode})", f"interval: ({beta_minus}, {beta_plus})",
@@ -190,7 +220,7 @@ def _critical_text(report: CriticalReport, mode: str, subcommand: str) -> tuple:
         lines.append("degenerate: both endpoints infinite, no collapse on either side")
     else:
         lines += lines_p + lines_m
-    return "".join(parts), lines
+    return _pieces(parts), lines
 
 
 def cmd_critical(args: argparse.Namespace) -> tuple:
@@ -369,7 +399,7 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
     c = system.matrix("float")
     labels = _class_labels(system, c.n)
 
-    results = []
+    results = []  # (acceptance rate, CollapseStats) per grid point
     for index, beta in enumerate(grid):
         params = sphere_mc.ChainParams(
             beta=beta, steps=args.steps, burn_in=args.burn_in, thin=args.thin,
@@ -377,7 +407,8 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
         )
         chain = sphere_mc.metropolis_chain(c, params)
         stats = sphere_mc.collapse_observables(chain.configurations, labels)
-        results.append((chain, stats))
+        results.append((chain.acceptance_rate, stats))
+        del chain  # freed before the next chain: a sweep holds one at a time
 
     # one row per observable the labels define
     rows = [[beta, name, *quants]
@@ -388,8 +419,8 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
             if quants is not None]
     text = _csv_text(["beta", "obs_name", "q05", "q25", "q50", "q75", "q95"], rows)
     lines = [f"wrote {len(rows)} rows to {args.out}"]
-    for beta, (chain, stats) in zip(grid, results):
-        lines.append(f"  beta={beta:g}: acceptance={chain.acceptance_rate:.2f} "
+    for beta, (acceptance, stats) in zip(grid, results):
+        lines.append(f"  beta={beta:g}: acceptance={acceptance:.2f} "
                      f"median max dist={stats.max_quantiles[2]:.3f}")
     return text, lines
 
@@ -585,8 +616,11 @@ def main(argv=None) -> int:
             if isinstance(result, dict):
                 result = _report_text(args.subcommand, result)
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(result)
-        sys.stdout.write("\n".join(lines) + "\n")
+                # critical's pieces are rendered, encoded and written a chunk at a time
+                fh.writelines((result,) if isinstance(result, str) else result)
+        del result  # unwritten pieces, before the console text is joined
+        lines.append("")
+        sys.stdout.write("\n".join(lines))
     except LogGasError as exc:
         print(f"error ({exc.label}): {exc}", file=sys.stderr)
         return exc.exit_code

@@ -13,9 +13,10 @@ estimates.  The oracles that the benchmark gate imports too
 import math
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.special import beta as beta_function
-from scipy.special import gamma, hyp2f1
+from scipy.special import gamma, hyp2f1, zeta
 
 from loggas import CouplingMatrix, GraphSpec
 from loggas.errors import DomainError, InputError, SizeLimitError
@@ -127,6 +128,50 @@ def _hyp2f1(a: float, b: float, d: float, z: float) -> float:
     return hyp2f1(a, (c - a) - d, c, z)
 
 
+# |1 + 2s| below which three_particle_partition takes the collision term
+# through its power series
+_LOG_WINDOW = 0.05
+# terms of those series: each shrinks about as 2^-n on x <= 1/2
+_SERIES_TERMS = 60
+
+
+def _collision_series(s: float) -> tuple:
+    """(smooth, log_part): 2F1(-s, -s; 1; 1-x) = smooth(x) + log_part(x) log x
+    for 0 < x <= 1/2, with no cancellation as eps = 1+2s goes to 0.
+
+    The connection formula at 1 - x writes the 2F1 as D(x) - W(x) (x^eps -
+    1)/eps, where W = K sum w_n x^n, w_n = Gamma(n+1/2+eps/2)^2 /
+    (Gamma(n+1+eps) n!), K = cos(pi eps/2) / (pi^2 sinc(eps/2)), and D =
+    sum d_n x^n is the sum of the two connection terms at x^eps = 1.  Each
+    d_n is a difference of two gamma ratios over sin(pi eps/2); d_0 is taken
+    from the odd and even parts in eps of log(Gamma(1/2+eps/2)^2 /
+    Gamma(1+eps)), zeta series with no cancellation, and the differences of
+    the later ratios follow exactly from d_0 by recurrence.  At eps = 0 this
+    is Abramowitz and Stegun 15.3.10; log_part(x) is -W(x) times
+    expm1(eps log x) / (eps log x)."""
+    eps = 1 + 2 * s
+    k = math.cos(math.pi * eps / 2) / (math.pi ** 2 * np.sinc(eps / 2))
+    j = np.arange(1, 12)
+    # the odd part of log(Gamma(1/2+eps/2)^2 / Gamma(1+eps)) over eps, and its even part
+    odd = -2 * math.log(2) - np.sum((1 - 0.25 ** j) * eps ** (2 * j) * zeta(2 * j + 1)
+                                    / (2 * j + 1))
+    even = np.sum((1 - 2 * 0.25 ** j) * eps ** (2 * j) * zeta(2 * j) / (2 * j))
+    sinhc = math.sinh(odd * eps) / (odd * eps) if eps else 1.0
+    d, w = np.empty(_SERIES_TERMS), np.empty(_SERIES_TERMS)
+    d[0] = -2 * math.pi * k * math.exp(even) * odd * sinhc
+    w[0] = gamma(0.5 + eps / 2) ** 2 / gamma(1 + eps)
+    for n in range(_SERIES_TERMS - 1):
+        d[n + 1] = ((n + 0.5 - eps / 2) ** 2 / (n + 1 - eps) * d[n]
+                    + k * (eps ** 2 / 2 - (n + 0.5)) / ((n + 1) ** 2 - eps ** 2) * w[n]) / (n + 1)
+        w[n + 1] = w[n] * (n + 0.5 + eps / 2) ** 2 / ((n + 1 + eps) * (n + 1))
+
+    def log_part(x):  # QUADPACK's Clenshaw-Curtis rule reads x = 0 too
+        y = eps * math.log(x) if x else 0.0
+        return -k * polyval(x, w) * (math.expm1(y) / y if y else 1.0)
+
+    return (lambda x: polyval(x, d)), log_part
+
+
 def three_particle_partition(c12: float, c13: float, c23: float, beta: float) -> float:
     """Z = E[prod_{i<j} (d_ij^2)^(beta c_ij)] for three independent uniform
     points on the unit sphere, by one-dimensional quadrature.
@@ -149,14 +194,17 @@ def three_particle_partition(c12: float, c13: float, c23: float, beta: float) ->
     q = 0, H(1-q) is finite for g < 0, and q^g the weight of that half; for
     g >= 0, q^g H(1-q) is finite by Euler's transformation, or grows as
     log q at g = 0, and that half is left to QUADPACK's extrapolation.  Z is
-    finite on the interval: each beta c_ij > -1 and p > 0.  Within about
-    1e-4 of s = -1/2, where the collision term turns logarithmic, quad
-    warns that it misses its 1e-12 tolerance."""
+    finite on the interval: each beta c_ij > -1 and p > 0.  Within
+    ``_LOG_WINDOW`` of s = -1/2 the collision term turns logarithmic, and
+    both connection terms of the 2F1 grow as 1/(1+2s) and cancel: that half
+    is taken through ``_collision_series`` instead, with QUADPACK's
+    ``alg-logb`` weight log(1-q) on its logarithmic part."""
     a, g, s = beta * c12, beta * c13, beta * c23
     p = a + g + s + 2
     if min(a, g, s) <= -1 or p <= 0:
         raise DomainError(f"Z is infinite at beta={beta} on couplings {(c12, c13, c23)}")
     e = min(0.0, 1 + 2 * s)
+    series = _collision_series(s) if abs(1 + 2 * s) < _LOG_WINDOW else None
 
     def collision(q):
         """2F1(-s, -s; 1; q) / (1-q)^e, for q >= 1/2."""
@@ -177,8 +225,14 @@ def three_particle_partition(c12: float, c13: float, c23: float, beta: float) ->
             near_zero = {"weight": "alg", "wvar": (g, 0)}
         head = quad(lambda q: hyp2f1(-s, -s, 1, q) * h(q), 0, 0.5, **near_zero,
                     epsabs=0, epsrel=1e-12, limit=200)[0]
-        tail = quad(lambda q: collision(q) * h(q) * q ** min(g, 0), 0.5, 1, weight="alg",
-                    wvar=(0, e), epsabs=0, epsrel=1e-12, limit=200)[0]
-        return head + tail
+        if series is None:
+            return head + quad(lambda q: collision(q) * h(q) * q ** min(g, 0), 0.5, 1,
+                               weight="alg", wvar=(0, e), epsabs=0, epsrel=1e-12, limit=200)[0]
+        smooth, log_part = series
+        return (head
+                + quad(lambda q: smooth(1 - q) * h(q) * q ** min(g, 0), 0.5, 1,
+                       epsabs=0, epsrel=1e-12, limit=200)[0]
+                + quad(lambda q: log_part(1 - q) * h(q) * q ** min(g, 0), 0.5, 1,
+                       weight="alg-logb", wvar=(0, 0), epsabs=0, epsrel=1e-12, limit=200)[0])
 
     return float(4 ** (a + g + s) * beta_function(p, s + 2) * (region(a, g) + region(g, a)))

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -966,6 +967,50 @@ def test_exit_2_on_ensemble_variance_with_charges(tmp_path):
     assert run(["ensemble", "--model", "gaussian_charges", "--n", 4, "--trials", 2,
                 "--variance", 2, "--out", out]) == 2
     assert not out.exists()
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_critical_holds_its_report_once(tmp_path, monkeypatch):
+    # the 8+8 plasma's 3.9 MB report: main renders and writes its nests a
+    # chunk at a time with --out and renders none without it, so neither
+    # run holds the report text, its encoding and its pieces at once
+    plasma, out = tmp_path / "plasma_8_8.json", tmp_path / "report.json"
+    plasma.write_text('{"two_component": {"n1": 8, "n2": 8, "z1": 1, "z2": 1}}')
+    argv = ["critical", "--input", plasma]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert run(argv + ["--out", tmp_path / "warm-up.json"]) == 0
+        written, console_only = _traced_peak(argv + ["--out", out]), _traced_peak(argv)
+    size = out.stat().st_size
+    assert size > 3.9e6
+    assert written <= 1.5 * size
+    assert console_only <= size
+
+
+def test_mc_gibbs_holds_one_chain_at_a_time(tmp_path, monkeypatch):
+    # small draw and pair-difference blocks leave a 3000-step chain's
+    # configurations (0.58 MB on the 4+4 plasma) the largest allocation, so
+    # a sweep that kept every chain would peak about 3 times higher on 4
+    # points than on 1
+    monkeypatch.setattr(sphere_mc, "_DRAW_BLOCK", 128)
+    monkeypatch.setattr(sphere_mc, "_BLOCK_FLOATS", 1 << 12)
+    plasma = tmp_path / "plasma_4_4.json"
+    plasma.write_text('{"two_component": {"n1": 4, "n2": 4, "z1": 1, "z2": 1}}')
+    argv = ["mc-gibbs", "--input", plasma, "--steps", 3000, "--burn-in", 500,
+            "--out", tmp_path / "sweep.csv", "--beta-grid"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert run(argv + ["0.5"]) == 0
+        one, four = _traced_peak(argv + ["0.5"]), _traced_peak(argv + ["0.2,0.4,0.6,0.8"])
+    assert four <= 1.5 * one
 
 
 # ---------------------------------------------------------------------------

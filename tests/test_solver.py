@@ -43,8 +43,8 @@ def masks(*index_sets):
 
 def _support(report, side):
     """The support patterns the CLI writes for one side of the report."""
-    text, _ = cli._critical_text(report, "exact", "critical")
-    return json.loads(text)[f"support_{side}"]
+    pieces, _ = cli._critical_text(report, "exact", "critical")
+    return json.loads("".join(pieces))[f"support_{side}"]
 
 
 def nest_members(search) -> tuple:

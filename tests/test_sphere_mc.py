@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from loggas import (
     ChainParams,
@@ -811,6 +811,17 @@ def test_three_particle_oracle_exact_values():
         pair = analytic_partition_two(c12, beta)
         for couplings in ((c12, 0, 0), (0, c12, 0), (0, 0, c12)):
             assert three_particle_partition(*couplings, beta) == pytest.approx(pair, rel=1e-11)
+
+
+def test_three_particle_oracle_near_the_logarithmic_collision():
+    # at s = beta c23 = -1/2 the collision term turns logarithmic, and near
+    # it the connection formula's two terms grow as 1/(1+2s) and cancel;
+    # one coupled pair is the N=2 law 4^beta / (1 + beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for beta in (-0.4999, -0.50001, -0.499, -0.5):
+            assert three_particle_partition(0, 0, 1, beta) == pytest.approx(
+                4 ** beta / (1 + beta), rel=1e-12)
 
 
 def test_three_particle_oracle_factorises_and_is_symmetric():
