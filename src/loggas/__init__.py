@@ -36,11 +36,7 @@ from .closed_forms import (
     onsager_conditions,
     two_component_critical,
 )
-from .graphs import (
-    ArboricityReport,
-    arboricity,
-    sk_ground_state_check,
-)
+from .graphs import ArboricityReport, arboricity
 from .sphere_mc import (
     ChainParams,
     ChainResult,

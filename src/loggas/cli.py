@@ -1,15 +1,15 @@
 """Command-line front end: `loggas <subcommand> --input file.json [...]`.
 
-Subcommands: critical, bounds, closed-form, arboricity, sk-check,
-mc-partition, mc-gibbs, ensemble.  Reports are JSON with a stable field
-order plus a human-readable text rendering; sweeps emit CSV.  Extended
-reals serialize as "inf"/"-inf", exact rationals as "p/q" strings.
+Subcommands: critical, bounds, closed-form, arboricity, mc-partition,
+mc-gibbs, ensemble.  Reports are JSON with a stable field order plus a
+human-readable text rendering; sweeps emit CSV.  Extended reals serialize
+as "inf"/"-inf", exact rationals as "p/q" strings.
 The solver and closed forms return bitmasks and particle indices; this
 module alone renders a subset, as a list of 1-based labels or as an
 equality chain p1=p3 of the limiting support, and ``critical`` renders
 each optimizer once.
 Each subcommand declares only the flags it reads (``_COMMANDS``): --mode
-and --tol for critical and sk-check, --seed (a non-negative integer) for the
+and --tol for critical, --seed (a non-negative integer) for the
 sampling commands, --samples (at least the estimator's 1000) for
 mc-partition; any other flag, or a value these refuse, is an argparse error
 (exit 2) before any work.
@@ -38,10 +38,11 @@ hold a report.
 A report is written byte for byte as ``json.dumps(report, indent=2,
 allow_nan=False)`` writes it.  ``critical`` renders its own pieces, with
 the same stamp, from the optimizers' texts (``_critical_side``): its
-scalars through ``json.dumps`` and its support patterns before ``--out`` is
-opened, and its lists as chunks of ``_CHUNK`` items, each nest one join of
-its members' texts made only while its chunk is written.  So no run holds
-the whole report text, and a run without ``--out`` renders no nest.
+scalars through ``json.dumps`` and its support patterns, each held once in
+its console line, before ``--out`` is opened, and its lists as chunks of
+``_CHUNK`` items, each nest one join of its members' texts made only while
+its chunk is written.  So no run holds the whole report text, and a run
+without ``--out`` renders no nest.
 ``mc-gibbs`` keeps each grid point's acceptance rate and quantiles, not its
 chain.
 A sweep is ``csv.writer`` rows (CRLF line ends) followed by one
@@ -78,18 +79,11 @@ from .coupling import (
 )
 from .errors import DomainError, InputError, LogGasError, SizeLimitError
 from .graphs import arboricity as run_arboricity
-from .graphs import sk_ground_state_check
 from .rational import TIE_TOL, format_real, parse_number, tolerance
 from .solver import CriticalReport, critical_interval, solve_both
 from .spectral import charge_bounds, eig_bounds, symmetric_eigs
 
 SCHEMA_VERSION = 1
-
-
-def _tie_tol(args: argparse.Namespace) -> float:
-    if not 0 < args.tol < math.inf:
-        raise InputError("tol must be positive and finite")
-    return args.tol
 
 
 def _chain(indices) -> str:
@@ -150,28 +144,32 @@ def _critical_side(side: str, result: solver.OptResult, search: solver.NestSearc
     Each optimizer is rendered once: its label list at family depth, and as
     a nest member its label list at nest depth and its equality chain.  A
     support pattern (one coincidence pattern of the limiting Gibbs support)
-    is one join of its members' chains, and the console prints the same
-    patterns; a chain holds only ``p``, digits and ``=``, so a pattern is its
-    own JSON string body.  A nest's entry is one join of its members' texts,
-    made only while its chunk is written."""
+    is one join of its members' chains, held once, in its console line; a
+    chain holds only ``p``, digits and ``=``, so a pattern is its own JSON
+    string body, sliced from its line as its chunk is written.  A nest's
+    entry is one join of its members' texts, made only while its chunk is
+    written."""
     family = [s.indices() for s in result.optimizers]
     members = [s.indices() for s in search.members]
     texts, chains = [_label_list(m, 3) for m in members], [_chain(m) for m in members]
-    supports = [", ".join([chains[r] for r in nest]) for nest in search.nests]
+    prefix = f"  support_{side}: "
+    supports = [prefix + ", ".join([chains[r] for r in nest]) for nest in search.nests]
     asymptote = _asymptote(search.kappa, n, beta)
 
     def nests(batch):
         return [",\n      ".join([texts[r] for r in nest]) for nest in batch]
 
+    def patterns(batch):
+        return [line[len(prefix):] for line in batch]
+
     fields = dict(zip(_SIDE_FIELDS, (
         _list_chunks([_label_list(f, 2) for f in family]), search.kappa,
         _list_chunks(search.nests, "[\n      ", "\n    ]", nests), search.truncated,
-        _list_chunks(supports, '"', '"'), asymptote)))
+        _list_chunks(supports, '"', '"', patterns), asymptote)))
     if not result.attained:
         return fields, [f"{side}: endpoint infinite"]
     sets = ", ".join("{" + ",".join([str(i + 1) for i in f]) + "}" for f in family)
-    lines = [f"G_{side} = [{sets}]   kappa_{side} = {search.kappa}",
-             *(f"  support_{side}: {pattern}" for pattern in supports)]
+    lines = [f"G_{side} = [{sets}]   kappa_{side} = {search.kappa}", *supports]
     if search.truncated:
         lines.append("  (nest enumeration truncated)")
     lines.append(f"  free energy ~ {asymptote}")
@@ -224,9 +222,10 @@ def _critical_text(report: CriticalReport, mode: str, subcommand: str) -> tuple:
 
 
 def cmd_critical(args: argparse.Namespace) -> tuple:
-    tie_tol = _tie_tol(args)
+    if not 0 < args.tol < math.inf:
+        raise InputError("tol must be positive and finite")
     c = load_system(args.input, solver._MAX_N).matrix(args.mode)
-    report = critical_interval(c, tie_tol=tie_tol)
+    report = critical_interval(c, tie_tol=args.tol)
     return _critical_text(report, "exact" if report.exact else "float", args.subcommand)
 
 
@@ -300,14 +299,6 @@ def cmd_arboricity(args: argparse.Namespace) -> tuple:
     return doc, [
         f"fractional arboricity = {doc['fractional']}  ->  arboricity = {doc['arboricity']}",
         f"densest vertex set (1-based): {doc['witness']}"]
-
-
-def cmd_sk_check(args: argparse.Namespace) -> tuple:
-    tie_tol = _tie_tol(args)
-    c = load_system(args.input, solver._MAX_N).matrix(args.mode)
-    holds = sk_ground_state_check(c, tie_tol=tie_tol)
-    doc = {"n": c.n, "mode": "exact" if c.is_exact else "float", "holds": holds}
-    return doc, [f"ground-state identity holds: {holds}"]
 
 
 def _parse_beta_grid(text: str) -> tuple:
@@ -554,7 +545,6 @@ _COMMANDS = {
     "closed-form": (cmd_closed_form,
                     "closed-form criticals (two-component / point vortex)", _IO),
     "arboricity": (cmd_arboricity, "fractional arboricity of a graph input", _IO),
-    "sk-check": (cmd_sk_check, "ground-state identity check", _IO + ("--mode", "--tol")),
     "mc-partition": (cmd_mc_partition, "Monte Carlo partition-function sweep (CSV)",
                      _IO + ("--seed", "--samples", "--beta-grid")),
     "mc-gibbs": (cmd_mc_gibbs, "Metropolis collapse-observable sweep (CSV)",

@@ -17,7 +17,7 @@ from .errors import InputError
 
 Real = Union[Fraction, float]
 
-TIE_TOL = 1e-9  # the default rtol of every float tie: solver, sk-check, closed-form, --tol
+TIE_TOL = 1e-9  # the default rtol of every float tie: solver, closed-form, --tol
 
 
 def parse_number(value) -> Real:
@@ -59,9 +59,10 @@ def tolerance(rtol: float, value, scale: float):
     ``scale`` is the largest |c_ij| of the float grid.  Once max |c| >= 1
     the floor is 1; below that the rule is rtol * max(scale, |value|), which
     scales with the couplings, so small grids tie no more than large ones.
-    The one float tolerance of the package: the tie scan, sk-check,
-    closed-form's Onsager tie, the symmetry check, the plasma's neutrality
-    and the ensemble bound all call it.  rtol 0 is equality, on Fractions too."""
+    The one float tolerance of the package: the tie scan, closed-form's
+    Onsager tie, the symmetry check, the plasma's neutrality and the
+    ensemble bound all call it, as does the test-side ground-state
+    identity.  rtol 0 is equality, on Fractions too."""
     return rtol * max(min(1.0, scale), abs(value))
 
 

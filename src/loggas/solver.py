@@ -467,7 +467,8 @@ class OracleResult:
 def all_subset_sums(c: CouplingMatrix) -> dict:
     """{mask: sum of c(i,j) over the pairs inside mask} for every mask of at
     least two members, by plain loops over all masks; exact when the
-    entries are.  Shared by the oracles, independent of the scan kernel."""
+    entries are.  Independent of the scan kernel: ``brute_force_oracle``
+    and the ground-state identity in tests/oracles.py build on it."""
     entries = c.exact_entries if c.is_exact else c.entries.tolist()
     sums = {}
     for mask in range(1 << c.n):

@@ -1,13 +1,16 @@
 """Oracles that only the tests call, each independent of the code it checks.
 
 ``forest_partition_oracle`` checks ``graphs.arboricity`` by exhaustive edge
-colouring, without the ratio solver.  ``energy`` checks the running energies
-of ``sphere_mc.metropolis_chain`` with a row-major loop over the pairs, not
-the package's particle-major pair kernel; nothing here imports
-``loggas.sphere_mc``.  ``three_particle_partition`` gives the exact
-partition function of three particles by quadrature, for the sampler's
-estimates.  The oracles that the benchmark gate imports too
-(``brute_force_oracle``, ``analytic_partition_two``) stay in the package.
+colouring, without the ratio solver.  ``sk_ground_state_check`` checks the
+ratio solver against a 0/1-spin ground state found by exhaustive search over
+``solver.all_subset_sums``, which shares no code with the scan kernel.
+``energy`` checks the running energies of ``sphere_mc.metropolis_chain``
+with a row-major loop over the pairs, not the package's particle-major pair
+kernel; nothing here imports ``loggas.sphere_mc``.
+``three_particle_partition`` gives the exact partition function of three
+particles by quadrature, for the sampler's estimates.  The oracles that the
+benchmark gate imports too (``brute_force_oracle``,
+``analytic_partition_two``) stay in the package.
 """
 
 import math
@@ -20,9 +23,12 @@ from scipy.special import gamma, hyp2f1, zeta
 
 from loggas import CouplingMatrix, GraphSpec
 from loggas.errors import DomainError, InputError, SizeLimitError
+from loggas.rational import TIE_TOL, tolerance
+from loggas.solver import all_subset_sums, solve_t_minus
 
 _ORACLE_MAX_N = 10
 _ORACLE_MAX_EDGES = 20
+_SK_MAX_N = 16
 
 
 class _RollbackUnionFind:
@@ -94,6 +100,51 @@ def forest_partition_oracle(g: GraphSpec) -> int:
     while not colorable(t):
         t += 1
     return t
+
+
+def sk_ground_state_check(c: CouplingMatrix, tie_tol: float = TIE_TOL) -> bool:
+    """Ground-state identity between the ratio optimum and a 0/1-spin
+    Hamiltonian with external field -T-.
+
+    Exhaustively verifies that min over chi in {0,1}^n, chi'chi >= 2, of
+    -1/2 chi' C chi - T- * sum(chi) equals -T-, and that the minimizers are
+    exactly the subsets attaining the ratio maximum.  The 1/2 factor matches
+    the quadratic form of the ratio identity; without it the identity fails
+    on hand examples.  In float mode ``tie_tol`` is both the solver's tie
+    tolerance and the rtol of these comparisons, under the solver's rule
+    ``rational.tolerance``; exact mode compares exactly."""
+    if c.n > _SK_MAX_N:
+        raise SizeLimitError(f"check limited to n <= {_SK_MAX_N}")
+    if not 0 < tie_tol < math.inf:
+        raise InputError("tol must be positive and finite")
+    result = solve_t_minus(c, tie_tol=tie_tol)
+    t_minus = result.t_value
+    sums = all_subset_sums(c)
+
+    # -1/2 chi'C chi = -a ; objective = -a - T- * |S|
+    def objective(mask):
+        return -sums[mask] - t_minus * mask.bit_count()
+
+    def ratio(mask):
+        return sums[mask] / (mask.bit_count() - 1)
+
+    best = min(objective(m) for m in sums)
+    top = max(ratio(m) for m in sums)
+
+    rtol, scale = (0 if c.is_exact else tie_tol), c.scale
+
+    def close(x, y):
+        return abs(x - y) <= tolerance(rtol, y, scale)
+
+    minimizers = {m for m in sums if close(objective(m), best)}
+    argmax_masks = {m for m in sums if close(ratio(m), top)}
+
+    value_ok = close(best, -t_minus)
+    sets_ok = minimizers == argmax_masks
+    if result.attained:
+        solver_masks = set(s.bits for s in result.optimizers)
+        sets_ok = sets_ok and solver_masks == argmax_masks
+    return bool(value_ok and sets_ok)
 
 
 def energy(c: CouplingMatrix, points) -> float:

@@ -30,14 +30,13 @@ from loggas import (
     onsager_beta_minus,
     onsager_conditions,
     pole_order_fit,
-    sk_ground_state_check,
     solve_both,
 )
 from loggas.cli import run_ensemble
 from loggas.closed_forms import NEGATIVE_COLLAPSE, POSITIVE_COLLAPSE
 
 from conftest import random_exact_matrix, subset_mask
-from oracles import forest_partition_oracle
+from oracles import forest_partition_oracle, sk_ground_state_check
 from test_graphs import PETERSEN, complete_graph, cycle_graph, random_connected_graph, random_tree
 
 

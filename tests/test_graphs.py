@@ -4,16 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from loggas import (
-    GraphSpec,
-    arboricity,
-    sk_ground_state_check,
-    solve_t_minus,
-)
+from loggas import GraphSpec, arboricity, solve_t_minus
 from loggas.errors import InputError, SizeLimitError
 
 from conftest import random_exact_matrix, random_float_matrix
-from oracles import forest_partition_oracle
+from oracles import forest_partition_oracle, sk_ground_state_check
 
 
 def complete_graph(n):
