@@ -66,6 +66,16 @@ def tolerance(rtol: float, value, scale: float):
     return rtol * max(min(1.0, scale), abs(value))
 
 
+def reciprocal(name: str, t: Real) -> Real:
+    """1/t for a nonzero t, or an InputError naming ``name`` when t is a
+    float so small (a subnormal) that 1/t is beyond the float range.  A
+    Fraction has no such limit."""
+    value = 1 / t
+    if isinstance(value, float) and math.isinf(value):
+        raise InputError(f"{name} is beyond the float range")
+    return value
+
+
 def format_real(x: Real) -> object:
     """JSON-friendly rendering: Fractions as "p/q" strings, infinities as
     "inf"/"-inf", finite floats as-is."""

@@ -55,7 +55,7 @@ import numpy as np
 
 from .coupling import CouplingMatrix
 from .errors import SizeLimitError
-from .rational import TIE_TOL, Real, tolerance
+from .rational import TIE_TOL, Real, reciprocal, tolerance
 
 _BLOCK_BITS = 16  # a block of the subset-sum table spans 2^16 low-bit masks
 _MAX_N = 26  # largest instance the 2^n scan accepts
@@ -324,9 +324,10 @@ def solve_both(c: CouplingMatrix, *, tie_tol: float = TIE_TOL):
 
 def endpoints(plus: OptResult, minus: OptResult) -> tuple:
     """(beta-, beta+) of the optima from ``solve_both``: 1/T on an attained
-    side, -inf / +inf on the other."""
-    beta_minus: Real = 1 / minus.t_value if minus.attained else -math.inf
-    beta_plus: Real = 1 / plus.t_value if plus.attained else math.inf
+    side, -inf / +inf on the other.  A float T so small (a subnormal
+    coupling) that 1/T overflows is an InputError, not an infinite end."""
+    beta_minus: Real = reciprocal("beta-", minus.t_value) if minus.attained else -math.inf
+    beta_plus: Real = reciprocal("beta+", plus.t_value) if plus.attained else math.inf
     return beta_minus, beta_plus
 
 

@@ -15,7 +15,10 @@ is involved on this path.  A and the eigenvector matrix V are stacked in one
 array [A; V], and each round applies all its rotations as whole-matrix
 broadcasts over a partner gather (index p swapped with its pair q).  That
 computes cs*x + (-sn)*y where a per-pair rotation computes cs*x - sn*y, the
-same IEEE double, so the layout changes no bit of the result.
+same IEEE double, so the layout changes no bit of the result.  The circle
+method makes each round's partner map a few reversed contiguous runs, so
+the column gather is a handful of slice copies, read from a schedule built
+once per n (``_schedule``).
 
 The eigenvalues are floats, so the eigenvalue bounds hold only up to
 roundoff: on C = kk' - I with k = (1,1,-1,-1), whose exact beta+ is 1, the
@@ -24,6 +27,7 @@ float bound -1/lambda_min may land an ulp above 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,10 +36,11 @@ import numpy as np
 
 from .coupling import ChargeVector, CouplingMatrix
 from .errors import InputError, SizeLimitError
-from .rational import Real
+from .rational import Real, reciprocal
 
-# `bounds` (two O(n^3) solves) on random couplings took 10.7 s at n = 384 and
-# 43.7 s at 512 on a 2-core x86-64 VM: the largest multiple of 128 within 30 s
+# `bounds` (two O(n^3) solves) on random couplings takes 8.0 s at n = 384 and
+# 19.4 s at 512 on a 2-core x86-64 VM.  384 was the largest multiple of 128
+# within 30 s when 512 took 43.7 s, before the slice-run gather
 _MAX_N = 384
 _SWEEP_CAP = 100
 _OFFDIAG_RTOL = 1e-12
@@ -67,18 +72,21 @@ class Spectrum:
 class BoundReport:
     """Upper bounds on T+ and on -T-, and the beta bounds they give: a
     bound that is not positive bounds T+ (or -T-) by 0, so beta+ is +inf
-    (or beta- is -inf) and the beta bound is that infinity."""
+    (or beta- is -inf) and the beta bound is that infinity.  A positive
+    float bound so small that its reciprocal overflows is an InputError."""
 
     t_plus_upper: Real
     neg_t_minus_upper: Real
 
     @property
     def beta_plus_lower(self) -> Real:
-        return 1 / self.t_plus_upper if self.t_plus_upper > 0 else math.inf
+        return reciprocal("beta+", self.t_plus_upper) if self.t_plus_upper > 0 else math.inf
 
     @property
     def beta_minus_upper(self) -> Real:
-        return -1 / self.neg_t_minus_upper if self.neg_t_minus_upper > 0 else -math.inf
+        if self.neg_t_minus_upper > 0:
+            return -reciprocal("beta-", self.neg_t_minus_upper)
+        return -math.inf
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -107,6 +115,40 @@ def _round_robin(n: int) -> list:
     return rounds
 
 
+def _gather_runs(partner: np.ndarray) -> tuple:
+    """``partner`` as (dst, src) slice pairs: x[dst] = y[src] over all the
+    pairs is x = y[partner].  Each run is a maximal stretch where partner
+    steps by +1 or -1; a circle-method round has at most six."""
+    idx = partner.tolist()
+    runs, start = [], 0
+    while start < len(idx):
+        step = -1 if start + 1 < len(idx) and idx[start + 1] - idx[start] == -1 else 1
+        end = start + 1
+        while end < len(idx) and idx[end] - idx[end - 1] == step:
+            end += 1
+        stop = idx[end - 1] + step
+        runs.append((slice(start, end), slice(idx[start], stop if stop >= 0 else None, step)))
+        start = end
+    return tuple(runs)
+
+
+@functools.lru_cache(maxsize=8)
+def _schedule(n: int) -> tuple:
+    """The rounds of ``_round_robin(n)`` as ``symmetric_eigs`` applies them:
+    per round P, Q, the partner array (an idle index of odd n is its own
+    partner), its gather runs, and the flat indices of a_pq and a_qp in an
+    n x n array.  The arrays are read-only, as every call shares them."""
+    rounds = []
+    for p, q in _round_robin(n):
+        partner = np.arange(n)
+        partner[p], partner[q] = q, p
+        pq, qp = p * n + q, q * n + p
+        for x in (p, q, partner, pq, qp):
+            x.setflags(write=False)
+        rounds.append((p, q, partner, _gather_runs(partner), pq, qp))
+    return tuple(rounds)
+
+
 def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     """Full spectrum of the coupling matrix by Brent-Luk round-robin Jacobi.
 
@@ -126,6 +168,12 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     x, so the bits match a per-pair gather/scatter rotation of the same
     schedule.
 
+    The round's indices come from the cached ``_schedule(n)``.  The column
+    gather w[:, partner] is made as the schedule's slice runs, copied into
+    one buffer allocated per call; the row gather is ``np.take`` into the
+    same buffer; a_pq and the diagonal are read through flat and diagonal
+    views of A.  Each copies the same values, so no bit changes.
+
     The sweeps run on C / 2^e, where 2^e is the power of two that brings
     max|C| into [1/2, 1), so that ||C||_F neither overflows (entries near
     1e200) nor underflows (near 1e-200).  Every rotation and the stopping
@@ -140,21 +188,17 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     a, v = w[:n], w[n:]  # views: A on top, V below
     norm_c = float(np.linalg.norm(a))
     target = _OFFDIAG_RTOL * norm_c
-    rounds = []
-    for p, q in _round_robin(n):
-        partner = np.arange(n)  # an idle index (odd n) is its own partner
-        partner[p], partner[q] = q, p
-        rounds.append((p, q, partner))
-
+    flat, diag = a.reshape(-1), a.diagonal()  # views: A is contiguous
+    tmp = np.empty_like(w)
     sweeps = 0
     while _offdiag_norm(a) > target and norm_c > 0.0:
         if sweeps >= _SWEEP_CAP:
             raise InputError(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
         sweeps += 1
-        for p, q, partner in rounds:
-            apq = a[p, q]
+        for p, q, partner, runs, pq, qp in _schedule(n):
+            apq = flat[pq]
             live = apq != 0.0  # a zero pair gets the identity rotation
-            theta = (a[q, q] - a[p, p]) / (2.0 * np.where(live, apq, 1.0))
+            theta = (diag[q] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
             t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             t = np.where(live, t, 0.0)
             cs = 1.0 / np.sqrt(t * t + 1.0)
@@ -164,15 +208,18 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
             cf[p] = cf[q] = cs
             sf[p], sf[q] = -sn, sn
             # columns of A and V at once, then rows of A (A stays symmetric)
-            tmp = w[:, partner]
+            for dst, src in runs:
+                np.copyto(tmp[:, dst], w[:, src])
             tmp *= sf
             w *= cf
             w += tmp
-            tmp = a[partner]
-            tmp *= sf[:, None]
+            # mode="clip" (partner is in range) lets take write to out unbuffered
+            rows = np.take(a, partner, axis=0, out=tmp[:n], mode="clip")
+            rows *= sf[:, None]
             a *= cf[:, None]
-            a += tmp
-            a[p, q] = a[q, p] = 0.0
+            a += rows
+            flat[pq] = 0.0
+            flat[qp] = 0.0
 
     eigenvalues = np.ldexp(np.diag(a), exponent)
     order = np.argsort(eigenvalues, kind="stable")

@@ -303,6 +303,36 @@ def test_closed_form_refuses_a_plasma_beyond_float_range(tmp_path, capsys, spec,
     assert not out.exists()
 
 
+_SUBNORMAL_PAIR = '{"matrix": [[0, 1e-310], [1e-310, 0]]}'
+
+
+@pytest.mark.parametrize("system,argv,side", [
+    # T- = -1e-310 on {1,2}: beta- = -1e310 is attained, not -inf
+    (_SUBNORMAL_PAIR, ["critical", "--mode", "float"], "beta-"),
+    # T+ = 1e-310 on {1,2}: beta+ = 1e310 is attained, not inf; beta- = -1
+    ('{"matrix": [[0, -1e-310, 1], [-1e-310, 0, 1], [1, 1, 0]]}', ["critical", "--mode", "float"],
+     "beta+"),
+    # eigenvalues +-1e-310 bound T+ and -T- by 1e-310
+    (_SUBNORMAL_PAIR, ["bounds"], "beta+"),
+], ids=["critical-minus", "critical-plus", "bounds"])
+@pytest.mark.filterwarnings("error")
+def test_exit_2_when_a_float_endpoint_is_beyond_float_range(tmp_path, capsys, system, argv, side):
+    source, out = tmp_path / "subnormal.json", tmp_path / "out"
+    source.write_text(system)
+    assert run([*argv, "--input", source, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error (input): {side} is beyond the float range\n"
+    assert not out.exists()
+
+
+def test_exact_endpoint_past_the_float_range_is_kept(tmp_path):
+    source, out = tmp_path / "subnormal.json", tmp_path / "report.json"
+    source.write_text('{"matrix": [[0, "1e-310"], ["1e-310", 0]]}')
+    assert run(["critical", "--input", source, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mode"] == "exact"
+    assert Fraction(doc["beta_minus"]) == -10 ** 310 and doc["beta_plus"] == "inf"
+
+
 def test_closed_form_answers_an_exact_plasma_beyond_float_range(tmp_path, capsys):
     source, out = tmp_path / "plasma.json", tmp_path / "report.json"
     source.write_text('{"two_component": {"n1": 1, "n2": 1, "z1": "1e400", "z2": "1e400"}}')

@@ -834,6 +834,15 @@ def test_three_particle_oracle_factorises_and_is_symmetric():
         assert max(values) == pytest.approx(min(values), rel=1e-11)
 
 
+def test_three_particle_oracle_near_beta_plus():
+    # charges (2, -1, -1): the pairs {1,2} and {1,3} blow up together at
+    # beta+ = 1/2.  Each gives the pair law 4^(-2 beta) / (1 - 2 beta) ~ 1/(8d)
+    # at d = 1/2 - beta, times E[1/d13] = 1 with p2 at p1, so Z*d -> 1/4
+    values = [three_particle_partition(-2, -2, 1, 0.5 - d) * d for d in (1e-2, 1e-3, 1e-4)]
+    assert values == pytest.approx([0.2457985, 0.2495439, 0.2499540], abs=1e-6)
+    assert values[0] < values[1] < values[2] < 0.25
+
+
 def test_three_particle_oracle_refuses_beta_outside_the_interval():
     for couplings, beta in (((1, 1, 1), -1.0), ((1, 1, 1), -2 / 3), ((-2, -2, 1), 0.5)):
         with pytest.raises(DomainError):
