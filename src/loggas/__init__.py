@@ -28,7 +28,14 @@ from .solver import (
     solve_t_minus,
     solve_t_plus,
 )
-from .spectral import BoundReport, Spectrum, charge_bounds, eig_bounds, symmetric_eigs
+from .spectral import (
+    BoundReport,
+    Spectrum,
+    charge_bounds,
+    eig_bounds,
+    eig_bounds_many,
+    symmetric_eigs,
+)
 from .closed_forms import (
     OnsagerCritical,
     TwoComponentCritical,

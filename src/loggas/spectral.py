@@ -20,6 +20,13 @@ method makes each round's partner map a few reversed contiguous runs, so
 the column gather is a handful of slice copies, read from a schedule built
 once per n (``_schedule``).
 
+The one kernel (``_jacobi``) steps a stack of same-size matrices, each
+[A_k; V_k] in one (m, 2n, n) array, so a round costs the same few numpy
+calls for m matrices as for one; a matrix leaves the stack as soon as its
+own stopping test holds, so its spectrum is that of a stack of one, bit for
+bit.  ``symmetric_eigs`` is the stack of one; ``eig_bounds_many`` stacks
+the ensemble's trials.
+
 The eigenvalues are floats, so the eigenvalue bounds hold only up to
 roundoff: on C = kk' - I with k = (1,1,-1,-1), whose exact beta+ is 1, the
 float bound -1/lambda_min may land an ulp above 1.
@@ -38,10 +45,10 @@ from .coupling import ChargeVector, CouplingMatrix
 from .errors import InputError, SizeLimitError
 from .rational import Real, reciprocal
 
-# `bounds` (two O(n^3) solves) on random couplings takes 8.0 s at n = 384 and
-# 19.4 s at 512 on a 2-core x86-64 VM.  384 was the largest multiple of 128
-# within 30 s when 512 took 43.7 s, before the slice-run gather
-_MAX_N = 384
+# `bounds` (two O(n^3) solves) on random couplings takes 9.0 s at n = 384 and
+# 23-27 s at 512 on one CPU of a 2-core Intel Xeon VM: the largest multiple
+# of 128 within 30 s
+_MAX_N = 512
 _SWEEP_CAP = 100
 _OFFDIAG_RTOL = 1e-12
 
@@ -149,78 +156,22 @@ def _schedule(n: int) -> tuple:
     return tuple(rounds)
 
 
-def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
-    """Full spectrum of the coupling matrix by Brent-Luk round-robin Jacobi.
+def _lift(n: int, m: int) -> tuple:
+    """The rounds of ``_schedule(n)`` lifted to a stack of m buffers [A_k; V_k]
+    held in one (m, 2n, n) array: per round the flat offsets of a_pq, a_qp,
+    a_pp and a_qq in the stack (k*2n*n added), those of p and q in an (m, n)
+    coefficient array (k*n added), the stack's row gather as flat rows of an
+    (m*2n, n) view (k*2n added), and the gather runs.  The arrays of a stack
+    of m' < m members are the first m' rows of each."""
+    k = np.arange(m)[:, None]
+    block, coef, rows = k * (2 * n * n), k * n, k * (2 * n)
+    return tuple((block + pq, block + qp, block + p * (n + 1), block + q * (n + 1),
+                  coef + p, coef + q, rows + partner, runs)
+                 for p, q, partner, runs, pq, qp in _schedule(n))
 
-    Each sweep visits every off-diagonal pair once, in rounds of disjoint
-    pairs (Brent & Luk 1985).  Rotations in one round touch disjoint rows
-    and columns, so a round computes all its angles at once and applies
-    them as whole-array operations.  Sweeps continue until the off-diagonal
-    Frobenius norm falls below 1e-12 * ||C||_F (cap: 100 sweeps).
 
-    A and V live in one (2n, n) array w = [A; V].  Each round has a partner
-    index array (partner[p] = q, partner[q] = p; an idle index of odd n is
-    its own partner) and per-index coefficients cf (cs at p and q, else 1)
-    and sf (-sn at p, +sn at q, else 0).  The columns of A and V become
-    cf * w + sf * w[:, partner], then the rows of A likewise.  Per element
-    that is cs*x + (-sn)*y and cs*y + sn*x; in IEEE arithmetic these equal
-    cs*x - sn*y and sn*x + cs*y exactly, and an idle index gets x*1 + x*0 =
-    x, so the bits match a per-pair gather/scatter rotation of the same
-    schedule.
-
-    The round's indices come from the cached ``_schedule(n)``.  The column
-    gather w[:, partner] is made as the schedule's slice runs, copied into
-    one buffer allocated per call; the row gather is ``np.take`` into the
-    same buffer; a_pq and the diagonal are read through flat and diagonal
-    views of A.  Each copies the same values, so no bit changes.
-
-    The sweeps run on C / 2^e, where 2^e is the power of two that brings
-    max|C| into [1/2, 1), so that ||C||_F neither overflows (entries near
-    1e200) nor underflows (near 1e-200).  Every rotation and the stopping
-    rule are homogeneous in C, so short of underflow the scaling changes no
-    bit of the result.
-    """
-    if c.n > _MAX_N:
-        raise SizeLimitError(f"eigensolver limited to n <= {_MAX_N}")
-    exponent = math.frexp(float(np.max(np.abs(c.entries))))[1]
-    n = c.n
-    w = np.concatenate((np.ldexp(c.entries, -exponent), np.eye(n)))
-    a, v = w[:n], w[n:]  # views: A on top, V below
-    norm_c = float(np.linalg.norm(a))
-    target = _OFFDIAG_RTOL * norm_c
-    flat, diag = a.reshape(-1), a.diagonal()  # views: A is contiguous
-    tmp = np.empty_like(w)
-    sweeps = 0
-    while _offdiag_norm(a) > target and norm_c > 0.0:
-        if sweeps >= _SWEEP_CAP:
-            raise InputError(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
-        sweeps += 1
-        for p, q, partner, runs, pq, qp in _schedule(n):
-            apq = flat[pq]
-            live = apq != 0.0  # a zero pair gets the identity rotation
-            theta = (diag[q] - diag[p]) / (2.0 * np.where(live, apq, 1.0))
-            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-            t = np.where(live, t, 0.0)
-            cs = 1.0 / np.sqrt(t * t + 1.0)
-            sn = t * cs
-            # fresh arrays: this round's idle index (odd n) gets 1 and 0
-            cf, sf = np.ones(n), np.zeros(n)
-            cf[p] = cf[q] = cs
-            sf[p], sf[q] = -sn, sn
-            # columns of A and V at once, then rows of A (A stays symmetric)
-            for dst, src in runs:
-                np.copyto(tmp[:, dst], w[:, src])
-            tmp *= sf
-            w *= cf
-            w += tmp
-            # mode="clip" (partner is in range) lets take write to out unbuffered
-            rows = np.take(a, partner, axis=0, out=tmp[:n], mode="clip")
-            rows *= sf[:, None]
-            a *= cf[:, None]
-            a += rows
-            flat[pq] = 0.0
-            flat[qp] = 0.0
-
+def _spectrum(c: CouplingMatrix, a: np.ndarray, v: np.ndarray, exponent: int,
+              sweeps: int) -> Spectrum:
     eigenvalues = np.ldexp(np.diag(a), exponent)
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
@@ -229,10 +180,136 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
     return Spectrum(eigenvalues, vectors, residual, sweeps)
 
 
+def _jacobi(matrices: list) -> list:
+    """The ``Spectrum`` of each of ``matrices`` (all of one size n), by
+    Brent-Luk round-robin Jacobi run on all of them at once.
+
+    Each sweep visits every off-diagonal pair once, in rounds of disjoint
+    pairs (Brent & Luk 1985).  Rotations in one round touch disjoint rows
+    and columns, so a round computes all its angles at once and applies
+    them as whole-array operations.  A matrix is swept until its
+    off-diagonal Frobenius norm falls below 1e-12 * ||C||_F (cap: 100
+    sweeps).
+
+    Matrix k lives in w[k] = [A_k; V_k] of one (m, 2n, n) array w.  Each
+    round has a partner index array (partner[p] = q, partner[q] = p; an
+    idle index of odd n is its own partner) and per-matrix, per-index
+    coefficients cf (cs at p and q, else 1) and sf (-sn at p, +sn at q,
+    else 0).  The columns of every A_k and V_k become cf * w + sf * w[:, :,
+    partner], then the rows of every A_k likewise.  Per element that is
+    cs*x + (-sn)*y and cs*y + sn*x; in IEEE arithmetic these equal cs*x -
+    sn*y and sn*x + cs*y exactly, and an idle index gets x*1 + x*0 = x, so
+    the bits match a per-pair gather/scatter rotation of the same schedule.
+
+    The round's indices come from ``_schedule(n)`` lifted to the stack
+    (``_lift``).  The column gather is made as the schedule's slice runs,
+    copied into one buffer; the row gather is one ``np.take`` of flat rows;
+    a_pq and the diagonal are read through flat offsets.  Each copies the
+    same values, so no bit changes.  The index arrays and the copy views
+    are built once per buffer, not once per round.
+
+    Each matrix is swept as C / 2^e, where 2^e is the power of two that
+    brings max|C| into [1/2, 1), so that ||C||_F neither overflows (entries
+    near 1e200) nor underflows (near 1e-200).  Every rotation and the
+    stopping rule are homogeneous in C, so short of underflow the scaling
+    changes no bit of the result.
+
+    Before each sweep, each matrix whose own stopping test holds leaves
+    the stack, which is then compacted.  So every matrix gets the scaling,
+    rotations and sweep count of a stack of one, and its Spectrum is the
+    same to the bit whatever else was stacked with it: each elementwise
+    operation sees the same operands, and each norm is the same dot product
+    of the same n*n values.
+    """
+    n = matrices[0].n
+    if n > _MAX_N:
+        raise SizeLimitError(f"eigensolver limited to n <= {_MAX_N}")
+    w = np.empty((len(matrices), 2 * n, n))
+    np.stack([c.entries for c in matrices], out=w[:, :n])  # a ValueError unless one size
+    exponents = [math.frexp(x)[1] for x in np.max(np.abs(w[:, :n]), axis=(1, 2)).tolist()]
+    np.ldexp(w[:, :n], -np.array(exponents)[:, None, None], out=w[:, :n])
+    w[:, n:] = np.eye(n)
+    norm_c = [float(np.linalg.norm(x)) for x in w[:, :n]]
+    members = list(range(len(matrices)))  # the index of each matrix in the stack
+    spectra = [None] * len(matrices)
+    lifted = _lift(n, len(matrices))
+    plan, sweeps = None, 0
+    while True:
+        off = w[:, :n].copy()
+        diag = off.reshape(len(members), -1)[:, :: n + 1]
+        diag -= diag  # A - diag(A) per matrix, as a stack of one computes it
+        stay = []
+        for slot, i in enumerate(members):
+            if float(np.linalg.norm(off[slot])) > _OFFDIAG_RTOL * norm_c[i] and norm_c[i] > 0.0:
+                stay.append(slot)
+            else:
+                spectra[i] = _spectrum(matrices[i], w[slot, :n], w[slot, n:], exponents[i], sweeps)
+        if not stay:
+            return spectra
+        if len(stay) < len(members):
+            members = [members[slot] for slot in stay]
+            w, plan = w[stay], None  # a fresh contiguous stack: its views are rebuilt
+        if sweeps >= _SWEEP_CAP:
+            raise InputError(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
+        sweeps += 1
+        if plan is None:
+            k = len(members)
+            a, flat, w_rows = w[:, :n], w.reshape(-1), w.reshape(-1, n)
+            tmp = np.empty_like(w)
+            rows = tmp.reshape(-1)[: k * n * n].reshape(k, n, n)  # tmp is spent by then
+            cf, sf = np.empty((k, 1, n)), np.empty((k, 1, n))
+            cf_flat, sf_flat = cf.reshape(-1), sf.reshape(-1)
+            cf_rows, sf_rows = cf.reshape(k, n, 1), sf.reshape(k, n, 1)
+            plan = [(pq[:k], qp[:k], pp[:k], qq[:k], pc[:k], qc[:k], partners[:k],
+                     tuple((tmp[:, :, dst], w[:, :, src]) for dst, src in runs))
+                    for pq, qp, pp, qq, pc, qc, partners, runs in lifted]
+        for pq, qp, pp, qq, pc, qc, partners, copies in plan:
+            apq = flat[pq]
+            live = apq != 0.0  # a zero pair gets the identity rotation
+            theta = (flat[qq] - flat[pp]) / (2.0 * np.where(live, apq, 1.0))
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            t = np.where(live, t, 0.0)
+            cs = 1.0 / np.sqrt(t * t + 1.0)
+            sn = t * cs
+            cf.fill(1.0)  # an idle index (odd n) keeps 1 and 0
+            sf.fill(0.0)
+            cf_flat[pc] = cs
+            cf_flat[qc] = cs
+            sf_flat[pc] = -sn
+            sf_flat[qc] = sn
+            # columns of every A and V at once, then rows of every A (A stays symmetric)
+            for dst, src in copies:
+                np.copyto(dst, src)
+            tmp *= sf
+            w *= cf
+            w += tmp
+            # mode="clip" (every row is in range) lets take write to out unbuffered
+            np.take(w_rows, partners, axis=0, out=rows, mode="clip")
+            rows *= sf_rows
+            a *= cf_rows
+            a += rows
+            flat[pq] = 0.0
+            flat[qp] = 0.0
+
+
+def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
+    """Full spectrum of the coupling matrix by Brent-Luk round-robin Jacobi:
+    ``_jacobi`` on a stack of one (eigenvalues ascending, eigenvectors,
+    residual max|C V - V diag(lambda)| and sweep count)."""
+    return _jacobi([c])[0]
+
+
 def eig_bounds(c: CouplingMatrix) -> BoundReport:
     """T+ <= -lambda_min and -T- <= lambda_max, from one ``symmetric_eigs``."""
     spec = symmetric_eigs(c)
     return BoundReport(-spec.lambda_min, spec.lambda_max)
+
+
+def eig_bounds_many(cs: list) -> list:
+    """``eig_bounds`` of each matrix of ``cs`` (all of one size), from one
+    Jacobi stack: each report is the one ``eig_bounds`` gives, bit for bit.
+    The stack holds every matrix at once, so the caller sizes ``cs``."""
+    return [BoundReport(-spec.lambda_min, spec.lambda_max) for spec in _jacobi(cs)]
 
 
 def charge_bounds(k: ChargeVector) -> BoundReport:

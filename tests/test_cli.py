@@ -19,6 +19,7 @@ import loggas.cli as cli
 import loggas.coupling as coupling
 import loggas.graphs as graphs
 import loggas.solver as solver
+import loggas.spectral as spectral
 import loggas.sphere_mc as sphere_mc
 from loggas import (
     charge_bounds,
@@ -147,6 +148,29 @@ def test_golden_ensemble(tmp_path):
                 "--trials", 5, "--seed", 2, "--out", out])
     assert code == 0
     compare_bytes(out, GOLDEN / "ensemble_charges.json")
+
+
+def test_golden_ensemble_couplings(tmp_path):
+    # the CLI defaults: 50 trials of n = 8 diagonalised as one Jacobi stack
+    out = tmp_path / "ensemble.json"
+    code = run(["ensemble", "--model", "gaussian_couplings", "--n", 8,
+                "--trials", 50, "--seed", 0, "--out", out])
+    assert code == 0
+    compare_bytes(out, GOLDEN / "ensemble_couplings.json")
+
+
+@pytest.mark.parametrize("model", ["gaussian_couplings", "gaussian_charges"])
+def test_ensemble_chunks_give_the_unchunked_report(monkeypatch, model):
+    # 20 trials as stacks of 7, 7 and 6
+    whole = cli.run_ensemble(model, 9, 20, 3)
+    monkeypatch.setattr(cli, "_STACK_TRIALS", 7)
+    assert cli.run_ensemble(model, 9, 20, 3) == whole
+
+
+def test_ensemble_exits_2_when_a_stacked_trial_does_not_converge(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_SWEEP_CAP", 2)
+    assert run(["ensemble", "--model", "gaussian_couplings", "--n", 12, "--trials", 5]) == 2
+    assert "Jacobi did not converge in 2 sweeps" in capsys.readouterr().err
 
 
 def test_critical_says_when_both_endpoints_are_infinite(tmp_path, capsys):
@@ -1170,9 +1194,9 @@ _AT_27 = {
     pytest.param(["critical"], {"random": {"model": "charges", "n": 100000, "seed": 0}},
                  id="random-charges"),
     # bounds' cap is the eigensolver's
-    pytest.param(["bounds"], {"random": {"model": "couplings", "n": 385, "seed": 0}},
-                 id="bounds-random-couplings-385"),
-    pytest.param(["bounds"], {"charges": [1, -1] * 192 + [1]}, id="bounds-charges-385"),
+    pytest.param(["bounds"], {"random": {"model": "couplings", "n": 513, "seed": 0}},
+                 id="bounds-random-couplings-513"),
+    pytest.param(["bounds"], {"charges": [1, -1] * 256 + [1]}, id="bounds-charges-513"),
 ] + [pytest.param(argv, system, id=f"{argv[0]}-{name}")
      for argv in _SOLVING for name, system in _AT_27.items()])
 def test_exit_3_before_building_oversized_input(tmp_path, monkeypatch, argv, system):

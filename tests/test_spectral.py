@@ -11,6 +11,7 @@ from loggas import (
     charge_bounds,
     critical_interval,
     eig_bounds,
+    eig_bounds_many,
     from_charges,
     from_graph,
     from_matrix,
@@ -19,7 +20,7 @@ from loggas import (
 )
 import loggas.spectral as spectral
 from loggas.errors import InputError, SizeLimitError
-from loggas.spectral import BoundReport, _round_robin, _schedule
+from loggas.spectral import BoundReport, _jacobi, _round_robin, _schedule
 
 from conftest import random_exact_matrix, random_float_matrix
 
@@ -169,6 +170,60 @@ def test_partner_gather_matches_per_pair_rotations_bit_for_bit(n):
         assert spec.residual == residual and spec.sweeps == sweeps
 
 
+def _mixed_stack(n, rng):
+    """Same-size matrices that leave a Jacobi stack at different sweeps: the
+    four kinds, Gaussians at three scales, one with exact-zero couplings
+    (zero pairs take the identity rotation), one coupled pair (one sweep),
+    and the zero matrix, which leaves before the first sweep."""
+    stack = _four_kinds(n)
+    for scale in (1e-3, 1.0, 1e5):
+        g = np.triu(rng.standard_normal((n, n)) * scale, 1)
+        stack.append(CouplingMatrix(n, g + g.T))
+    sparse = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3), 1)
+    stack.append(CouplingMatrix(n, sparse + sparse.T))
+    pair = np.zeros((n, n))
+    pair[0, n - 1] = pair[n - 1, 0] = 0.75
+    stack.append(CouplingMatrix(n, pair))
+    stack.append(CouplingMatrix(n, np.zeros((n, n))))
+    order = rng.permutation(len(stack))
+    return [stack[i] for i in order]
+
+
+@pytest.mark.parametrize("n", range(2, 22))
+def test_stack_matches_one_at_a_time_bit_for_bit(n):
+    rng = np.random.default_rng(500 + n)
+    cs = _mixed_stack(n, rng)
+    stacked = _jacobi(cs)
+    assert len(stacked) == len(cs)
+    for c, got in zip(cs, stacked):
+        alone = symmetric_eigs(c)
+        assert np.array_equal(got.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(np.signbit(got.eigenvalues), np.signbit(alone.eigenvalues))
+        assert np.array_equal(got.eigenvectors, alone.eigenvectors)
+        assert np.array_equal(np.signbit(got.eigenvectors), np.signbit(alone.eigenvectors))
+        assert got.residual == alone.residual and got.sweeps == alone.sweeps
+        if not c.entries.any():
+            assert got.sweeps == 0
+    if n > 2:  # members left the stack at different sweeps
+        assert len({spec.sweeps for spec in stacked}) >= 3
+
+
+def test_eig_bounds_many_matches_eig_bounds():
+    rng = random.Random(11)
+    cs = [random_float_matrix(rng, 7) for _ in range(9)]
+    assert eig_bounds_many(cs) == [eig_bounds(c) for c in cs]
+
+
+def test_stack_member_at_the_sweep_cap_raises(monkeypatch):
+    # the zero and near-diagonal members leave early; the Gaussians do not
+    monkeypatch.setattr(spectral, "_SWEEP_CAP", 2)
+    cs = _mixed_stack(12, np.random.default_rng(3))
+    with pytest.raises(InputError, match="Jacobi did not converge in 2 sweeps"):
+        _jacobi(cs)
+    with pytest.raises(InputError, match="Jacobi did not converge in 2 sweeps"):
+        eig_bounds_many(cs)
+
+
 def test_block_diagonal_input_keeps_blocks_apart():
     # cross-block pairs are zero, so their rotations are skipped and every
     # eigenvector stays supported on one block
@@ -232,8 +287,8 @@ def test_sweep_cap_raises_no_convergence(monkeypatch):
 
 
 def test_size_cap():
-    with pytest.raises(SizeLimitError, match="eigensolver limited to n <= 384"):
-        symmetric_eigs(CouplingMatrix(385, np.zeros((385, 385))))
+    with pytest.raises(SizeLimitError, match="eigensolver limited to n <= 512"):
+        symmetric_eigs(CouplingMatrix(513, np.zeros((513, 513))))
 
 
 def test_eig_bounds_mixed_charges():
