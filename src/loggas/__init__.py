@@ -32,6 +32,7 @@ from .spectral import (
     BoundReport,
     Spectrum,
     charge_bounds,
+    charge_eigenvalues,
     eig_bounds,
     eig_bounds_many,
     symmetric_eigs,

@@ -22,6 +22,9 @@ in ``coupling``.
 mc-partition spreads its grid points over up to 4 of the process's CPUs;
 everything else runs on one thread.  ensemble diagonalises a chunk of trials
 as one Jacobi stack (``spectral.eig_bounds_many``), then solves each trial.
+bounds takes a charge input's eigenvalues from its secular equation
+(``spectral.charge_eigenvalues``) unless its charges are of too wide a
+range, and any other input's from the Jacobi.
 
 ``main`` alone frames a run.  It refuses an ``--out`` path that cannot be
 written (an existing directory, a missing parent directory) before the
@@ -82,7 +85,14 @@ from .errors import DomainError, InputError, LogGasError, SizeLimitError
 from .graphs import arboricity as run_arboricity
 from .rational import TIE_TOL, format_real, parse_number, tolerance
 from .solver import CriticalReport, critical_interval, solve_both
-from .spectral import charge_bounds, eig_bounds, eig_bounds_many, symmetric_eigs
+from .spectral import (
+    BoundReport,
+    charge_bounds,
+    charge_eigenvalues,
+    eig_bounds,
+    eig_bounds_many,
+    symmetric_eigs,
+)
 
 SCHEMA_VERSION = 1
 
@@ -231,13 +241,22 @@ def cmd_critical(args: argparse.Namespace) -> tuple:
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple:
+    """The eigenvalues and the beta bounds they give, and for a charge input
+    the charge bounds.  The float grid is built first, so a grid it refuses
+    is refused before any solve.  A charge input whose charges pass the
+    rule of ``charge_eigenvalues`` is solved by its secular equation; any
+    other input by ``symmetric_eigs``, and again through ``eig_bounds``."""
     system = load_system(args.input, spectral._MAX_N)
     c = system.matrix("float")
-    spectrum = symmetric_eigs(c)
-    eig = eig_bounds(c)
+    eigenvalues = None if system.charges is None else charge_eigenvalues(system.charges)
+    if eigenvalues is None:
+        eigenvalues = symmetric_eigs(c).eigenvalues
+        eig = eig_bounds(c)
+    else:
+        eig = BoundReport.from_eigenvalues(eigenvalues)
     doc = {
         "n": c.n,
-        "eigenvalues": [float(v) for v in spectrum.eigenvalues],
+        "eigenvalues": [float(v) for v in eigenvalues],
         "eig_beta_plus_lower": format_real(eig.beta_plus_lower),
         "eig_beta_minus_upper": format_real(eig.beta_minus_upper),
         "charge_beta_plus_lower": None,

@@ -25,11 +25,18 @@ The one kernel (``_jacobi``) steps a stack of same-size matrices, each
 calls for m matrices as for one; a matrix leaves the stack as soon as its
 own stopping test holds, so its spectrum is that of a stack of one, bit for
 bit.  ``symmetric_eigs`` is the stack of one; ``eig_bounds_many`` stacks
-the ensemble's trials.
+the ensemble's trials as A_k alone, since no caller of a bound reads V.
+
+A charge system's C = kk' - diag(k*k) has its eigenvalues from the secular
+equation instead (``charge_eigenvalues``): O(n^2) per halving of a
+vectorised bisection and no eigenvectors, accurate to about eps * max k^2.
+``bounds`` takes that path when max k^2 <= ||C||_F, within the Jacobi's
+own eps * ||C||_F.
 
 The eigenvalues are floats, so the eigenvalue bounds hold only up to
-roundoff: on C = kk' - I with k = (1,1,-1,-1), whose exact beta+ is 1, the
-float bound -1/lambda_min may land an ulp above 1.
+roundoff: on the matrix C = kk' - I with k = (1,1,-1,-1), whose exact beta+
+is 1, the Jacobi's float bound -1/lambda_min may land an ulp above 1 (the
+secular equation gives the exact -1, -1, -1, 3 for those charges).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -51,6 +59,7 @@ from .rational import Real, reciprocal
 _MAX_N = 512
 _SWEEP_CAP = 100
 _OFFDIAG_RTOL = 1e-12
+_HALVINGS = 64  # per secular root: its bracket ends 2^-64 as wide, under eps * max k^2 at n <= 512
 
 
 @dataclass(frozen=True)
@@ -66,14 +75,6 @@ class Spectrum:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -84,6 +85,11 @@ class BoundReport:
 
     t_plus_upper: Real
     neg_t_minus_upper: Real
+
+    @classmethod
+    def from_eigenvalues(cls, eigenvalues: np.ndarray) -> "BoundReport":
+        """T+ <= -lambda_min and -T- <= lambda_max, of eigenvalues ascending."""
+        return cls(-float(eigenvalues[0]), float(eigenvalues[-1]))
 
     @property
     def beta_plus_lower(self) -> Real:
@@ -156,15 +162,16 @@ def _schedule(n: int) -> tuple:
     return tuple(rounds)
 
 
-def _lift(n: int, m: int) -> tuple:
-    """The rounds of ``_schedule(n)`` lifted to a stack of m buffers [A_k; V_k]
-    held in one (m, 2n, n) array: per round the flat offsets of a_pq, a_qp,
-    a_pp and a_qq in the stack (k*2n*n added), those of p and q in an (m, n)
-    coefficient array (k*n added), the stack's row gather as flat rows of an
-    (m*2n, n) view (k*2n added), and the gather runs.  The arrays of a stack
-    of m' < m members are the first m' rows of each."""
+def _lift(n: int, m: int, height: int) -> tuple:
+    """The rounds of ``_schedule(n)`` lifted to a stack of m buffers of
+    ``height`` rows ([A_k; V_k], or A_k alone) held in one (m, height, n)
+    array: per round the flat offsets of a_pq, a_qp, a_pp and a_qq in the
+    stack (k*height*n added), those of p and q in an (m, n) coefficient
+    array (k*n added), the stack's row gather as flat rows of an
+    (m*height, n) view (k*height added), and the gather runs.  The arrays of
+    a stack of m' < m members are the first m' rows of each."""
     k = np.arange(m)[:, None]
-    block, coef, rows = k * (2 * n * n), k * n, k * (2 * n)
+    block, coef, rows = k * (height * n), k * n, k * height
     return tuple((block + pq, block + qp, block + p * (n + 1), block + q * (n + 1),
                   coef + p, coef + q, rows + partner, runs)
                  for p, q, partner, runs, pq, qp in _schedule(n))
@@ -180,9 +187,10 @@ def _spectrum(c: CouplingMatrix, a: np.ndarray, v: np.ndarray, exponent: int,
     return Spectrum(eigenvalues, vectors, residual, sweeps)
 
 
-def _jacobi(matrices: list) -> list:
+def _jacobi(matrices: list, vectors: bool = True) -> list:
     """The ``Spectrum`` of each of ``matrices`` (all of one size n), by
-    Brent-Luk round-robin Jacobi run on all of them at once.
+    Brent-Luk round-robin Jacobi run on all of them at once; with
+    ``vectors`` false, only its eigenvalues, ascending.
 
     Each sweep visits every off-diagonal pair once, in rounds of disjoint
     pairs (Brent & Luk 1985).  Rotations in one round touch disjoint rows
@@ -191,7 +199,9 @@ def _jacobi(matrices: list) -> list:
     off-diagonal Frobenius norm falls below 1e-12 * ||C||_F (cap: 100
     sweeps).
 
-    Matrix k lives in w[k] = [A_k; V_k] of one (m, 2n, n) array w.  Each
+    Matrix k lives in w[k] = [A_k; V_k] of one (m, 2n, n) array w, or
+    without ``vectors`` in w[k] = A_k of an (m, n, n) array.  The rounds
+    read only A, so dropping V changes no bit of the eigenvalues.  Each
     round has a partner index array (partner[p] = q, partner[q] = p; an
     idle index of odd n is its own partner) and per-matrix, per-index
     coefficients cf (cs at p and q, else 1) and sf (-sn at p, +sn at q,
@@ -224,15 +234,17 @@ def _jacobi(matrices: list) -> list:
     n = matrices[0].n
     if n > _MAX_N:
         raise SizeLimitError(f"eigensolver limited to n <= {_MAX_N}")
-    w = np.empty((len(matrices), 2 * n, n))
+    height = 2 * n if vectors else n
+    w = np.empty((len(matrices), height, n))
     np.stack([c.entries for c in matrices], out=w[:, :n])  # a ValueError unless one size
     exponents = [math.frexp(x)[1] for x in np.max(np.abs(w[:, :n]), axis=(1, 2)).tolist()]
     np.ldexp(w[:, :n], -np.array(exponents)[:, None, None], out=w[:, :n])
-    w[:, n:] = np.eye(n)
+    if vectors:
+        w[:, n:] = np.eye(n)
     norm_c = [float(np.linalg.norm(x)) for x in w[:, :n]]
     members = list(range(len(matrices)))  # the index of each matrix in the stack
     spectra = [None] * len(matrices)
-    lifted = _lift(n, len(matrices))
+    lifted = _lift(n, len(matrices), height)
     plan, sweeps = None, 0
     while True:
         off = w[:, :n].copy()
@@ -242,8 +254,10 @@ def _jacobi(matrices: list) -> list:
         for slot, i in enumerate(members):
             if float(np.linalg.norm(off[slot])) > _OFFDIAG_RTOL * norm_c[i] and norm_c[i] > 0.0:
                 stay.append(slot)
-            else:
+            elif vectors:
                 spectra[i] = _spectrum(matrices[i], w[slot, :n], w[slot, n:], exponents[i], sweeps)
+            else:  # the eigenvalues as _spectrum orders them
+                spectra[i] = np.sort(np.ldexp(np.diag(w[slot]), exponents[i]), kind="stable")
         if not stay:
             return spectra
         if len(stay) < len(members):
@@ -277,7 +291,7 @@ def _jacobi(matrices: list) -> list:
             cf_flat[qc] = cs
             sf_flat[pc] = -sn
             sf_flat[qc] = sn
-            # columns of every A and V at once, then rows of every A (A stays symmetric)
+            # columns of every A (and V) at once, then rows of every A (A stays symmetric)
             for dst, src in copies:
                 np.copyto(dst, src)
             tmp *= sf
@@ -301,15 +315,66 @@ def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
 
 def eig_bounds(c: CouplingMatrix) -> BoundReport:
     """T+ <= -lambda_min and -T- <= lambda_max, from one ``symmetric_eigs``."""
-    spec = symmetric_eigs(c)
-    return BoundReport(-spec.lambda_min, spec.lambda_max)
+    return BoundReport.from_eigenvalues(symmetric_eigs(c).eigenvalues)
 
 
 def eig_bounds_many(cs: list) -> list:
     """``eig_bounds`` of each matrix of ``cs`` (all of one size), from one
-    Jacobi stack: each report is the one ``eig_bounds`` gives, bit for bit.
-    The stack holds every matrix at once, so the caller sizes ``cs``."""
-    return [BoundReport(-spec.lambda_min, spec.lambda_max) for spec in _jacobi(cs)]
+    Jacobi stack without eigenvectors: each report is the one ``eig_bounds``
+    gives, bit for bit.  The stack holds every matrix at once, so the caller
+    sizes ``cs``."""
+    return [BoundReport.from_eigenvalues(e) for e in _jacobi(cs, vectors=False)]
+
+
+def charge_eigenvalues(k: ChargeVector) -> Optional[np.ndarray]:
+    """The eigenvalues of C = kk' - diag(k*k), ascending, from its secular
+    equation; None where max k_i^2 > ||C||_F, which ``symmetric_eigs``
+    solves more accurately.
+
+    C is -diag(k*k) plus a rank-one term, so its eigenvalues are the roots of
+    sum_i k_i^2 / (k_i^2 + lambda) = 1: one in each gap between consecutive
+    distinct poles -k_i^2, and one in (d, d + sum k_i^2) above the largest
+    pole d (Golub 1973; Bunch, Nielsen & Sorensen 1978).  A group of g equal
+    poles gives g - 1 eigenvalues equal to the pole (deflation inside its
+    span) and enters the sum once, weighted by its sum of k^2; a square that
+    underflows to 0 is an eigenvalue 0.  The charges are scaled by 2^-e, e
+    the binary exponent of max |k_i|, and the eigenvalues scaled back by an
+    exact 2^2e.  All roots are bisected at once, each measured from its left
+    pole, for a fixed ``_HALVINGS`` halvings; each root is the right end of
+    its bracket, where the secular function is >= 0.
+
+    The roots are accurate to about eps * max k_i^2 and the Jacobi to about
+    eps * ||C||_F, hence the rule; its two sides are compared scaled, so that
+    neither overflows.  A charge beyond the float range fails it too (its
+    square alone exceeds every coupling sum that fits)."""
+    try:
+        kf = k.as_floats()
+    except InputError:
+        return None
+    e = math.frexp(float(np.max(np.abs(kf))))[1]
+    scaled = np.ldexp(kf, -e)
+    off = np.outer(scaled, scaled)
+    np.fill_diagonal(off, 0.0)
+    squares = scaled * scaled
+    if squares.max() > np.linalg.norm(off):
+        return None
+    poles, counts = np.unique(-squares[squares > 0], return_counts=True)
+    weights = -poles * counts
+    gaps = poles - poles[:, None]  # gaps[i, j] = d_j - d_i
+    lo = np.zeros(len(poles))
+    hi = np.append(np.diff(poles), weights.sum())
+    terms = np.empty_like(gaps)
+    with np.errstate(divide="ignore"):  # a midpoint on the right pole gives +inf
+        for _ in range(_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            np.subtract(gaps, mid[:, None], out=terms)
+            np.divide(weights, terms, out=terms)
+            below = 1.0 + terms.sum(axis=1) < 0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    eigenvalues = np.concatenate((np.repeat(poles, counts - 1), poles + hi,
+                                  np.zeros(len(kf) - counts.sum())))
+    return np.ldexp(np.sort(eigenvalues), 2 * e)
 
 
 def charge_bounds(k: ChargeVector) -> BoundReport:

@@ -75,9 +75,24 @@ def test_golden_bounds(tmp_path):
 
 def test_bounds_report_matches_exact_spectrum(tmp_path):
     # C = kk' - I for k = (1,1,-1,-1) has the exact spectrum {-1,-1,-1,3}, so
-    # beta+ >= 1 and beta- <= -1/3; the float report may miss them by roundoff
+    # beta+ >= 1 and beta- <= -1/3; the secular equation finds it exactly
     out = tmp_path / "report.json"
     assert run(["bounds", "--input", INPUTS / "mixed_charges.json", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["eigenvalues"] == [-1.0, -1.0, -1.0, 3.0]
+    assert doc["eig_beta_plus_lower"] == 1.0
+    assert doc["eig_beta_minus_upper"] == -1 / 3
+
+
+def test_bounds_report_of_the_same_matrix_is_within_roundoff(tmp_path):
+    # the same C given as a matrix takes the Jacobi, whose float bound may
+    # miss the exact one by roundoff (an ulp above beta+ = 1)
+    source = tmp_path / "matrix.json"
+    k = [1, 1, -1, -1]
+    source.write_text(json.dumps({"matrix": [[0 if i == j else a * b for j, b in enumerate(k)]
+                                             for i, a in enumerate(k)]}))
+    out = tmp_path / "report.json"
+    assert run(["bounds", "--input", source, "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["eigenvalues"]) == 4
     assert all(abs(x - y) <= 1e-14 for x, y in zip(doc["eigenvalues"], [-1, -1, -1, 3]))

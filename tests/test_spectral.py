@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 from loggas import (
     ChargeVector,
     CouplingMatrix,
+    TwoComponentSpec,
     charge_bounds,
+    charge_eigenvalues,
     critical_interval,
     eig_bounds,
     eig_bounds_many,
@@ -18,6 +21,7 @@ from loggas import (
     GraphSpec,
     symmetric_eigs,
 )
+import loggas.cli as cli
 import loggas.spectral as spectral
 from loggas.errors import InputError, SizeLimitError
 from loggas.spectral import BoundReport, _jacobi, _round_robin, _schedule
@@ -296,6 +300,122 @@ def test_eig_bounds_mixed_charges():
     report = eig_bounds(c)
     assert abs(report.beta_plus_lower - 1.0) < 1e-10  # tight: true beta+ = 1
     assert abs(report.beta_minus_upper - (-1.0 / 3.0)) < 1e-10
+
+
+def _gaussian(n, seed):
+    return np.random.default_rng(seed).standard_normal(n)
+
+
+def _pm123(n):
+    return np.random.default_rng(n).choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], n)
+
+
+def _log_uniform(n):
+    rng = np.random.default_rng(n)
+    return np.exp(rng.uniform(-5, 5, n)) * rng.choice([-1.0, 1.0], n)
+
+
+def _near_equal(n):
+    rng = np.random.default_rng(n)
+    return (1 + rng.uniform(-1e-12, 1e-12, n)) * rng.choice([-1.0, 1.0], n)
+
+
+def _plasma(n1, n2, z1, z2):
+    return TwoComponentSpec(n1, n2, z1, z2).charges()
+
+
+def _charge_vector(values) -> ChargeVector:
+    return values if isinstance(values, ChargeVector) else ChargeVector(tuple(values.tolist()))
+
+
+# every one has max k_i^2 <= ||C||_F, so the secular path takes it; the
+# plasmas with z1 = z2 hold one group of equal poles, the others two
+_CHARGE_INPUTS = (
+    [pytest.param(_gaussian, (n, seed), id=f"gaussian-{n}")
+     for n, seed in ((2, 0), (3, 2), (4, 1), (5, 0), (8, 0), (13, 0), (21, 0), (34, 0),
+                     (55, 0), (64, 0), (80, 0))]
+    + [pytest.param(_plasma, (n1, n2, z1, z2), id=f"plasma-{n1}+{n2}-z{z1}-z{z2}")
+       for n1, n2, z1, z2 in ((1, 1, 1, 1), (8, 8, 1, 1), (3, 5, 2, 1), (5, 3, 2, Fraction(1, 3)),
+                              (30, 50, 1, 3))]
+    + [pytest.param(_pm123, (n,), id=f"pm123-{n}") for n in (7, 40)]
+    + [pytest.param(_log_uniform, (n,), id=f"log-uniform-{n}") for n in (10, 40, 80)]
+    + [pytest.param(_near_equal, (n,), id=f"near-equal-{n}") for n in (6, 50)]
+)
+
+
+@pytest.mark.parametrize("make, args", _CHARGE_INPUTS)
+def test_charge_spectrum_matches_eigvalsh_and_the_jacobi(make, args):
+    k = _charge_vector(make(*args))
+    c = from_charges(k)
+    norm = float(np.linalg.norm(c.entries))
+    got = charge_eigenvalues(k)
+    assert got is not None and len(got) == k.n
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(c.entries))) <= 1e-12 * norm
+    assert np.max(np.abs(got - symmetric_eigs(c).eigenvalues)) <= 1e-12 * norm
+    assert abs(math.fsum(got.tolist())) <= k.n * np.finfo(float).eps * norm  # trace 0
+
+
+def _spy_on_symmetric_eigs(monkeypatch) -> list:
+    """Count the calls that ``bounds`` makes to ``symmetric_eigs``, directly
+    and through ``eig_bounds``."""
+    calls = []
+
+    def spy(c):
+        calls.append(c.n)
+        return symmetric_eigs(c)
+
+    monkeypatch.setattr(cli, "symmetric_eigs", spy)
+    monkeypatch.setattr(spectral, "symmetric_eigs", spy)
+    return calls
+
+
+def _bounds_report(tmp_path, source: dict) -> dict:
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(source))
+    assert cli.main(["bounds", "--input", str(path), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _one_charge_of_30():
+    k = np.random.default_rng(63).standard_normal(64)
+    k[0] = 30.0  # 900 against ||C||_F of about 350
+    return k
+
+
+@pytest.mark.parametrize("charges", [np.array([1e150, 1.0, -2.0, 3.0]), _one_charge_of_30()],
+                         ids=["1e150", "30-among-63"])
+def test_wide_charges_take_the_jacobi(tmp_path, monkeypatch, charges):
+    c = from_charges(_charge_vector(charges))
+    assert np.max(charges ** 2) > np.linalg.norm(c.entries)  # the rule refuses them
+    assert charge_eigenvalues(_charge_vector(charges)) is None
+    calls = _spy_on_symmetric_eigs(monkeypatch)
+    doc = _bounds_report(tmp_path, {"charges": charges.tolist()})
+    assert calls == [len(charges)] * 2
+    reference = np.linalg.eigvalsh(c.entries)
+    assert np.max(np.abs(np.array(doc["eigenvalues"]) - reference)) <= (
+        1e-12 * np.linalg.norm(c.entries))
+
+
+def test_a_charge_beyond_the_float_range_takes_the_jacobi(tmp_path, monkeypatch):
+    # the one coupling 1e400 * 1e-300 = 1e100 is a float; the charge 1e400 is not
+    calls = _spy_on_symmetric_eigs(monkeypatch)
+    doc = _bounds_report(tmp_path, {"charges": ["1e400", "1e-300"]})
+    assert calls == [2, 2]
+    assert np.allclose(doc["eigenvalues"], [-1e100, 1e100], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("source", [
+    {"charges": np.random.default_rng(64).standard_normal(64).tolist()},
+    {"charges": [1, 1, -1, -1]},
+    {"two_component": {"n1": 5, "n2": 3, "z1": 2, "z2": 1}},
+    {"random": {"model": "charges", "n": 40, "seed": 0}},
+], ids=["charges-64", "charges-exact", "two-component", "random-charges"])
+def test_admitted_charges_skip_the_jacobi(tmp_path, monkeypatch, source):
+    calls = _spy_on_symmetric_eigs(monkeypatch)
+    doc = _bounds_report(tmp_path, source)
+    assert calls == []
+    assert doc["charge_beta_plus_lower"] is not None
 
 
 def test_eig_bounds_vacuous_for_zero_matrix():
