@@ -245,7 +245,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple:
     the charge bounds.  The float grid is built first, so a grid it refuses
     is refused before any solve.  A charge input whose charges pass the
     rule of ``charge_eigenvalues`` is solved by its secular equation; any
-    other input by ``symmetric_eigs``, and again through ``eig_bounds``."""
+    other input by ``symmetric_eigs``, and again through ``eig_bounds``.
+    Both read only the eigenvalues, so neither solve forms eigenvectors."""
     system = load_system(args.input, spectral._MAX_N)
     c = system.matrix("float")
     eigenvalues = None if system.charges is None else charge_eigenvalues(system.charges)

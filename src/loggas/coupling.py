@@ -245,6 +245,24 @@ def from_charges(k: ChargeVector) -> CouplingMatrix:
     return _float_matrix(floats, nonzero=True)
 
 
+def _exact_charge_floats(k: ChargeVector) -> CouplingMatrix:
+    """``from_charges(k)`` of exact charges read in float mode, without its
+    Fraction grid: with k_i = p_i / q_i, each coupling is the integer
+    quotient (p_i p_j) / (q_i q_j), which Python rounds correctly, as
+    float(Fraction) does, so every float is the same to the bit.  A quotient
+    beyond the float range takes the Fraction grid, whose ``_floats`` scan
+    names the first infinite coupling, so every refusal is the same too."""
+    p = np.array([v.numerator for v in k.values], dtype=object)
+    q = np.array([v.denominator for v in k.values], dtype=object)
+    products = np.outer(p, p)
+    np.fill_diagonal(products, 0)
+    try:
+        floats = (products / np.outer(q, q)).astype(float)
+    except OverflowError:
+        floats = from_charges(k).entries
+    return _float_matrix(floats, nonzero=True)
+
+
 def from_two_component(spec: TwoComponentSpec) -> CouplingMatrix:
     """Block couplings: z1^2 within species 1, z2^2 within species 2,
     -z1*z2 across.  Identical to from_charges on (z1,..,-z2,..)."""
@@ -315,8 +333,11 @@ class SystemInput:
         rational grid as it is; exact refuses a float one.  Float and auto
         read a float grid as it is: ``_float_matrix`` passed it when it was
         built, or it was sampled, with draws far inside the float range.
-        Float reads a rational grid's floats through ``_float_matrix``."""
+        Float reads a rational grid's floats through ``_float_matrix``; exact
+        charges' floats are built without the rational grid."""
         c = self.coupling
+        if c is None and mode == "float" and self.charges is not None and self.charges.is_exact:
+            return _exact_charge_floats(self.charges)
         if c is None:
             c = from_graph(self.graph) if self.graph else from_charges(self.charges)
         if mode == "exact" and not c.is_exact:

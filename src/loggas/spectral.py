@@ -10,22 +10,25 @@ bound u on T+, beta- <= -1/v for the bound v on -T-), and the ensemble
 checks its trials against it.
 
 The spectrum comes from a self-contained Brent-Luk round-robin Jacobi
-solver (eigenvectors are kept for residual checks); no external eigensolver
-is involved on this path.  A and the eigenvector matrix V are stacked in one
-array [A; V], and each round applies all its rotations as whole-matrix
-broadcasts over a partner gather (index p swapped with its pair q).  That
-computes cs*x + (-sn)*y where a per-pair rotation computes cs*x - sn*y, the
-same IEEE double, so the layout changes no bit of the result.  The circle
-method makes each round's partner map a few reversed contiguous runs, so
-the column gather is a handful of slice copies, read from a schedule built
-once per n (``_schedule``).
+solver; no external eigensolver is involved on this path.  Each round
+applies all its rotations as whole-matrix broadcasts over a partner gather
+(index p swapped with its pair q).  That computes cs*x + (-sn)*y where a
+per-pair rotation computes cs*x - sn*y, the same IEEE double, so the layout
+changes no bit of the result.  The circle method makes each round's partner
+map a few reversed contiguous runs, so the column gather is a handful of
+slice copies, read from a schedule built once per n (``_schedule``).
 
-The one kernel (``_jacobi``) steps a stack of same-size matrices, each
-[A_k; V_k] in one (m, 2n, n) array, so a round costs the same few numpy
-calls for m matrices as for one; a matrix leaves the stack as soon as its
-own stopping test holds, so its spectrum is that of a stack of one, bit for
-bit.  ``symmetric_eigs`` is the stack of one; ``eig_bounds_many`` stacks
-the ensemble's trials as A_k alone, since no caller of a bound reads V.
+The one kernel (``_jacobi``) steps a stack of same-size matrices in one
+array, so a round costs the same few numpy calls for m matrices as for one;
+a matrix leaves the stack as soon as its own stopping test holds, so its
+spectrum is that of a stack of one, bit for bit.  Each member is A_k alone,
+or [A_k; V_k] with its eigenvector matrix V_k carried through the same
+rotations.  The rounds and the stopping test read only A, so both give the
+same eigenvalues and sweeps to the bit, and A alone does half the column
+work.  ``symmetric_eigs`` is a stack of one A; its ``Spectrum`` solves the
+[A; V] stack of one for the eigenvectors and residual when they are first
+read, which no command does.  ``eig_bounds_many`` stacks the ensemble's
+trials as A_k alone.
 
 A charge system's C = kk' - diag(k*k) has its eigenvalues from the secular
 equation instead (``charge_eigenvalues``): O(n^2) per halving of a
@@ -45,7 +48,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,27 +56,54 @@ from .coupling import ChargeVector, CouplingMatrix
 from .errors import InputError, SizeLimitError
 from .rational import Real, reciprocal
 
-# `bounds` (two O(n^3) solves) on random couplings takes 9.0 s at n = 384 and
-# 23-27 s at 512 on one CPU of a 2-core Intel Xeon VM: the largest multiple
-# of 128 within 30 s
+# `bounds` (two O(n^3) solves of A alone) on random couplings takes 5.8-6.8 s
+# at n = 384 and 19.8-20.4 s at 512 on one CPU of a 2-core Intel Xeon VM: the
+# largest multiple of 128 within 30 s
 _MAX_N = 512
 _SWEEP_CAP = 100
 _OFFDIAG_RTOL = 1e-12
 _HALVINGS = 64  # per secular root: its bracket ends 2^-64 as wide, under eps * max k^2 at n <= 512
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted ascending, with eigenvectors kept for residuals."""
+class _Solved(NamedTuple):
+    """One matrix's result from ``_jacobi``: eigenvalues ascending and the
+    sweep count, and from the [A; V] stack its eigenvectors and residual."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-    residual: float
+    sweeps: int
+    eigenvectors: Optional[np.ndarray] = None
+    residual: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """The eigenvalues of ``c`` sorted ascending and the sweep count, from
+    the Jacobi on A alone.  The eigenvectors (column i pairs with
+    eigenvalues[i]) and the residual max|C V - V diag(lambda)| are formed
+    on first read by the [A; V] Jacobi on the same ``c``, and kept.  Its
+    rounds and stopping test read only A, so they are those of this
+    spectrum: the same eigenvalues and sweeps, bit for bit."""
+
+    c: CouplingMatrix
+    eigenvalues: np.ndarray
     sweeps: int
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+
+    @functools.cached_property
+    def _full(self) -> _Solved:
+        solved = _jacobi([self.c])[0]
+        solved.eigenvectors.setflags(write=False)
+        return solved
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._full.eigenvectors
+
+    @property
+    def residual(self) -> float:
+        return self._full.residual
 
 
 @dataclass(frozen=True)
@@ -178,19 +208,20 @@ def _lift(n: int, m: int, height: int) -> tuple:
 
 
 def _spectrum(c: CouplingMatrix, a: np.ndarray, v: np.ndarray, exponent: int,
-              sweeps: int) -> Spectrum:
+              sweeps: int) -> _Solved:
     eigenvalues = np.ldexp(np.diag(a), exponent)
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = v[:, order]
     residual = float(np.max(np.abs(c.entries @ vectors - vectors * eigenvalues)))
-    return Spectrum(eigenvalues, vectors, residual, sweeps)
+    return _Solved(eigenvalues, sweeps, vectors, residual)
 
 
 def _jacobi(matrices: list, vectors: bool = True) -> list:
-    """The ``Spectrum`` of each of ``matrices`` (all of one size n), by
+    """The eigenvalues (ascending), sweep count, eigenvectors and residual
+    of each of ``matrices`` (all of one size n) as a ``_Solved``, by
     Brent-Luk round-robin Jacobi run on all of them at once; with
-    ``vectors`` false, only its eigenvalues, ascending.
+    ``vectors`` false, only its eigenvalues and sweep count.
 
     Each sweep visits every off-diagonal pair once, in rounds of disjoint
     pairs (Brent & Luk 1985).  Rotations in one round touch disjoint rows
@@ -226,7 +257,7 @@ def _jacobi(matrices: list, vectors: bool = True) -> list:
 
     Before each sweep, each matrix whose own stopping test holds leaves
     the stack, which is then compacted.  So every matrix gets the scaling,
-    rotations and sweep count of a stack of one, and its Spectrum is the
+    rotations and sweep count of a stack of one, and its result is the
     same to the bit whatever else was stacked with it: each elementwise
     operation sees the same operands, and each norm is the same dot product
     of the same n*n values.
@@ -257,7 +288,8 @@ def _jacobi(matrices: list, vectors: bool = True) -> list:
             elif vectors:
                 spectra[i] = _spectrum(matrices[i], w[slot, :n], w[slot, n:], exponents[i], sweeps)
             else:  # the eigenvalues as _spectrum orders them
-                spectra[i] = np.sort(np.ldexp(np.diag(w[slot]), exponents[i]), kind="stable")
+                eigenvalues = np.sort(np.ldexp(np.diag(w[slot]), exponents[i]), kind="stable")
+                spectra[i] = _Solved(eigenvalues, sweeps)
         if not stay:
             return spectra
         if len(stay) < len(members):
@@ -307,10 +339,12 @@ def _jacobi(matrices: list, vectors: bool = True) -> list:
 
 
 def symmetric_eigs(c: CouplingMatrix) -> Spectrum:
-    """Full spectrum of the coupling matrix by Brent-Luk round-robin Jacobi:
-    ``_jacobi`` on a stack of one (eigenvalues ascending, eigenvectors,
-    residual max|C V - V diag(lambda)| and sweep count)."""
-    return _jacobi([c])[0]
+    """The eigenvalues of the coupling matrix, ascending, and the sweep
+    count, by Brent-Luk round-robin Jacobi: ``_jacobi`` on a stack of one,
+    A alone.  The eigenvectors and residual are solved for when first read
+    (``Spectrum``)."""
+    eigenvalues, sweeps, _, _ = _jacobi([c], vectors=False)[0]
+    return Spectrum(c, eigenvalues, sweeps)
 
 
 def eig_bounds(c: CouplingMatrix) -> BoundReport:
@@ -323,7 +357,7 @@ def eig_bounds_many(cs: list) -> list:
     Jacobi stack without eigenvectors: each report is the one ``eig_bounds``
     gives, bit for bit.  The stack holds every matrix at once, so the caller
     sizes ``cs``."""
-    return [BoundReport.from_eigenvalues(e) for e in _jacobi(cs, vectors=False)]
+    return [BoundReport.from_eigenvalues(s.eigenvalues) for s in _jacobi(cs, vectors=False)]
 
 
 def charge_eigenvalues(k: ChargeVector) -> Optional[np.ndarray]:

@@ -286,6 +286,39 @@ def test_from_charges_floats_are_correctly_rounded(values):
     assert c.exact_entries == (_reference_exact(upper) if k.is_exact else None)
 
 
+@pytest.mark.parametrize("values", [
+    (3, -1, -2, 7, -5),
+    (Fraction(1, 3), Fraction(-2, 7), 5, Fraction(-11, 13)) * 25,
+    (Fraction("1e-200"), Fraction("-1e-200"), 1, Fraction(-3, 7)),  # +-1e-400 is +-0.0
+    (Fraction("1e150"), Fraction("1e-150"), -2, Fraction("1e-300"), Fraction(7, 3),
+     Fraction(-1, 10**155)),
+], ids=["integer", "rational", "underflow", "mixed-magnitude"])
+def test_exact_charges_float_view_is_correctly_rounded(values):
+    # each coupling rounded once from its exact product, signed zeros included
+    view = parse_system({"charges": [str(Fraction(v)) for v in values]}).matrix("float")
+    upper = [[Fraction(a) * Fraction(b) for b in values] for a in values]
+    _assert_same_bits(view.entries, _reference_floats(upper))
+    assert not view.is_exact and not view.entries.flags.writeable
+
+
+@pytest.mark.parametrize("charges,message", [
+    (["1e200", "-1e200"], "coupling (0,1) is beyond the float range"),
+    (["1", "1e200", "2", "-1e200"], "coupling (1,3) is beyond the float range"),
+    (["1e400", "1e-300", "3"], "coupling (0,2) is beyond the float range"),
+    (["1e-200", "1e-200", "-1e-200"], "the couplings underflow the float range"),
+    (["1.1e154"] * 3 + ["-1e154"] * 3,
+     "the sum of |c_ij| over pairs i < j is beyond the float range"),
+], ids=["1e200", "first-infinite-in-row-1", "1e400", "underflow", "pair-sum"])
+def test_exact_charges_float_view_refuses_as_the_rational_grid_does(charges, message):
+    parsed = parse_system({"charges": charges})
+    with pytest.raises(InputError) as refusal:
+        parsed.matrix("float")
+    assert str(refusal.value).startswith(message)
+    with pytest.raises(InputError) as through_grid:  # the float view of the rational grid
+        parse_system({"matrix": from_charges(parsed.charges).exact_entries}).matrix("float")
+    assert str(through_grid.value) == str(refusal.value)
+
+
 def test_from_graph_floats_are_correctly_rounded():
     g = GraphSpec(5, ((0, 1), (1, 2), (0, 4), (3, 4)))
     upper = [[1 if (i, j) in g.edges else 0 for j in range(5)] for i in range(5)]

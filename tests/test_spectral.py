@@ -212,6 +212,48 @@ def test_stack_matches_one_at_a_time_bit_for_bit(n):
         assert len({spec.sweeps for spec in stacked}) >= 3
 
 
+def _spy_on_jacobi(monkeypatch) -> list:
+    """Record, per ``_jacobi`` call, whether it carries eigenvectors."""
+    calls = []
+
+    def spy(matrices, vectors=True):
+        calls.append(vectors)
+        return _jacobi(matrices, vectors)
+
+    monkeypatch.setattr(spectral, "_jacobi", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16, 33])
+def test_spectrum_forms_the_vector_kernels_results_on_first_read(n, monkeypatch):
+    kernels = _spy_on_jacobi(monkeypatch)
+    for c in _four_kinds(n):
+        full = _jacobi([c])[0]  # the [A; V] kernel, not the spy
+        kernels.clear()
+        spec = symmetric_eigs(c)
+        assert kernels == [False]
+        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(np.signbit(spec.eigenvalues), np.signbit(full.eigenvalues))
+        assert spec.sweeps == full.sweeps
+        assert np.array_equal(spec.eigenvectors, full.eigenvectors)
+        assert np.array_equal(np.signbit(spec.eigenvectors), np.signbit(full.eigenvectors))
+        assert spec.residual == full.residual
+        assert kernels == [False, True]
+        assert spec.eigenvectors is spec.eigenvectors and spec.residual == full.residual
+        assert kernels == [False, True]  # a second read solves nothing
+        assert not spec.eigenvectors.flags.writeable
+
+
+def test_bounds_on_a_matrix_never_forms_eigenvectors(tmp_path, monkeypatch):
+    m = np.triu(np.random.default_rng(7).standard_normal((12, 12)), 1)
+    calls = _spy_on_symmetric_eigs(monkeypatch)
+    kernels = _spy_on_jacobi(monkeypatch)
+    doc = _bounds_report(tmp_path, {"matrix": (m + m.T).tolist()})
+    assert calls == [12, 12] and kernels == [False, False]
+    assert np.max(np.abs(np.array(doc["eigenvalues"]) - np.linalg.eigvalsh(m + m.T))) <= (
+        1e-12 * np.linalg.norm(m + m.T))
+
+
 def test_eig_bounds_many_matches_eig_bounds():
     rng = random.Random(11)
     cs = [random_float_matrix(rng, 7) for _ in range(9)]
