@@ -20,11 +20,12 @@ of its mode from ``SystemInput.matrix``, the one builder of a model's grid,
 or the model alone (closed-form, arboricity); the float-range policy lives
 in ``coupling``.
 mc-partition spreads its grid points over up to 4 of the process's CPUs;
-everything else runs on one thread.  ensemble diagonalises a chunk of trials
-as one Jacobi stack (``spectral.eig_bounds_many``), then solves each trial.
-bounds takes a charge input's eigenvalues from its secular equation
+everything else runs on one thread.  ensemble takes the eigenvalues of a
+chunk of trials from one stack of spectral's tridiagonal kernel
+(``spectral.eig_bounds_many``), then solves each trial.  bounds takes a
+charge input's eigenvalues from its secular equation
 (``spectral.charge_eigenvalues``) unless its charges are of too wide a
-range, and any other input's from the Jacobi.
+range, and any other input's from the same kernel (``symmetric_eigs``).
 
 ``main`` alone frames a run.  It refuses an ``--out`` path that cannot be
 written (an existing directory, a missing parent directory) before the
@@ -245,8 +246,9 @@ def cmd_bounds(args: argparse.Namespace) -> tuple:
     the charge bounds.  The float grid is built first, so a grid it refuses
     is refused before any solve.  A charge input whose charges pass the
     rule of ``charge_eigenvalues`` is solved by its secular equation; any
-    other input by ``symmetric_eigs``, and again through ``eig_bounds``.
-    Both read only the eigenvalues, so neither solve forms eigenvectors."""
+    other input by ``symmetric_eigs``, and again through ``eig_bounds``:
+    two runs of the tridiagonal kernel.  Both read only the eigenvalues, so
+    neither runs the Jacobi that forms eigenvectors."""
     system = load_system(args.input, spectral._MAX_N)
     c = system.matrix("float")
     eigenvalues = None if system.charges is None else charge_eigenvalues(system.charges)
@@ -443,8 +445,9 @@ def cmd_mc_gibbs(args: argparse.Namespace) -> tuple:
 
 _BOUND_SLACK = 1e-9
 _ENSEMBLE_MAX_N = 20
-# trials per Jacobi stack: at n <= 20 a stack of [A; V] holds at most 2^17 floats
-_STACK_TRIALS = (1 << 17) // (2 * _ENSEMBLE_MAX_N ** 2)
+# trials per eigenvalue stack: at n <= 20 each of the kernel's (trials, n, n)
+# arrays holds at most 2^16 floats
+_STACK_TRIALS = (1 << 16) // _ENSEMBLE_MAX_N ** 2
 
 
 def run_ensemble(model: str, n: int, trials: int, seed: int,
@@ -454,9 +457,10 @@ def run_ensemble(model: str, n: int, trials: int, seed: int,
     Each trial records the upper bounds on T+ and -T- that ``bounds`` reads:
     ``eig_bounds`` of the couplings (gaussian_couplings) or ``charge_bounds``
     of the charges (gaussian_charges).  The trials are sampled in chunks of
-    ``_STACK_TRIALS``, and a chunk's couplings are diagonalised as one stack
-    (``eig_bounds_many``, the same bounds bit for bit); then each trial of
-    the chunk is solved and checked in order.  The first bound
+    ``_STACK_TRIALS``, and a chunk's couplings take their eigenvalues from
+    one stack of the tridiagonal kernel (``eig_bounds_many``, the same
+    bounds bit for bit); then each trial of the chunk is solved and checked
+    in order.  The first bound
     violated beyond ``tolerance(_BOUND_SLACK, bound, max |c|)`` raises
     RuntimeError, so a report has 0 in ``bound_violations`` and in each
     row's ``violations``.  Returns the report fields in report order: model,

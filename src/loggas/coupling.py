@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, SizeLimitError
-from .rational import Real, all_exact, parse_number, tolerance
+from .rational import Real, all_exact, parse_number
 
 SYMMETRY_RTOL = 1e-12
 MAX_PARTICLES = 2048  # closed-form's cap, the largest n any command accepts
@@ -162,21 +162,31 @@ def from_matrix(raw, cap: int = MAX_PARTICLES) -> CouplingMatrix:
         raise InputError("matrix is not square")
 
     parsed = [[parse_number(v) for v in r] for r in rows]
-    exact_mode = all(all_exact(r) for r in parsed)
-    # mixed or float input is checked on its one float cast
-    floats = None if exact_mode else _floats(parsed, "coupling ({},{})")
-    grid, rtol, scale = ((parsed, 0, 0.0) if exact_mode else
-                         (floats.tolist(), SYMMETRY_RTOL, float(np.abs(floats).max())))
-    for i in range(n):
-        if parsed[i][i] != 0:
-            raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
-        for j in range(i + 1, n):
-            a, b = grid[i][j], grid[j][i]
-            if abs(a - b) > tolerance(rtol, a, scale):
-                raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
+    if all(all_exact(r) for r in parsed):
+        for i in range(n):
+            if parsed[i][i] != 0:
+                raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
+            for j in range(i + 1, n):
+                a, b = parsed[i][j], parsed[j][i]
+                if a != b:
+                    raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
+        return _exact_matrix(tuple(tuple(r) for r in parsed))  # symmetric, zero diagonal
 
-    if exact_mode:  # exactly symmetric with a zero diagonal already
-        return _exact_matrix(tuple(tuple(r) for r in parsed))
+    # mixed or float input is checked on its one float cast, all pairs at
+    # once; the first offence in row-major order of the upper triangle,
+    # diagonal included, is refused, as an entry-by-entry scan would find it
+    floats = _floats(parsed, "coupling ({},{})")
+    floor = min(1.0, float(np.abs(floats).max()))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, never refused
+        bad = np.abs(floats - floats.T) > SYMMETRY_RTOL * np.maximum(floor, np.abs(floats))
+    bad = np.triu(bad, 1)
+    bad[np.diag_indices(n)] = [parsed[i][i] != 0 for i in range(n)]
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), n)
+        if i == j:
+            raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
+        raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: "
+                         f"{float(floats[i, j])} vs {float(floats[j, i])}")
     lower = np.tril_indices(n, -1)
     floats[lower] = floats.T[lower]
     np.fill_diagonal(floats, 0.0)

@@ -60,9 +60,10 @@ def tolerance(rtol: float, value, scale: float):
     the floor is 1; below that the rule is rtol * max(scale, |value|), which
     scales with the couplings, so small grids tie no more than large ones.
     The one float tolerance of the package: the tie scan, closed-form's
-    Onsager tie, the symmetry check, the plasma's neutrality and the
-    ensemble bound all call it, as does the test-side ground-state
-    identity.  rtol 0 is equality, on Fractions too."""
+    Onsager tie, the plasma's neutrality and the ensemble bound all call
+    it, as does the test-side ground-state identity, and the symmetry
+    check applies it to every pair at once.  rtol 0 is equality, on
+    Fractions too."""
     return rtol * max(min(1.0, scale), abs(value))
 
 

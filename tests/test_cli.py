@@ -85,8 +85,9 @@ def test_bounds_report_matches_exact_spectrum(tmp_path):
 
 
 def test_bounds_report_of_the_same_matrix_is_within_roundoff(tmp_path):
-    # the same C given as a matrix takes the Jacobi, whose float bound may
-    # miss the exact one by roundoff (an ulp above beta+ = 1)
+    # the same C given as a matrix takes the tridiagonal kernel, whose float
+    # bound may miss the exact one by roundoff (0.9999999999999996 for
+    # beta+ = 1)
     source = tmp_path / "matrix.json"
     k = [1, 1, -1, -1]
     source.write_text(json.dumps({"matrix": [[0 if i == j else a * b for j, b in enumerate(k)]
@@ -166,7 +167,7 @@ def test_golden_ensemble(tmp_path):
 
 
 def test_golden_ensemble_couplings(tmp_path):
-    # the CLI defaults: 50 trials of n = 8 diagonalised as one Jacobi stack
+    # the CLI defaults: 50 trials of n = 8 diagonalised as one eigenvalue stack
     out = tmp_path / "ensemble.json"
     code = run(["ensemble", "--model", "gaussian_couplings", "--n", 8,
                 "--trials", 50, "--seed", 0, "--out", out])
@@ -182,10 +183,12 @@ def test_ensemble_chunks_give_the_unchunked_report(monkeypatch, model):
     assert cli.run_ensemble(model, 9, 20, 3) == whole
 
 
-def test_ensemble_exits_2_when_a_stacked_trial_does_not_converge(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "_SWEEP_CAP", 2)
-    assert run(["ensemble", "--model", "gaussian_couplings", "--n", 12, "--trials", 5]) == 2
-    assert "Jacobi did not converge in 2 sweeps" in capsys.readouterr().err
+def test_ensemble_runs_no_jacobi(monkeypatch):
+    # its bounds come from the tridiagonal kernel: a Jacobi capped at 0
+    # sweeps would refuse every trial
+    whole = cli.run_ensemble("gaussian_couplings", 12, 5, 0)
+    monkeypatch.setattr(spectral, "_SWEEP_CAP", 0)
+    assert cli.run_ensemble("gaussian_couplings", 12, 5, 0) == whole
 
 
 def test_critical_says_when_both_endpoints_are_infinite(tmp_path, capsys):
@@ -1209,9 +1212,9 @@ _AT_27 = {
     pytest.param(["critical"], {"random": {"model": "charges", "n": 100000, "seed": 0}},
                  id="random-charges"),
     # bounds' cap is the eigensolver's
-    pytest.param(["bounds"], {"random": {"model": "couplings", "n": 513, "seed": 0}},
-                 id="bounds-random-couplings-513"),
-    pytest.param(["bounds"], {"charges": [1, -1] * 256 + [1]}, id="bounds-charges-513"),
+    pytest.param(["bounds"], {"random": {"model": "couplings", "n": 1665, "seed": 0}},
+                 id="bounds-random-couplings-1665"),
+    pytest.param(["bounds"], {"charges": [1, -1] * 832 + [1]}, id="bounds-charges-1665"),
 ] + [pytest.param(argv, system, id=f"{argv[0]}-{name}")
      for argv in _SOLVING for name, system in _AT_27.items()])
 def test_exit_3_before_building_oversized_input(tmp_path, monkeypatch, argv, system):

@@ -367,3 +367,24 @@ def test_system_matrix_of_each_mode(system, mode, expected):
         with pytest.raises(InputError) as refusal:
             parsed.matrix(mode)
         assert str(refusal.value).startswith(expected)
+
+
+@pytest.mark.parametrize("mode", ["float", "mixed"])
+def test_from_matrix_names_the_first_asymmetric_pair_in_row_major_order(mode):
+    # two offending pairs, (1,3) and (2,0): row-major order names (0,2)
+    # first, as the entry-by-entry scan did, with the same message
+    m = [[0.0, 0.5, 0.25, 0.0], [0.5, 0.0, 0.0, 0.75], [0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]]
+    if mode == "mixed":
+        m[0][1] = m[1][0] = Fraction(1, 2)
+    with pytest.raises(InputError) as refused:
+        from_matrix(m)
+    assert str(refused.value) == "entries (0,2) and (2,0) differ: 0.25 vs 0.5"
+    m[2][0] = 0.25  # a nonzero diagonal entry in a later row comes after the next pair
+    m[3][3] = 1.0
+    with pytest.raises(InputError) as refused:
+        from_matrix(m)
+    assert str(refused.value) == "entries (1,3) and (3,1) differ: 0.75 vs 0.5"
+    m[1][1] = 2.0  # ... and one in an earlier row before it
+    with pytest.raises(InputError) as refused:
+        from_matrix(m)
+    assert str(refused.value) == "entry (1,1) = 2.0 is nonzero"

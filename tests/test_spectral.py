@@ -24,7 +24,8 @@ from loggas import (
 import loggas.cli as cli
 import loggas.spectral as spectral
 from loggas.errors import InputError, SizeLimitError
-from loggas.spectral import BoundReport, _jacobi, _round_robin, _schedule
+from loggas.spectral import (BoundReport, _eigenvalues, _jacobi, _round_robin, _schedule,
+                             _tridiagonalise)
 
 from conftest import random_exact_matrix, random_float_matrix
 
@@ -109,7 +110,7 @@ def test_schedule_runs_gather_the_partner_columns_bit_for_bit(n):
 
 def _per_pair_eigs(c):
     """Reference Jacobi: the same schedule, angles and stopping rule as
-    symmetric_eigs, but each round gathers columns p and q (then rows p and
+    ``_jacobi``, but each round gathers columns p and q (then rows p and
     q) of A, rotates them as cs*x - sn*y and sn*x + cs*y, and scatters them
     back, then does the same for the columns of a separate V."""
 
@@ -165,20 +166,20 @@ def test_partner_gather_matches_per_pair_rotations_bit_for_bit(n):
     # odd n leave a different index idle in each round; it must get the
     # identity there, not the previous round's coefficients
     for c in _four_kinds(n):
-        spec = symmetric_eigs(c)
+        solved = _jacobi(c)
         eigenvalues, vectors, residual, sweeps = _per_pair_eigs(c)
-        assert np.array_equal(np.signbit(spec.eigenvalues), np.signbit(eigenvalues))
-        assert np.array_equal(spec.eigenvalues, eigenvalues)
-        assert np.array_equal(spec.eigenvectors, vectors)
-        assert np.array_equal(np.signbit(spec.eigenvectors), np.signbit(vectors))
-        assert spec.residual == residual and spec.sweeps == sweeps
+        assert np.array_equal(np.signbit(solved.eigenvalues), np.signbit(eigenvalues))
+        assert np.array_equal(solved.eigenvalues, eigenvalues)
+        assert np.array_equal(solved.eigenvectors, vectors)
+        assert np.array_equal(np.signbit(solved.eigenvectors), np.signbit(vectors))
+        assert solved.residual == residual and solved.sweeps == sweeps
 
 
 def _mixed_stack(n, rng):
-    """Same-size matrices that leave a Jacobi stack at different sweeps: the
-    four kinds, Gaussians at three scales, one with exact-zero couplings
-    (zero pairs take the identity rotation), one coupled pair (one sweep),
-    and the zero matrix, which leaves before the first sweep."""
+    """Same-size matrices of many kinds for one eigenvalue stack: the four
+    kinds, Gaussians at three scales, one with exact-zero couplings, one
+    coupled pair and the zero matrix, whose tridiagonal forms split (an
+    off-diagonal that is exactly 0) where the others' do not."""
     stack = _four_kinds(n)
     for scale in (1e-3, 1.0, 1e5):
         g = np.triu(rng.standard_normal((n, n)) * scale, 1)
@@ -193,32 +194,157 @@ def _mixed_stack(n, rng):
     return [stack[i] for i in order]
 
 
-@pytest.mark.parametrize("n", range(2, 22))
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [*range(2, 22), 40, 140])
 def test_stack_matches_one_at_a_time_bit_for_bit(n):
+    # 140 takes the pairwise sums past numpy's 128-value blocks
     rng = np.random.default_rng(500 + n)
     cs = _mixed_stack(n, rng)
-    stacked = _jacobi(cs)
-    assert len(stacked) == len(cs)
+    stacked = _eigenvalues(cs)
+    assert stacked.shape == (len(cs), n)
     for c, got in zip(cs, stacked):
-        alone = symmetric_eigs(c)
-        assert np.array_equal(got.eigenvalues, alone.eigenvalues)
-        assert np.array_equal(np.signbit(got.eigenvalues), np.signbit(alone.eigenvalues))
-        assert np.array_equal(got.eigenvectors, alone.eigenvectors)
-        assert np.array_equal(np.signbit(got.eigenvectors), np.signbit(alone.eigenvectors))
-        assert got.residual == alone.residual and got.sweeps == alone.sweeps
+        _assert_same_bits(got, symmetric_eigs(c).eigenvalues)
         if not c.entries.any():
-            assert got.sweeps == 0
-    if n > 2:  # members left the stack at different sweeps
-        assert len({spec.sweeps for spec in stacked}) >= 3
+            _assert_same_bits(got, np.zeros(n))
+    # a member splits at a step where others do not
+    zero = _tridiagonalise(np.stack([c.entries for c in cs]))[1] == 0.0
+    assert (zero.any(axis=0) & ~zero.all(axis=0)).any()
+
+
+@pytest.mark.parametrize("n", [2, 9, 16, 40])
+def test_points_per_pass_change_no_bit(n, monkeypatch):
+    # a pass counts at the points its halvings could visit and follows their
+    # path, so 1, 2 or 4 halvings per pass give the same brackets
+    cs = _mixed_stack(n, np.random.default_rng(900 + n))
+    results = []
+    for values in (0, 3 * len(cs) * n, 15 * len(cs) * n):
+        monkeypatch.setattr(spectral, "_PASS_VALUES", values)
+        results.append(_eigenvalues(cs))
+    for got in results[1:]:
+        _assert_same_bits(got, results[0])
+
+
+def _assert_eigvalsh(c, rtol=1e-12):
+    got = _eigenvalues([c])[0]
+    assert np.all(np.diff(got) >= 0)
+    norm = float(np.linalg.norm(c.entries))
+    assert np.max(np.abs(got - np.linalg.eigvalsh(c.entries))) <= rtol * norm
+    return got
+
+
+@pytest.mark.parametrize("n", range(2, 81))
+def test_kernel_matches_eigvalsh_on_gaussians(n):
+    g = np.random.default_rng(700 + n).standard_normal((n, n))
+    m = (g + g.T) / 2
+    np.fill_diagonal(m, 0.0)
+    _assert_eigvalsh(CouplingMatrix(n, m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 30])
+def test_kernel_gives_the_zero_matrix_exact_zeros(n):
+    _assert_same_bits(_eigenvalues([CouplingMatrix(n, np.zeros((n, n)))])[0], np.zeros(n))
+
+
+def test_kernel_matches_the_two_by_two_closed_form():
+    # a nonzero diagonal too: the kernel takes any symmetric matrix.  The
+    # last has Gershgorin interval [-h, h) with h = 0.5 + 2^-53, so the
+    # first count is at x = +0, where the pivot -0.0 - x is -0.0 and must
+    # count as negative (the next, 0.25 / -0.0 later, is +inf)
+    rng = np.random.default_rng(2)
+    cases = rng.standard_normal((50, 3)) * np.exp(rng.uniform(-5, 5, (50, 1)))
+    for a, b, c in [*cases, (-0.0, 0.5, -2.0 ** -53)]:
+        mean, half = (a + c) / 2, math.hypot((a - c) / 2, b)
+        got = _eigenvalues([CouplingMatrix(2, np.array([[a, b], [b, c]]))])[0]
+        assert np.max(np.abs(got - [mean - half, mean + half])) <= 4e-16 * math.hypot(a, b, b, c)
+
+
+@pytest.mark.parametrize("x", [1e200, 1e-200])
+def test_kernel_keeps_the_spectrum_of_extreme_entries(x):
+    # the same Gaussian at 1e200 and at 1e-200, and two blocks 1e200 apart:
+    # ||C||_F overflows or underflows unless C is rescaled
+    n = 12
+    g = np.random.default_rng(5).standard_normal((n, n))
+    m = (g + g.T) / 2
+    np.fill_diagonal(m, 0.0)
+    got = _eigenvalues([CouplingMatrix(n, m * x)])[0]
+    assert np.max(np.abs(got / x - np.linalg.eigvalsh(m))) <= 1e-12 * np.linalg.norm(m)
+    mixed = m.copy()
+    mixed[:6, :6] *= x
+    mixed[:6, 6:] = mixed[6:, :6] = 0.0
+    big = mixed[:6, :6] if x > 1 else mixed[6:, 6:]  # the other block is below its ulps
+    scale = max(x, 1.0)
+    want = np.linalg.eigvalsh(big / scale) * scale
+    got = _eigenvalues([CouplingMatrix(n, mixed)])[0]
+    top = np.sort(got[np.argsort(np.abs(got))[-6:]])
+    assert np.max(np.abs(top - want)) <= 1e-12 * np.linalg.norm(big / scale) * scale
+
+
+def test_kernel_on_the_8_8_plasma_has_its_repeated_eigenvalue():
+    # C = kk' - I for k = (1 x 8, -1 x 8): -1 fifteen times, and 15
+    c = from_charges(_plasma(8, 8, 1, 1))
+    got = _assert_eigvalsh(c)
+    assert np.max(np.abs(got - np.append(np.full(15, -1.0), 15.0))) <= 1e-14 * 16
+    assert np.max(np.abs(got - charge_eigenvalues(_plasma(8, 8, 1, 1)))) <= 1e-14 * 16
+
+
+def test_kernel_on_repeated_eigenvalues():
+    # Q diag(lambda) Q' with lambda in {-2 x 5, 0 x 3, 1 x 4}: the reduced
+    # matrix splits or nearly so, and each cluster comes back whole
+    rng = np.random.default_rng(11)
+    lam = np.repeat([-2.0, 0.0, 1.0], [5, 3, 4])
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    m = (q * lam) @ q.T
+    m = (m + m.T) / 2
+    got = _eigenvalues([CouplingMatrix(12, m)])[0]
+    assert np.max(np.abs(got - lam)) <= 1e-14 * np.linalg.norm(lam)
+
+
+@pytest.mark.parametrize("v", [1.0, 1 + 2 ** -52, -0.7])
+def test_kernel_gives_disjoint_pairs_their_exact_eigenvalues(v):
+    # each pair splits the tridiagonal form, and the spectrum -|v|, |v| is
+    # both Gershgorin ends.  At v = 1 the last halvings count at x = 1,
+    # where a zero pivot meets a split (0/0 unless the count restarts); an
+    # odd last bit of |v| needs the upper end past the top.  For these v,
+    # (v * v) / v rounds back to v, so the count at x = |v| is exact
+    n = 6
+    m = np.zeros((n, n))
+    m[np.arange(0, n, 2), np.arange(1, n, 2)] = v
+    m += m.T
+    want = np.repeat([-abs(v), abs(v)], n // 2)
+    _assert_same_bits(_eigenvalues([CouplingMatrix(n, m)])[0], want)
+
+
+def test_block_diagonal_input_splits_its_tridiagonal():
+    # blocks in index order: the reduction never mixes them, so the
+    # off-diagonal between two blocks is exactly 0 and the count restarts
+    rng = np.random.default_rng(19)
+    sizes = [3, 1, 5, 2, 4]
+    n = sum(sizes)
+    m = np.zeros((n, n))
+    starts = np.cumsum([0] + sizes)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        g = rng.standard_normal((hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = g + g.T
+    np.fill_diagonal(m, 0.0)
+    _, e = _tridiagonalise(m[None].copy())
+    assert np.count_nonzero(e == 0.0) >= len(sizes) - 1
+    got = _assert_eigvalsh(CouplingMatrix(n, m))
+    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(m[lo:hi, lo:hi])
+                                     for lo, hi in zip(starts[:-1], starts[1:])]))
+    assert np.max(np.abs(got - blocks)) <= 1e-12 * np.linalg.norm(m)
 
 
 def _spy_on_jacobi(monkeypatch) -> list:
-    """Record, per ``_jacobi`` call, whether it carries eigenvectors."""
+    """Record the size of each matrix that ``_jacobi`` solves."""
     calls = []
 
-    def spy(matrices, vectors=True):
-        calls.append(vectors)
-        return _jacobi(matrices, vectors)
+    def spy(c):
+        calls.append(c.n)
+        return _jacobi(c)
 
     monkeypatch.setattr(spectral, "_jacobi", spy)
     return calls
@@ -227,21 +353,24 @@ def _spy_on_jacobi(monkeypatch) -> list:
 @pytest.mark.parametrize("n", [2, 3, 9, 16, 33])
 def test_spectrum_forms_the_vector_kernels_results_on_first_read(n, monkeypatch):
     kernels = _spy_on_jacobi(monkeypatch)
-    for c in _four_kinds(n):
-        full = _jacobi([c])[0]  # the [A; V] kernel, not the spy
-        kernels.clear()
-        spec = symmetric_eigs(c)
-        assert kernels == [False]
-        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
-        assert np.array_equal(np.signbit(spec.eigenvalues), np.signbit(full.eigenvalues))
-        assert spec.sweeps == full.sweeps
-        assert np.array_equal(spec.eigenvectors, full.eigenvectors)
-        assert np.array_equal(np.signbit(spec.eigenvectors), np.signbit(full.eigenvectors))
-        assert spec.residual == full.residual
-        assert kernels == [False, True]
-        assert spec.eigenvectors is spec.eigenvectors and spec.residual == full.residual
-        assert kernels == [False, True]  # a second read solves nothing
-        assert not spec.eigenvectors.flags.writeable
+    for read in ("sweeps", "eigenvectors", "residual"):
+        for c in _four_kinds(n):
+            full = _jacobi(c)  # the [A; V] kernel, not the spy
+            kernels.clear()
+            spec = symmetric_eigs(c)
+            assert kernels == []
+            _assert_same_bits(spec.eigenvalues, _eigenvalues([c])[0])
+            getattr(spec, read)
+            assert kernels == [n]
+            assert spec.sweeps == full.sweeps
+            _assert_same_bits(spec.eigenvectors, full.eigenvectors)
+            assert spec.residual == full.residual
+            assert spec.eigenvectors is spec.eigenvectors
+            assert kernels == [n]  # later reads solve nothing
+            assert not spec.eigenvectors.flags.writeable
+            # the two solvers agree to roundoff, so the columns pair up
+            norm = float(np.linalg.norm(c.entries))
+            assert np.max(np.abs(spec.eigenvalues - full.eigenvalues)) <= 1e-12 * norm
 
 
 def test_bounds_on_a_matrix_never_forms_eigenvectors(tmp_path, monkeypatch):
@@ -249,7 +378,7 @@ def test_bounds_on_a_matrix_never_forms_eigenvectors(tmp_path, monkeypatch):
     calls = _spy_on_symmetric_eigs(monkeypatch)
     kernels = _spy_on_jacobi(monkeypatch)
     doc = _bounds_report(tmp_path, {"matrix": (m + m.T).tolist()})
-    assert calls == [12, 12] and kernels == [False, False]
+    assert calls == [12, 12] and kernels == []
     assert np.max(np.abs(np.array(doc["eigenvalues"]) - np.linalg.eigvalsh(m + m.T))) <= (
         1e-12 * np.linalg.norm(m + m.T))
 
@@ -261,13 +390,18 @@ def test_eig_bounds_many_matches_eig_bounds():
 
 
 def test_stack_member_at_the_sweep_cap_raises(monkeypatch):
-    # the zero and near-diagonal members leave early; the Gaussians do not
+    # the eigenvalues take no sweep; a Gaussian member's eigenvectors take
+    # more than 2, the zero matrix's none
     monkeypatch.setattr(spectral, "_SWEEP_CAP", 2)
     cs = _mixed_stack(12, np.random.default_rng(3))
-    with pytest.raises(InputError, match="Jacobi did not converge in 2 sweeps"):
-        _jacobi(cs)
-    with pytest.raises(InputError, match="Jacobi did not converge in 2 sweeps"):
-        eig_bounds_many(cs)
+    assert eig_bounds_many(cs) == [eig_bounds(c) for c in cs]
+    for c in cs:
+        spec = symmetric_eigs(c)
+        if not c.entries.any():
+            assert spec.sweeps == 0
+        elif np.count_nonzero(c.entries) > 2:
+            with pytest.raises(InputError, match="Jacobi did not converge in 2 sweeps"):
+                spec.eigenvectors
 
 
 def test_block_diagonal_input_keeps_blocks_apart():
@@ -317,7 +451,7 @@ def test_power_of_two_scaling_changes_no_bit(k):
     c = random_float_matrix(random.Random(k), 9)
     base = symmetric_eigs(c)
     scaled = symmetric_eigs(CouplingMatrix(c.n, np.ldexp(c.entries, k)))
-    assert np.array_equal(scaled.eigenvalues, np.ldexp(base.eigenvalues, k))
+    _assert_same_bits(scaled.eigenvalues, np.ldexp(base.eigenvalues, k))
     assert np.array_equal(scaled.eigenvectors, base.eigenvectors)
     assert scaled.sweeps == base.sweeps
 
@@ -328,13 +462,15 @@ def test_sweep_cap_raises_no_convergence(monkeypatch):
     g = rng.standard_normal((20, 20))
     m = g + g.T
     np.fill_diagonal(m, 0.0)
+    spec = symmetric_eigs(from_matrix(m))  # the cap is reached on the first read
+    assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(m))) <= 1e-12 * np.linalg.norm(m)
     with pytest.raises(InputError, match="Jacobi did not converge"):
-        symmetric_eigs(from_matrix(m))
+        spec.sweeps
 
 
 def test_size_cap():
-    with pytest.raises(SizeLimitError, match="eigensolver limited to n <= 512"):
-        symmetric_eigs(CouplingMatrix(513, np.zeros((513, 513))))
+    with pytest.raises(SizeLimitError, match="eigensolver limited to n <= 1664"):
+        symmetric_eigs(CouplingMatrix(1665, np.zeros((1665, 1665))))
 
 
 def test_eig_bounds_mixed_charges():
