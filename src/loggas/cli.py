@@ -19,8 +19,10 @@ A handler loads its input under its particle cap: the solver's
 of its mode from ``SystemInput.matrix``, the one builder of a model's grid,
 or the model alone (closed-form, arboricity); the float-range policy lives
 in ``coupling``.
-mc-partition spreads its grid points over up to 4 of the process's CPUs;
-everything else runs on one thread.  ensemble takes the eigenvalues of a
+mc-partition draws one sample of configurations at --seed
+(``sphere_mc.draw_partition``) and weighs it at every grid point, so each
+row is ``estimate_partition`` at that one seed.  Every command runs on one
+thread.  ensemble takes the eigenvalues of a
 chunk of trials from one stack of spectral's tridiagonal kernel
 (``spectral.eig_bounds_many``), then solves each trial.  bounds takes a
 charge input's eigenvalues from its secular equation
@@ -67,7 +69,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import GeneratorType
 from typing import Optional
@@ -359,13 +360,10 @@ def cmd_mc_partition(args: argparse.Namespace) -> tuple:
     c = load_system(args.input, solver._MAX_N).matrix("float")
     lo, hi = sphere_mc._interval(c, grid)
 
-    def estimate(index):
-        return sphere_mc.estimate_partition(c, grid[index], args.samples, args.seed + index)
-
-    # numpy releases the GIL in the sampling kernels, so grid points overlap
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(4, cpus or 1, len(grid))) as pool:
-        estimates = list(pool.map(estimate, range(len(grid))))
+    # only the weights depend on beta: one sample is weighed at every point
+    sample = sphere_mc.draw_partition(c, args.samples, args.seed)
+    estimates = [sphere_mc.estimate_partition(c, beta, args.samples, args.seed, sample=sample)
+                 for beta in grid]
     logz = [math.log(est.mean) for est in estimates]
     rows = [[beta, y, est.stderr / est.mean, est.samples, "true" if est.heavy_tail else "false"]
             for beta, y, est in zip(grid, logz, estimates)]

@@ -1,25 +1,28 @@
 """Monte Carlo verification layer on (S^2)^N.
 
-Plain Monte Carlo estimation of the partition function, the analytic
+Plain Monte Carlo estimation of the partition function in two stages,
+``draw_partition`` (configurations and their energies, no beta) and
+``estimate_partition`` (the weights at one beta and their moments), so one
+sample serves a whole beta grid; the analytic
 two-particle closed form it is checked against, least-squares pole-order
 fitting of the free-energy divergence, and a single-particle Metropolis
 sampler of the Gibbs measure with collapse observables.  The energy oracle
 that checks the chain's running energies is test code, in tests/oracles.py,
 with a pair loop of its own.
 
-The partition estimator, the chain start and the collapse observables share
+The partition sampler, the chain start and the collapse observables share
 one pair helper, ``_d2`` (``_log_d2`` takes its log), over particle-major
 points: x[k, p, ...] is coordinate k of particle p, so each particle's
 coordinates are contiguous rows over the configurations.
 A run of pairs with one first particle is one subtraction of whole rows,
 and the squares are summed with two array additions, not a reduction over
 an axis of length 3.  ``_uniform_points`` draws configurations in that
-layout.  The partition estimator samples configurations modulo rotation,
+layout.  The partition sampler draws configurations modulo rotation,
 as ``_rotation_classes`` lays them out: particle 0 at the pole, particle 1
 on a meridian at a uniform height, particles 2..N-1 uniform.  The weight
 depends only on pair distances, so its law is unchanged, and a sample
 costs N-2 free points and one uniform instead of N free points.
-The partition estimator and ``collapse_observables`` work in blocks of
+The partition sampler and ``collapse_observables`` work in blocks of
 ``_BLOCK_FLOATS // (3 * max(pairs, N))`` configurations, so the (3, pairs,
 block) buffer of pair differences holds about 2^17 floats (1 MB) whatever
 N is; each allocates its block buffers once per call.
@@ -63,7 +66,7 @@ _MIN_SAMPLES = 1000
 _TUNE_WINDOW = 200
 _TUNE_FACTOR = 1.25
 _STEP_MIN, _STEP_MAX = 1e-3, 4.0
-# floats per block buffer of pair differences.  A block's weights are one
+# floats per block buffer of pair differences.  A block's energies are one
 # gemv over its (pairs, block) log d^2 table, whose last (block mod 4)
 # configurations can round differently from the rest, so a weight's last
 # bit can depend on the block size: changing this budget moves estimates
@@ -251,22 +254,72 @@ def _interval(c: CouplingMatrix, betas: Sequence[float]):
     return lo, hi
 
 
-def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) -> MCEstimate:
-    """Plain Monte Carlo average of prod d^(2 c beta) over uniform draws,
-    one configuration per rotation class (``_rotation_classes``).
+@dataclass(frozen=True)
+class PartitionSample:
+    """One draw of configurations for ``estimate_partition``, from
+    ``draw_partition``: the weights at any beta are formed from it.
+
+    ``energies[k]`` is (c * 2^-exponent) @ log d^2 over the coupled pairs of
+    configuration k, so its weight at beta is exp(energies[k] * beta *
+    2^exponent).  ``weights`` is the buffer that weighing overwrites."""
+
+    c: CouplingMatrix
+    seed: int
+    energies: np.ndarray
+    exponent: int
+    weights: np.ndarray
+
+
+def draw_partition(c: CouplingMatrix, samples: int, seed: int) -> PartitionSample:
+    """``samples`` configurations, one per rotation class
+    (``_rotation_classes``), as their energies.
 
     Draws: one ``random(samples)`` call for particle 1's heights, then per
     block of b configurations one ``standard_normal`` call filling a
-    (b, N-2, 3) buffer for particles 2..N-1; the heights sit in the weights
-    array until their block's weights overwrite them.  A sample costs N-2
-    free points and one uniform, and the weights have the same law as on N
-    free points.  The points, normals, pair differences and log d^2 table
-    are particle-major buffers allocated once per call, and a block's
-    weights are one ``cij @ log d^2`` product over its (pairs, b) table.
-    That product is taken with c scaled by 2^-e and beta by 2^e, e the
-    binary exponent of max |c_ij|: both scalings are exact, so the weights
-    are those of (log d^2 @ c) * beta wherever that is finite, and
-    couplings near the float limit do not overflow before beta scales them.
+    (b, N-2, 3) buffer for particles 2..N-1; the heights sit in the energies
+    array until their block's energies overwrite them.  A sample costs N-2
+    free points and one uniform, and the energies have the same law as on N
+    free points.  The energies and weights arrays, and the particle-major
+    points, normals, pair differences and log d^2 table, are allocated
+    before the first draw, so a sample too large to hold or weigh fails
+    before any sampling.  A block's energies are one ``cij @ log d^2``
+    product over its (pairs, b) table, with c scaled by 2^-e, e the binary
+    exponent of max |c_ij|: the scaling is exact, and couplings near the
+    float limit do not overflow before beta scales them."""
+    if samples < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples")
+    rows, cols, cij = _coupled_pairs(c)
+    n, pairs = c.n, rows.size
+    # 364 configurations on the 8+8 plasma, 21,845 on a pair
+    block = _block(pairs, n)
+    b = min(block, samples)
+    energies, weights = np.empty(samples), np.empty(samples)
+    points, normals = np.empty((3, n, b)), np.empty((b, n - 2, 3))
+    diff, logd2 = np.empty((3, pairs, b)), np.empty((pairs, b))
+    rng = _philox(seed)
+    rng.random(samples, out=energies)  # particle 1's heights, overwritten block by block
+    e = math.frexp(float(np.max(np.abs(cij), initial=0.0)))[1]
+    cij = np.ldexp(cij, -e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, samples, block):
+            energy = energies[start:start + block]
+            m = energy.size
+            x = _rotation_classes(rng, energy, points[..., :m], normals[:m])
+            np.matmul(cij, _log_d2(x, rows, cols, out=logd2[:, :m], diff=diff[..., :m]), out=energy)
+    return PartitionSample(c, seed, energies, e, weights)
+
+
+def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int, *,
+                       sample: Optional[PartitionSample] = None) -> MCEstimate:
+    """Plain Monte Carlo average of prod d^(2 c beta) over uniform draws,
+    one configuration per rotation class.
+
+    The configurations are ``draw_partition(c, samples, seed)``'s, drawn
+    here unless that ``sample`` is passed in: only the weights depend on
+    beta, so one sample serves every beta of a sweep, and the estimate is
+    the same, bit for bit, either way.  A weight is exp(energy * beta * 2^e),
+    e the sample's exponent, so it is that of (log d^2 @ c) * beta wherever
+    that is finite.
 
     Standard error by 32 batch means.  The weight's second moment is
     E[w^2] = Z(2 beta), so the heavy-tail flag marks exactly the beta with
@@ -279,28 +332,15 @@ def estimate_partition(c: CouplingMatrix, beta: float, samples: int, seed: int) 
     if samples < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples")
     lo, hi = _interval(c, [beta])
+    if sample is None:
+        sample = draw_partition(c, samples, seed)
+    elif sample.c is not c or sample.seed != seed or sample.energies.size != samples:
+        raise ValueError("the sample was drawn for another coupling, seed or sample count")
 
-    rows, cols, cij = _coupled_pairs(c)
-    n, pairs = c.n, rows.size
-    rng = _philox(seed)
-    # 364 configurations on the 8+8 plasma, 21,845 on a pair
-    block = _block(pairs, n)
-    b = min(block, samples)
-    points, normals = np.empty((3, n, b)), np.empty((b, n - 2, 3))
-    diff, logd2 = np.empty((3, pairs, b)), np.empty((pairs, b))
-    weights = np.empty(samples, dtype=float)
-    rng.random(samples, out=weights)  # particle 1's heights, overwritten block by block
+    weights = sample.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        e = math.frexp(float(np.max(np.abs(cij), initial=0.0)))[1]
-        cij = np.ldexp(cij, -e)
-        beta_e = np.ldexp(beta, e)
-        for start in range(0, samples, block):
-            w = weights[start:start + block]
-            m = w.size
-            x = _rotation_classes(rng, w, points[..., :m], normals[:m])
-            np.matmul(cij, _log_d2(x, rows, cols, out=logd2[:, :m], diff=diff[..., :m]), out=w)
-            w *= beta_e
-            np.exp(w, out=w)
+        np.multiply(sample.energies, np.ldexp(beta, sample.exponent), out=weights)
+        np.exp(weights, out=weights)
 
         # the moments of w / 2^e, e the binary exponent of the largest weight,
         # scaled back by 2^e: a power of two rounds only a subnormal result

@@ -501,9 +501,9 @@ def test_readme_experiment_commands_parse(tmp_path):
 
     # the figures the README's bullets quote
     pole = (tmp_path / "pole.csv").read_text()
-    assert round(float(pole.split("# pole_fit_kappa=")[1].split("\n")[0]), 3) == 0.048
+    assert round(float(pole.split("# pole_fit_kappa=")[1].split("\n")[0]), 3) == 0.055
     last = [line for line in pole.splitlines() if line.startswith("-0.99999,")]
-    assert round(math.exp(float(last[0].split(",")[1])), 1) == 5.2
+    assert round(math.exp(float(last[0].split(",")[1])), 1) == 4.6
     assert "# pole_fit_heavy_tail_points=5\n" in pole
     with open(tmp_path / "collapse.csv", newline="") as fh:
         medians = [float(row["q50"]) for row in csv.DictReader(fh)
@@ -554,6 +554,7 @@ def test_exit_4_when_grid_leaves_interval(tmp_path, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before the grid was checked")
 
+    monkeypatch.setattr(sphere_mc, "draw_partition", no_sampling)
     monkeypatch.setattr(sphere_mc, "estimate_partition", no_sampling)
     out = tmp_path / "sweep.csv"
     for grid, outside in ((" -1.0:0.5:4", "-1.0"), (" -0.2,-0.5,-1.2", "-1.2")):
@@ -679,12 +680,12 @@ def test_pole_fit_sweep_bytes(tmp_path):
     assert out.read_bytes() == (
         b"beta,logZ_mean,logZ_stderr,samples,heavy_tail\r\n"
         b"-0.1,-0.029041300889698134,0.0026814747120939278,2000,false\r\n"
-        b"-0.3,-0.03391795302565114,0.012579404732041262,2000,false\r\n"
-        b"-0.5,0.000739783703370893,0.028460740764792773,2000,true\r\n"
-        b"-0.7,0.24004053508251663,0.15452766793915523,2000,true\r\n"
-        b"-0.9,0.6073694899063546,0.12784130375280472,2000,true\r\n"
+        b"-0.3,-0.04105743851748992,0.010941217644894944,2000,false\r\n"
+        b"-0.5,0.04495801636583707,0.031266290598966504,2000,true\r\n"
+        b"-0.7,0.30586408673138443,0.08767572170960841,2000,true\r\n"
+        b"-0.9,0.845762865038451,0.2104041376926099,2000,true\r\n"
         b"# pole_fit_beta_crit=-1.0\n"
-        b"# pole_fit_kappa=0.31112825133078426\n"
+        b"# pole_fit_kappa=0.422928500724335\n"
         b"# pole_fit_heavy_tail_points=3\n")
 
 
@@ -737,12 +738,47 @@ def test_mc_partition_rows_match_serial_estimates(tmp_path):
         rows = list(csv.DictReader(fh))
     c = load_system(INPUTS / "pair_c1.json").coupling
     assert len(rows) == len(grid)
-    for i, (beta, row) in enumerate(zip(grid, rows)):
-        est = estimate_partition(c, beta, 2000, 3 + i)
+    for beta, row in zip(grid, rows):
+        est = estimate_partition(c, beta, 2000, 3)
         assert float(row["beta"]) == beta
         assert float(row["logZ_mean"]) == math.log(est.mean)
         assert float(row["logZ_stderr"]) == est.stderr / est.mean
         assert row["heavy_tail"] == ("true" if est.heavy_tail else "false")
+
+
+def test_mc_partition_row_does_not_depend_on_the_rest_of_the_grid(tmp_path):
+    # beta = -0.45 swept alone and as the middle of a grid whose last two
+    # points are heavy-tailed: one sample at --seed, so the same bytes
+    alone, swept = tmp_path / "alone.csv", tmp_path / "swept.csv"
+    for grid, out in (("-0.45", alone), ("-0.1,-0.3,-0.45,-0.7,-0.9", swept)):
+        assert run(["mc-partition", "--input", INPUTS / "pair_c1.json", f"--beta-grid={grid}",
+                    "--samples", 2000, "--seed", 7, "--out", out]) == 0
+    row = alone.read_bytes().split(b"\r\n")[1]
+    assert row.startswith(b"-0.45,") and row.endswith(b",false")
+    rows = swept.read_bytes().split(b"\r\n")[1:6]
+    assert rows[2] == row
+    assert [r.endswith(b",true") for r in rows] == [False, False, False, True, True]
+
+
+def test_mc_partition_draws_once_per_sweep(tmp_path, monkeypatch):
+    draws, estimates = [], []
+    draw, estimate = sphere_mc.draw_partition, sphere_mc.estimate_partition
+
+    def draw_spy(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    def estimate_spy(*args, sample):
+        estimates.append(sample)
+        return estimate(*args, sample=sample)
+
+    monkeypatch.setattr(sphere_mc, "draw_partition", draw_spy)
+    monkeypatch.setattr(sphere_mc, "estimate_partition", estimate_spy)
+    assert run(["mc-partition", "--input", INPUTS / "pair_c1.json",
+                "--beta-grid", " -0.4:0.8:5", "--samples", 2000, "--seed", 9,
+                "--out", tmp_path / "sweep.csv"]) == 0
+    assert len(draws) == 1 and len(estimates) == 5
+    assert all(sample is draws[0] for sample in estimates)
 
 
 def test_report_schema_is_versioned(tmp_path):
@@ -831,7 +867,7 @@ def test_exit_3_on_oversized_mc_partition(tmp_path):
 
 
 @pytest.mark.parametrize("command,sampler,flags", [
-    ("mc-partition", "estimate_partition", ["--samples", 10**12]),
+    ("mc-partition", "draw_partition", ["--samples", 10**12]),
     ("mc-gibbs", "metropolis_chain", ["--steps", 10**12]),
 ])
 def test_exit_3_when_sample_arrays_cannot_be_allocated(tmp_path, monkeypatch,
@@ -940,7 +976,7 @@ def test_readme_lists_each_command_with_the_flags_it_declares():
 _WORK = {
     "critical": (cli, "critical_interval"),
     "ensemble": (cli, "run_ensemble"),
-    "mc-partition": (sphere_mc, "estimate_partition"),
+    "mc-partition": (sphere_mc, "draw_partition"),
     "mc-gibbs": (sphere_mc, "metropolis_chain"),
 }
 

@@ -409,6 +409,54 @@ def test_estimate_memory_is_block_sized():
     assert peak < 16e6
 
 
+def test_estimate_from_a_drawn_sample_is_bit_for_bit():
+    # one sample weighed at every beta, heavy-tailed ones included, gives
+    # each beta's own estimate at that seed
+    c = from_charges(ChargeVector((1, 1, -1, -1, 1)))
+    sample = sphere_mc.draw_partition(c, 3000, 8)
+    for beta in (-0.3, 0.0, 0.2, 0.45):
+        assert estimate_partition(c, beta, 3000, 8, sample=sample) == \
+            estimate_partition(c, beta, 3000, 8)
+
+
+@pytest.mark.parametrize("samples,seed,other", [(3000, 9, False), (4000, 8, False),
+                                                 (3000, 8, True)],
+                         ids=["seed", "samples", "coupling"])
+def test_estimate_refuses_a_sample_drawn_for_other_arguments(samples, seed, other):
+    c = from_charges(ChargeVector((1, 1, -1, -1, 1)))
+    sample = sphere_mc.draw_partition(c, 3000, 8)
+    if other:
+        c = from_charges(ChargeVector((1, 1, -1, -1, 1)))
+    with pytest.raises(ValueError, match="drawn for another"):
+        estimate_partition(c, 0.2, samples, seed, sample=sample)
+
+
+def test_partition_draw_allocates_its_buffers_before_any_draw(monkeypatch):
+    # an unaffordable sample fails before it samples: the stand-in for
+    # np.empty refuses the second sample-sized buffer (the weights) without
+    # allocating either, and the stub generator refuses every draw
+    empty = np.empty
+    refused = []
+
+    def refuse_samples(shape, *args, **kwargs):
+        if np.prod(shape) >= 10**12:
+            refused.append(shape)
+            if len(refused) == 2:
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return empty(0)
+        return empty(shape, *args, **kwargs)
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} drawn before the buffers were allocated")
+
+    monkeypatch.setattr(sphere_mc, "_philox", lambda seed: NoDraws())
+    monkeypatch.setattr(np, "empty", refuse_samples)
+    with pytest.raises(MemoryError):
+        sphere_mc.draw_partition(C1, 10**12, 0)
+    assert refused == [10**12, 10**12]
+
+
 def test_oracle_agreement_grid():
     # grid kept inside the finite-variance region (c*beta > -1/2); deeper
     # cells are heavy-tailed and covered by the acceptance criterion instead
