@@ -23,13 +23,9 @@ of one, bit for bit.  ``symmetric_eigs`` is a stack of one and
 A ``Spectrum``'s eigenvectors, residual and sweep count come from a
 Brent-Luk round-robin Jacobi solver (``_jacobi``) on [A; V], A with its
 eigenvector matrix V carried through the same rotations.  It runs when one
-of them is first read, which no command does.  Each round applies all its
-rotations as whole-matrix broadcasts over a partner gather (index p
-swapped with its pair q).  That computes cs*x + (-sn)*y where a per-pair
-rotation computes cs*x - sn*y, the same IEEE double, so the layout changes
-no bit of the result.  The circle method makes each round's partner map a
-few reversed contiguous runs, so the column gather is a handful of slice
-copies, read from a schedule built once per n (``_schedule``).
+of them is first read, which no command does.  A sweep is the rounds of
+disjoint pairs of a round-robin tournament (``_round_robin``), and each
+round rotates all its pairs at once by index-array assignment.
 
 A charge system's C = kk' - diag(k*k) has its eigenvalues from the secular
 equation instead (``charge_eigenvalues``): O(n^2) per halving of a
@@ -163,40 +159,6 @@ def _round_robin(n: int) -> list:
     return rounds
 
 
-def _gather_runs(partner: np.ndarray) -> tuple:
-    """``partner`` as (dst, src) slice pairs: x[dst] = y[src] over all the
-    pairs is x = y[partner].  Each run is a maximal stretch where partner
-    steps by +1 or -1; a circle-method round has at most six."""
-    idx = partner.tolist()
-    runs, start = [], 0
-    while start < len(idx):
-        step = -1 if start + 1 < len(idx) and idx[start + 1] - idx[start] == -1 else 1
-        end = start + 1
-        while end < len(idx) and idx[end] - idx[end - 1] == step:
-            end += 1
-        stop = idx[end - 1] + step
-        runs.append((slice(start, end), slice(idx[start], stop if stop >= 0 else None, step)))
-        start = end
-    return tuple(runs)
-
-
-@functools.lru_cache(maxsize=8)
-def _schedule(n: int) -> tuple:
-    """The rounds of ``_round_robin(n)`` as ``_jacobi`` applies them: per
-    round P, Q, the partner array (an idle index of odd n is its own
-    partner), its gather runs, and the flat indices of a_pq and a_qp in an
-    n x n array.  The arrays are read-only, as every call shares them."""
-    rounds = []
-    for p, q in _round_robin(n):
-        partner = np.arange(n)
-        partner[p], partner[q] = q, p
-        pq, qp = p * n + q, q * n + p
-        for x in (p, q, partner, pq, qp):
-            x.setflags(write=False)
-        rounds.append((p, q, partner, _gather_runs(partner), pq, qp))
-    return tuple(rounds)
-
-
 def _spectrum(c: CouplingMatrix, a: np.ndarray, v: np.ndarray, exponent: int,
               sweeps: int) -> _Solved:
     eigenvalues = np.ldexp(np.diag(a), exponent)
@@ -211,28 +173,13 @@ def _jacobi(c: CouplingMatrix) -> _Solved:
     """The eigenvalues (ascending), sweep count, eigenvectors and residual
     of ``c`` by Brent-Luk round-robin Jacobi.
 
-    Each sweep visits every off-diagonal pair once, in rounds of disjoint
-    pairs (Brent & Luk 1985).  Rotations in one round touch disjoint rows
-    and columns, so a round computes all its angles at once and applies
-    them as whole-array operations.  The matrix is swept until its
-    off-diagonal Frobenius norm falls below 1e-12 * ||C||_F (cap: 100
-    sweeps).
-
-    A and V live in one (2n, n) array w = [A; V].  Each round has a partner
-    index array (partner[p] = q, partner[q] = p; an idle index of odd n is
-    its own partner) and per-index coefficients cf (cs at p and q, else 1)
-    and sf (-sn at p, +sn at q, else 0).  The columns of A and V become
-    cf * w + sf * w[:, partner], then the rows of A likewise.  Per element
-    that is cs*x + (-sn)*y and cs*y + sn*x; in IEEE arithmetic these equal
-    cs*x - sn*y and sn*x + cs*y exactly, and an idle index gets x*1 + x*0 =
-    x, so the bits match a per-pair gather/scatter rotation of the same
-    schedule.
-
-    The round's indices come from ``_schedule(n)``.  The column gather is
-    made as the schedule's slice runs, copied into one buffer; the row
-    gather is one ``np.take`` of rows; a_pq and the diagonal are read
-    through flat offsets.  Each copies the same values, so no bit changes.
-    The copy views are built once per call, not once per round.
+    Each sweep visits every off-diagonal pair once, in the rounds of
+    disjoint pairs of ``_round_robin`` (Brent & Luk 1985).  Rotations in one
+    round touch disjoint rows and columns, so a round computes all its
+    angles at once and rotates columns P and Q of A and V together, then
+    rows P and Q of A, as index-array assignments; an idle index of odd n
+    is left alone.  The matrix is swept until its off-diagonal Frobenius
+    norm falls below 1e-12 * ||C||_F (cap: 100 sweeps).
 
     The matrix is swept as C / 2^e, where 2^e is the power of two that
     brings max|C| into [1/2, 1), so that ||C||_F neither overflows (entries
@@ -242,19 +189,12 @@ def _jacobi(c: CouplingMatrix) -> _Solved:
     """
     n = c.n
     exponent = math.frexp(float(np.max(np.abs(c.entries))))[1]
-    w = np.empty((2 * n, n))
+    w = np.empty((2 * n, n))  # [A; V]
     np.ldexp(c.entries, -exponent, out=w[:n])
     w[n:] = np.eye(n)
-    a, flat = w[:n], w.reshape(-1)
+    a = w[:n]
     norm_c = float(np.linalg.norm(a))
-    tmp = np.empty_like(w)
-    rows = tmp[:n]  # tmp is spent by then
-    cf, sf = np.empty((1, n)), np.empty((1, n))
-    cf_flat, sf_flat = cf.reshape(-1), sf.reshape(-1)
-    cf_rows, sf_rows = cf.reshape(n, 1), sf.reshape(n, 1)
-    plan = [(pq, qp, p * (n + 1), q * (n + 1), p, q, partner,
-             tuple((tmp[:, dst], w[:, src]) for dst, src in runs))
-            for p, q, partner, runs, pq, qp in _schedule(n)]
+    rounds = _round_robin(n)
     sweeps = 0
     while True:
         off = a.copy()
@@ -264,33 +204,21 @@ def _jacobi(c: CouplingMatrix) -> _Solved:
         if sweeps >= _SWEEP_CAP:
             raise InputError(f"Jacobi did not converge in {_SWEEP_CAP} sweeps")
         sweeps += 1
-        for pq, qp, pp, qq, p, q, partner, copies in plan:
-            apq = flat[pq]
+        for p, q in rounds:
+            apq = a[p, q]
             live = apq != 0.0  # a zero pair gets the identity rotation
-            theta = (flat[qq] - flat[pp]) / (2.0 * np.where(live, apq, 1.0))
+            theta = (a[q, q] - a[p, p]) / (2.0 * np.where(live, apq, 1.0))
             t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             t = np.where(live, t, 0.0)
             cs = 1.0 / np.sqrt(t * t + 1.0)
             sn = t * cs
-            cf.fill(1.0)  # an idle index (odd n) keeps 1 and 0
-            sf.fill(0.0)
-            cf_flat[p] = cs
-            cf_flat[q] = cs
-            sf_flat[p] = -sn
-            sf_flat[q] = sn
             # columns of A and V at once, then rows of A (A stays symmetric)
-            for dst, src in copies:
-                np.copyto(dst, src)
-            tmp *= sf
-            w *= cf
-            w += tmp
-            # mode="clip" (every row is in range) lets take write to out unbuffered
-            np.take(w, partner, axis=0, out=rows, mode="clip")
-            rows *= sf_rows
-            a *= cf_rows
-            a += rows
-            flat[pq] = 0.0
-            flat[qp] = 0.0
+            x, y = w[:, p], w[:, q]
+            w[:, p], w[:, q] = cs * x - sn * y, sn * x + cs * y
+            cs, sn = cs[:, None], sn[:, None]
+            x, y = a[p], a[q]
+            a[p], a[q] = cs * x - sn * y, sn * x + cs * y
+            a[p, q] = a[q, p] = 0.0
 
 
 def _tridiagonalise(a: np.ndarray) -> tuple:

@@ -92,7 +92,9 @@ class ChainParams:
     ``steps`` counts single-particle update attempts including burn-in;
     post-burn-in states are emitted every ``thin`` steps.  The proposal
     scale starts at ``step_size``, is adapted toward 30-50% acceptance
-    during burn-in and is frozen afterwards."""
+    during burn-in and is frozen afterwards.  ``step_size`` must lie in the
+    range the tuner keeps a step in, [1e-3, 4]: a step far below it
+    freezes the chain, and a tuning window grows a step by only 1.25x."""
 
     beta: float
     steps: int
@@ -106,8 +108,8 @@ class ChainParams:
             raise ValueError("need 0 <= burn_in < steps")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be positive and finite")
+        if not _STEP_MIN <= self.step_size <= _STEP_MAX:
+            raise ValueError(f"step_size must lie in [{_STEP_MIN:g}, {_STEP_MAX:g}]")
 
 
 @dataclass(frozen=True)

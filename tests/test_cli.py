@@ -903,7 +903,7 @@ def test_exit_2_on_malformed_beta_grid(tmp_path, command, grid):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step_size", ["0", "nan", "inf"])
+@pytest.mark.parametrize("step_size", ["0", "nan", "inf", "1e-300", "5"])
 def test_exit_2_on_bad_step_size(tmp_path, step_size):
     out = tmp_path / "collapse.csv"
     assert run(["mc-gibbs", "--input", INPUTS / "pair_c1.json", "--beta-grid", "0.2",
@@ -959,6 +959,17 @@ def test_exit_2_on_flag_the_command_does_not_read(tmp_path, command, flag, value
     with pytest.raises(SystemExit) as exc:
         run(argv + [flag, value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(_RUNNABLE))
+def test_no_command_runs_the_jacobi(tmp_path, monkeypatch, command):
+    # eigenvalues come from the tridiagonal kernel or the secular equation;
+    # the Jacobi serves only reads of eigenvectors, residual and sweeps
+    def refuse(c):
+        raise AssertionError(f"the Jacobi ran on n={c.n}")
+
+    monkeypatch.setattr(spectral, "_jacobi", refuse)
+    assert run([command, *_RUNNABLE[command], "--out", tmp_path / "out"]) == 0
 
 
 def test_readme_lists_each_command_with_the_flags_it_declares():

@@ -24,7 +24,7 @@ from loggas import (
 import loggas.cli as cli
 import loggas.spectral as spectral
 from loggas.errors import InputError, SizeLimitError
-from loggas.spectral import (BoundReport, _eigenvalues, _jacobi, _round_robin, _schedule,
+from loggas.spectral import (BoundReport, _eigenvalues, _jacobi, _round_robin,
                              _tridiagonalise)
 
 from conftest import random_exact_matrix, random_float_matrix
@@ -83,29 +83,6 @@ def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
         assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)  # disjoint pairs
         seen += zip(p.tolist(), q.tolist())
     assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-@pytest.mark.parametrize("n", [*range(2, 42), 64, 96, 97])
-def test_schedule_runs_gather_the_partner_columns_bit_for_bit(n):
-    # signed zeros tell a copied column from its neighbours: an idle index
-    # (odd n) that copied a zero from another column could flip -0.0 to 0.0
-    rng = np.random.default_rng(n)
-    w = rng.standard_normal((2 * n, n))
-    w[rng.random(w.shape) < 0.2] = -0.0
-    w[rng.random(w.shape) < 0.2] = 0.0
-    rounds = _schedule(n)
-    assert len(rounds) == len(_round_robin(n))
-    for (p, q, partner, runs, pq, qp), (p0, q0) in zip(rounds, _round_robin(n)):
-        assert np.array_equal(p, p0) and np.array_equal(q, q0)
-        assert np.array_equal(partner[p], q) and np.array_equal(partner[q], p)
-        idle = np.flatnonzero(partner == np.arange(n))
-        assert len(idle) == n % 2
-        assert np.array_equal(pq, p * n + q) and np.array_equal(qp, q * n + p)
-        gathered = np.full_like(w, np.nan)
-        for dst, src in runs:
-            np.copyto(gathered[:, dst], w[:, src])
-        assert np.array_equal(gathered, w[:, partner])
-        assert np.array_equal(np.signbit(gathered), np.signbit(w[:, partner]))
 
 
 def _per_pair_eigs(c):
