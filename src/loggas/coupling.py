@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -147,8 +148,12 @@ def from_matrix(raw, cap: int = MAX_PARTICLES) -> CouplingMatrix:
     the float grid: 1e-12 * max(min(1, s), |c(i,j)|).  Integer/Fraction/"p/q"
     entries produce an exact rational grid alongside the floats; a float
     input is stored as its upper triangle mirrored by index, so a -0.0
-    coupling keeps its sign, and goes through ``_float_matrix``.  A row
-    count past ``cap`` is refused before any row is read.
+    coupling keeps its sign, and goes through ``_float_matrix``.  A grid of
+    finite Python floats, as ``json.load`` reads float literals, is built in
+    one array conversion (``_finite_floats``); any other grid is parsed entry
+    by entry (``parse_number``), so a bool, a string that is no number or a
+    NaN or infinite entry is refused by name.  A row count past ``cap`` is
+    refused before any row is read.
     """
     arrays = (list, tuple, np.ndarray)
     if not (isinstance(raw, arrays) and all(isinstance(r, arrays) for r in raw)):
@@ -161,7 +166,8 @@ def from_matrix(raw, cap: int = MAX_PARTICLES) -> CouplingMatrix:
     if any(len(r) != n for r in rows):
         raise InputError("matrix is not square")
 
-    parsed = [[parse_number(v) for v in r] for r in rows]
+    floats = _finite_floats(rows)
+    parsed = rows if floats is not None else [[parse_number(v) for v in r] for r in rows]
     if all(all_exact(r) for r in parsed):
         for i in range(n):
             if parsed[i][i] != 0:
@@ -175,7 +181,8 @@ def from_matrix(raw, cap: int = MAX_PARTICLES) -> CouplingMatrix:
     # mixed or float input is checked on its one float cast, all pairs at
     # once; the first offence in row-major order of the upper triangle,
     # diagonal included, is refused, as an entry-by-entry scan would find it
-    floats = _floats(parsed, "coupling ({},{})")
+    if floats is None:
+        floats = _floats(parsed, "coupling ({},{})")
     floor = min(1.0, float(np.abs(floats).max()))
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is nan, never refused
         bad = np.abs(floats - floats.T) > SYMMETRY_RTOL * np.maximum(floor, np.abs(floats))
@@ -191,6 +198,16 @@ def from_matrix(raw, cap: int = MAX_PARTICLES) -> CouplingMatrix:
     floats[lower] = floats.T[lower]
     np.fill_diagonal(floats, 0.0)
     return _float_matrix(floats, nonzero=False)
+
+
+def _finite_floats(rows: list) -> Optional[np.ndarray]:
+    """The grid of ``rows`` in one array conversion when every entry is a
+    Python float and finite, as ``json.load`` gives for float literals;
+    ``parse_number`` returns such an entry as it is.  None otherwise."""
+    if set(map(type, chain.from_iterable(rows))) != {float}:
+        return None
+    floats = np.array(rows, dtype=float)
+    return floats if np.isfinite(floats).all() else None
 
 
 def _float_matrix(floats: np.ndarray, nonzero: bool) -> CouplingMatrix:

@@ -73,6 +73,24 @@ def test_golden_bounds(tmp_path):
     compare_bytes(out, GOLDEN / "bounds_mixed.json")
 
 
+def _gaussian_matrix_input(path: Path, n: int, seed: int) -> Path:
+    """A float matrix input: Philox normals / sqrt(n) above the diagonal,
+    mirrored, with 0.0 on the diagonal."""
+    upper = np.triu(np.random.Generator(np.random.Philox(seed)).standard_normal((n, n)), 1)
+    upper /= math.sqrt(n)
+    path.write_text(json.dumps({"matrix": (upper + upper.T).tolist()}))
+    return path
+
+
+def test_golden_bounds_gauss_n72(tmp_path):
+    # n = 72 bisects with two halvings per pass; the report pins every
+    # eigenvalue's bits through the loader and the kernel
+    source = _gaussian_matrix_input(tmp_path / "gauss_n72.json", 72, 72)
+    out = tmp_path / "report.json"
+    assert run(["bounds", "--input", source, "--out", out]) == 0
+    compare_bytes(out, GOLDEN / "bounds_gauss_n72.json")
+
+
 def test_bounds_report_matches_exact_spectrum(tmp_path):
     # C = kk' - I for k = (1,1,-1,-1) has the exact spectrum {-1,-1,-1,3}, so
     # beta+ >= 1 and beta- <= -1/3; the secular equation finds it exactly

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import loggas.coupling as coupling
 from loggas import (
     ChargeVector,
     GraphSpec,
@@ -18,6 +20,7 @@ from loggas import (
     sample_gaussian_couplings,
 )
 from loggas.errors import InputError
+from loggas.rational import parse_number, tolerance
 
 from conftest import exact_charge_tuples
 
@@ -388,3 +391,86 @@ def test_from_matrix_names_the_first_asymmetric_pair_in_row_major_order(mode):
     with pytest.raises(InputError) as refused:
         from_matrix(m)
     assert str(refused.value) == "entry (1,1) = 2.0 is nonzero"
+
+
+def _entry_by_entry(rows):
+    """The float grid of a float or mixed matrix, or the InputError that
+    refuses it, found entry by entry: ``parse_number`` on every entry, then
+    the first diagonal entry or pair in row-major order of the upper
+    triangle that breaks the rule, then the sum over pairs."""
+    n = len(rows)
+    parsed = [[parse_number(v) for v in r] for r in rows]
+    floats = [[float(v) for v in r] for r in parsed]
+    scale = max(abs(x) for r in floats for x in r)
+    for i in range(n):
+        if parsed[i][i] != 0:
+            raise InputError(f"entry ({i},{i}) = {parsed[i][i]} is nonzero")
+        for j in range(i + 1, n):
+            a, b = floats[i][j], floats[j][i]
+            if abs(a - b) > tolerance(1e-12, a, scale):
+                raise InputError(f"entries ({i},{j}) and ({j},{i}) differ: {a} vs {b}")
+    grid = np.array([[floats[min(i, j)][max(i, j)] if i != j else 0.0 for j in range(n)]
+                     for i in range(n)])
+    if math.isinf(sum(abs(floats[i][j]) for i in range(n) for j in range(i + 1, n))):
+        raise InputError("the sum of |c_ij| over pairs i < j is beyond the float range")
+    return grid
+
+
+def _gaussian_float_rows(n=5):
+    g = np.triu(np.random.default_rng(43).standard_normal((n, n)), 1)
+    return (g + g.T).tolist()
+
+
+def _edit(*changes):
+    """A float grid with each (i, j, value) entry set."""
+    def make():
+        rows = _gaussian_float_rows()
+        for i, j, v in changes:
+            rows[i][j] = v
+        return rows
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _edit(),
+    _edit((0, 2, math.nan), (2, 0, math.nan)),
+    _edit((1, 3, math.inf), (3, 1, math.inf)),
+    _edit((4, 0, -math.inf)),
+    _edit((0, 1, True), (1, 0, True)),
+    _edit((2, 3, 3), (3, 2, 3)),
+    _edit((1, 2, "1/2"), (2, 1, "1/2")),
+    _edit((2, 2, 0.5)),
+    _edit((1, 3, 0.25), (3, 1, 0.75)),
+    _edit((0, 3, -0.0), (3, 0, 0.0), (1, 4, 0.0), (4, 1, -0.0), (2, 2, -0.0)),
+    lambda: np.array(_gaussian_float_rows(), dtype=np.float32),
+    lambda: [[0.0 if i == j else 1e308 for j in range(3)] for i in range(3)],
+], ids=["floats", "nan", "infinity", "-infinity", "true", "int", "ratio-string",
+        "nonzero-diagonal", "asymmetric", "negative-zero", "float32", "pair-sum-overflow"])
+def test_from_matrix_float_grids_load_as_entry_by_entry(make):
+    # the same bytes (signs included) as the entry-by-entry oracle, or the
+    # same refusal with the same message
+    raw = make()
+    rows = raw.tolist() if isinstance(raw, np.ndarray) else raw
+    try:
+        want = _entry_by_entry(rows)
+    except InputError as refusal:
+        with pytest.raises(InputError) as refused:
+            from_matrix(raw)
+        assert str(refused.value) == str(refusal)
+    else:
+        c = from_matrix(raw)
+        assert not c.is_exact
+        assert c.entries.tobytes() == want.tobytes()
+
+
+def test_an_all_float_grid_never_parses_an_entry(monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"parse_number({value!r})")
+
+    monkeypatch.setattr(coupling, "parse_number", refuse)
+    rows = _gaussian_float_rows(8)
+    rows[0][3] = rows[3][0] = -0.0
+    c = from_matrix(rows)
+    assert c.entries.tobytes() == np.array(rows).tobytes()
+    with pytest.raises(AssertionError, match="parse_number"):
+        from_matrix([[0.0, 1], [1, 0.0]])

@@ -295,6 +295,21 @@ def test_kernel_gives_disjoint_pairs_their_exact_eigenvalues(v):
     _assert_same_bits(_eigenvalues([CouplingMatrix(n, m)])[0], want)
 
 
+@pytest.mark.parametrize("v", [1.0, 1 + 2 ** -52, -0.7])
+@pytest.mark.parametrize("tiny", [1e-200, 1e-170])
+def test_a_coupling_whose_square_underflows_splits_like_a_zero(v, tiny):
+    # the pairs of the test above, chained by couplings whose squares are
+    # 0.0: the count restarts there as at an exact 0, so the spectrum is
+    # the same; a split flag read from the coupling instead of its square
+    # divides 0 by the zero pivot at x = |v|
+    n = 6
+    m = np.zeros((n, n))
+    m[np.arange(n - 1), np.arange(1, n)] = [v, tiny, v, tiny, v]
+    m += m.T
+    want = np.repeat([-abs(v), abs(v)], n // 2)
+    _assert_same_bits(_eigenvalues([CouplingMatrix(n, m)])[0], want)
+
+
 def test_block_diagonal_input_splits_its_tridiagonal():
     # blocks in index order: the reduction never mixes them, so the
     # off-diagonal between two blocks is exactly 0 and the count restarts
